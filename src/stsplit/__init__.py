@@ -55,13 +55,7 @@ from .reference import (
     manufactured_rhs,
     solve_monolithic,
 )
-from .resolvent import (
-    LinearConfig,
-    NewtonConfig,
-    ResolventConfig,
-    newton_time_step,
-    resolvent_solve,
-)
+from .resolvent import NewtonConfig, ResolventConfig, resolvent_solve
 
 __version__ = "0.1.0"
 
@@ -75,8 +69,7 @@ __all__ = [
     "Decomposition", "Subdomain", "WeightFamily", "build_decomposition",
     "OperatorContext", "TimeGrid", "apply_A", "apply_F", "build_context",
     "h_inner", "h_norm", "k_functional", "primal_F", "v_norm_p",
-    "LinearConfig", "NewtonConfig", "ResolventConfig", "newton_time_step",
-    "resolvent_solve",
+    "NewtonConfig", "ResolventConfig", "resolvent_solve",
     "ManufacturedSolution", "cosine_solution", "interpolate_exact",
     "manufactured_rhs", "solve_monolithic",
     "IterationTrace", "RunResult", "SchemeConfig", "run_scheme",

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .models import default_flux_jacobian, default_reaction_derivative
 from .operators import build_context, h_norm, k_functional, primal_F
-from .resolvent import LinearConfig, NewtonConfig, ResolventConfig, resolvent_solve
+from .resolvent import NewtonConfig, ResolventConfig, resolvent_solve
 
 SCHEMES = ("PR", "DR", "AS", "AS_shifted")
 
@@ -47,7 +47,6 @@ class SchemeConfig:
     max_sweeps: int = 100
     stop_tol: float = 1e-10
     newton: NewtonConfig = field(default_factory=NewtonConfig)
-    linear: LinearConfig = field(default_factory=LinearConfig)
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -215,7 +214,7 @@ def run_scheme(ctx, cfg, u_ref=None, threads=1, initial=None):
     if cfg.scheme in ("PR", "DR") and q != 2:
         raise ConfigurationError(f"{cfg.scheme} requires exactly 2 subdomains")
     s = cfg.resolve_s()
-    rcfg = ResolventConfig(s=s, newton=cfg.newton, linear=cfg.linear)
+    rcfg = ResolventConfig(s=s, newton=cfg.newton)
     n_steps, n_nodes = ctx.grid.n_steps, ctx.mesh.n_nodes
 
     u0 = np.zeros((n_steps, n_nodes)) if initial is None else np.array(initial, float)
@@ -298,7 +297,7 @@ def run_scheme(ctx, cfg, u_ref=None, threads=1, initial=None):
                 pr_w = h_norm(ctx, wn - w_ref)
         trace.append(n, err_H, err_k, pr_v, pr_w, wall_ms)
 
-        delta = h_norm(ctx, u_cmp - u_cmp_prev)
+        delta = h_norm(ctx, unshift(u_cmp - u_cmp_prev))
         u_cmp_prev = u_cmp
         if delta <= cfg.stop_tol:
             converged = True

@@ -43,11 +43,13 @@ class TimeGrid:
 class _AssemblyBundle:
     """Per-(sub)domain assembly tables in local node numbering."""
 
-    def __init__(self, nodes, conn, qw, qp, dphi, phi, a_q, b_q, m, cap, loads,
-                 a_node, g_node, contiguous_1d):
+    def __init__(self, nodes, conn, bandwidth, band_index, qw, qp, dphi, phi,
+                 a_q, b_q, m, cap, loads):
         self.nodes = nodes  # global node ids
         self.n_nodes = len(nodes)
         self.conn = conn  # (n_el, n_loc) local indices
+        self.bandwidth = bandwidth  # max |conn_i - conn_j| within an element
+        self.band_index = band_index  # flat (e, l, m) -> LAPACK band storage
         self.qw = qw
         self.qp = qp
         self.dphi = dphi
@@ -57,9 +59,6 @@ class _AssemblyBundle:
         self.m = m  # restricted global lumped mass
         self.cap = cap  # m * g * gamma, the diagonal capacity weights
         self.loads = loads  # (n_steps, n_nodes) dual load vectors
-        self.a_node = a_node
-        self.g_node = g_node
-        self.contiguous_1d = contiguous_1d
 
     def scatter(self, contrib):
         """Accumulate (n_el, n_loc) element contributions into a nodal array."""
@@ -81,6 +80,12 @@ def _make_bundle(mesh, grid, model, nodes, elements, a_node, b_elem, g_node,
     conn = local_of[mesh.elements[elements]]
     if np.any(conn < 0):
         raise ConfigurationError("subdomain elements reference outside nodes")
+    # element entry (l, m) lands at ab[bw + i - j, j], i = conn[l], j = conn[m]
+    n_loc = conn.shape[1]
+    rows = np.repeat(conn, n_loc, axis=1)
+    cols = np.tile(conn, (1, n_loc))
+    bandwidth = int(np.max(np.abs(rows - cols)))
+    band_index = ((bandwidth + rows - cols) * len(nodes) + cols).ravel()
     qw = mesh.quad_weights[elements]
     qp = mesh.quad_points[elements]
     dphi = mesh.basis_gradients[elements]
@@ -88,13 +93,10 @@ def _make_bundle(mesh, grid, model, nodes, elements, a_node, b_elem, g_node,
     a_q, b_q = _weights_at_quad(phi, a_node[mesh.elements[elements]], b_elem[elements])
     m = lumped[nodes]
     cap = m * g_node[nodes] * gamma_nodes[nodes]
-    contiguous = mesh.dim == 1 and np.array_equal(
-        conn, np.stack([np.arange(len(elements)), np.arange(1, len(elements) + 1)], axis=1)
-    )
     bundle = _AssemblyBundle(
-        nodes=nodes, conn=conn, qw=qw, qp=qp, dphi=dphi, phi=phi, a_q=a_q,
-        b_q=b_q, m=m, cap=cap, loads=None, a_node=a_node[nodes],
-        g_node=g_node[nodes], contiguous_1d=contiguous,
+        nodes=nodes, conn=conn, bandwidth=bandwidth, band_index=band_index,
+        qw=qw, qp=qp, dphi=dphi, phi=phi, a_q=a_q, b_q=b_q, m=m, cap=cap,
+        loads=None,
     )
     bundle.loads = _assemble_loads(bundle, model.source, grid)
     return bundle
@@ -201,11 +203,6 @@ def apply_A(ctx, ell, k, u_k):
     if not np.all(np.isfinite(r)):
         raise NumericError("model functions produced non-finite values in apply_A")
     return r
-
-
-def f_load(ctx, ell, k):
-    """Precomputed dual load vector of the weighted source at level k."""
-    return ctx.bundle(ell).loads[k]
 
 
 def apply_F(ctx, ell, u):

@@ -4,17 +4,17 @@ Each time level solves the nodal system (dual representation)
 
     s*m.u + cap*(u - u_prev)/dt + A_ell(t_k)u + load_k = rhs
 
-with an exact residual and an epsilon-regularized Jacobian.  Off the
-subdomain the resolvent acts as division by s, so the returned global field
-is u = extend(u_ell) + (g - extend(restrict(g)))/s.
+with an exact residual and an epsilon-regularized Jacobian.  Strips are cut
+along the first mesh axis, so every level system is banded and each Newton
+step ends in one banded direct solve.  Off the subdomain the resolvent acts
+as division by s, so the returned global field is
+u = extend(u_ell) + (g - extend(restrict(g)))/s.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import ConfigurationError, SolverError
 from .models import default_flux_jacobian, default_reaction_derivative
@@ -38,21 +38,9 @@ class NewtonConfig:
 
 
 @dataclass(frozen=True)
-class LinearConfig:
-    solver: str = "auto"  # auto | tridiagonal | cg
-    cg_tol: float = 1e-13
-    cg_max_iters: int = 5000
-
-    def __post_init__(self):
-        if self.solver not in ("auto", "tridiagonal", "cg"):
-            raise ConfigurationError(f"unknown linear solver '{self.solver}'")
-
-
-@dataclass(frozen=True)
 class ResolventConfig:
     s: float
     newton: NewtonConfig = field(default_factory=NewtonConfig)
-    linear: LinearConfig = field(default_factory=LinearConfig)
 
     def __post_init__(self):
         if self.s <= 0.0:
@@ -102,49 +90,19 @@ def _element_matrices(ctx, bundle, t, u, eps, picard=False):
     return ke
 
 
-def _solve_linear(bundle, ke, diag_extra, rhs, linear):
-    """Solve (assembled ke + diag(diag_extra)) x = rhs."""
-    n = bundle.n_nodes
-    solver = linear.solver
-    if solver == "auto":
-        solver = "tridiagonal" if bundle.contiguous_1d else "cg"
-    if solver == "tridiagonal":
-        if not bundle.contiguous_1d:
-            raise ConfigurationError("tridiagonal solver needs a 1D contiguous mesh")
-        diag = np.bincount(bundle.conn[:, 0], weights=ke[:, 0, 0], minlength=n)
-        diag += np.bincount(bundle.conn[:, 1], weights=ke[:, 1, 1], minlength=n)
-        diag += diag_extra
-        ab = np.zeros((3, n))
-        ab[0, 1:] = ke[:, 0, 1]
-        ab[1, :] = diag
-        ab[2, :-1] = ke[:, 1, 0]
-        try:
-            return scipy.linalg.solve_banded((1, 1), ab, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"banded solve failed: {exc}") from exc
-    n_loc = bundle.conn.shape[1]
-    rows = np.repeat(bundle.conn, n_loc, axis=1).ravel()
-    cols = np.tile(bundle.conn, (1, n_loc)).ravel()
-    mat = scipy.sparse.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    mat += scipy.sparse.diags(diag_extra)
-    dinv = 1.0 / mat.diagonal()
-    precond = scipy.sparse.linalg.LinearOperator((n, n), matvec=lambda x: dinv * x)
+def _solve_linear(bundle, ke, diag_extra, rhs):
+    """Solve (assembled ke + diag(diag_extra)) x = rhs as a banded system."""
+    bw, n = bundle.bandwidth, bundle.n_nodes
+    ab = np.bincount(bundle.band_index, weights=ke.ravel(),
+                     minlength=(2 * bw + 1) * n).reshape(2 * bw + 1, n)
+    ab[bw] += diag_extra
     try:
-        x, info = scipy.sparse.linalg.cg(
-            mat, rhs, rtol=linear.cg_tol, atol=0.0,
-            maxiter=linear.cg_max_iters, M=precond,
-        )
-    except TypeError:  # older scipy spells rtol as tol
-        x, info = scipy.sparse.linalg.cg(
-            mat, rhs, tol=linear.cg_tol, atol=0.0,
-            maxiter=linear.cg_max_iters, M=precond,
-        )
-    if info != 0:
-        raise SolverError(f"conjugate gradient did not converge (info={info})")
-    return x
+        return scipy.linalg.solve_banded((bw, bw), ab, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"banded solve failed: {exc}") from exc
 
 
-def newton_level_solve(ctx, ell, s, newton, linear, k, u_prev, rhs, u0=None):
+def newton_level_solve(ctx, ell, s, newton, k, u_prev, rhs, u0=None):
     """Damped Newton on one time level; returns a NewtonResult.
 
     Falls back to a single Picard step (frozen-coefficient linearization)
@@ -173,7 +131,7 @@ def newton_level_solve(ctx, ell, s, newton, linear, k, u_prev, rhs, u0=None):
                 worst_residual=worst,
             )
         ke = _element_matrices(ctx, bundle, t, u, eps)
-        du = _solve_linear(bundle, ke, diag_extra, -r, linear)
+        du = _solve_linear(bundle, ke, diag_extra, -r)
         step = newton.damping
         accepted = False
         for _ in range(newton.max_halvings + 1):
@@ -188,7 +146,7 @@ def newton_level_solve(ctx, ell, s, newton, linear, k, u_prev, rhs, u0=None):
         if not accepted:
             ke = _element_matrices(ctx, bundle, t, u, eps, picard=True)
             pr_rhs = rhs - bundle.loads[k] + bundle.cap * u_prev / dt
-            u = _solve_linear(bundle, ke, diag_extra, pr_rhs, linear)
+            u = _solve_linear(bundle, ke, diag_extra, pr_rhs)
             r = _level_residual(ctx, ell, bundle, s, k, u, u_prev, rhs)
             rn = _residual_norm(r, bundle.m)
             if not np.isfinite(rn):
@@ -198,14 +156,6 @@ def newton_level_solve(ctx, ell, s, newton, linear, k, u_prev, rhs, u0=None):
         worst = max(worst, rn)
         iters += 1
     return NewtonResult(values=u, iterations=iters, residual_norm=rn)
-
-
-def newton_time_step(ctx, ell, cfg, k, u_prev, rhs):
-    """One implicit-Euler level of (sI + F_ell) u = g in dual form."""
-    return newton_level_solve(
-        ctx, ell, cfg.s, cfg.newton, cfg.linear, k, np.asarray(u_prev, float),
-        np.asarray(rhs, float),
-    )
 
 
 def resolvent_solve(ctx, ell, g, cfg):
@@ -227,9 +177,7 @@ def resolvent_solve(ctx, ell, g, cfg):
     u_prev = np.zeros(bundle.n_nodes)
     for k in range(ctx.grid.n_steps):
         rhs = bundle.m * g[k, bundle.nodes]
-        res = newton_level_solve(
-            ctx, ell, cfg.s, cfg.newton, cfg.linear, k, u_prev, rhs
-        )
+        res = newton_level_solve(ctx, ell, cfg.s, cfg.newton, k, u_prev, rhs)
         u[k, bundle.nodes] = res.values
         u_prev = res.values
     return u

@@ -16,17 +16,19 @@ from stsplit import (
 
 def make_problem(cells=16, n_steps=4, T=1.0, p=2.0, lam=0.0, gamma=None,
                  q=2, overlap=0.5, c_min=0.1, source=None, amplitude=1.0):
-    """1D problem bundle (mesh, grid, model, dec, ctx).
+    """Problem bundle (mesh, grid, model, dec, ctx) on the unit box.
 
+    cells: an int for a 1D mesh, or (nx, ny) for a 2D one.
     source: None keeps the homogeneous equation, "cos" attaches the
     manufactured cosine load with the given amplitude.
     """
-    mesh = build_mesh((1.0,), (cells,))
+    cells = tuple(np.atleast_1d(cells))
+    mesh = build_mesh((1.0,) * len(cells), cells)
     grid = TimeGrid(T=T, n_steps=n_steps)
     model = p_laplace_model(p, lam=lam,
                             gamma=gamma if gamma is not None else constant_gamma(1.0))
     if source == "cos":
-        exact = cosine_solution(1, amplitude=amplitude)
+        exact = cosine_solution(len(cells), amplitude=amplitude)
         model = model.with_source(manufactured_rhs(model, exact, mesh, grid))
     dec = build_decomposition(mesh, q, overlap, c_min=c_min)
     ctx = build_context(mesh, model, grid, dec)

@@ -187,6 +187,23 @@ def test_shifted_scheme_returns_unshifted_iterates():
     assert len(result.trace.err_k[0]) == ctx.dec.q
 
 
+def test_shifted_stop_test_measures_unshifted_iterates():
+    # with q*T = 2 the shifted iterates are up to e^2 smaller than the
+    # reported ones, so a stop test on them would stop too early
+    _, grid, _, _, ctx = make_problem(cells=12, n_steps=4, T=1.0, p=2.0,
+                                      lam=1.0, source="cos")
+    tol = 1e-4
+    result = run_scheme(ctx, SchemeConfig(scheme="AS_shifted", s=1.0,
+                                          max_sweeps=200, stop_tol=tol))
+    assert result.converged
+    # the run is deterministic, so one sweep fewer reproduces the iterate
+    # the last delta was measured against
+    before = run_scheme(ctx, SchemeConfig(scheme="AS_shifted", s=1.0,
+                                          max_sweeps=result.sweeps - 1,
+                                          stop_tol=0.0))
+    assert h_norm(ctx, result.u - before.u) <= tol
+
+
 def test_per_subdomain_error_columns():
     _, grid, _, _, ctx = make_problem(cells=24, n_steps=3, p=2.0, q=3,
                                       source="cos")

@@ -125,6 +125,21 @@ def test_uniqueness_probe_different_initial_guesses():
     assert h_norm(ctx, u_a - u_b) <= 1e-9
 
 
+def test_monolithic_2d_matches_cosine_solution():
+    # the cosine solution is linear in t, so the distance to its interpolant
+    # is the O(h^2) spatial error: 0.6e-2 on 8x8 against ||u|| = 0.34
+    errs = []
+    for cells in ((8, 8), (16, 16)):
+        mesh, grid, _, _, ctx = make_problem(cells=cells, n_steps=4, p=3.0,
+                                             lam=1.0, source="cos")
+        u_h = solve_monolithic(ctx)
+        exact = interpolate_exact(cosine_solution(2), mesh, grid)
+        errs.append(h_norm(ctx, u_h - exact))
+        if cells == (8, 8):
+            assert errs[0] <= 0.025 * h_norm(ctx, exact)
+    assert np.log2(errs[0] / errs[1]) >= 1.8
+
+
 def test_degenerate_capacity_monolithic():
     _, grid, _, _, ctx = make_problem(
         cells=24, n_steps=6, p=3.0, lam=1.0,

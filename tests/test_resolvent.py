@@ -4,17 +4,16 @@ import pytest
 from conftest import make_problem, random_field
 from stsplit import (
     ConfigurationError,
-    LinearConfig,
     NewtonConfig,
     ResolventConfig,
     SolverError,
     apply_A,
     h_norm,
     indicator_gamma,
-    newton_time_step,
     primal_F,
     resolvent_solve,
 )
+from stsplit.resolvent import newton_level_solve
 
 
 def test_config_validation():
@@ -24,8 +23,6 @@ def test_config_validation():
         ResolventConfig(s=-1.0)
     with pytest.raises(ConfigurationError):
         NewtonConfig(damping=0.0)
-    with pytest.raises(ConfigurationError):
-        LinearConfig(solver="lu")
 
 
 def test_zero_input_zero_output():
@@ -57,13 +54,27 @@ def test_round_trip_recovers_field(p):
         assert h_norm(ctx, u - u_star) <= 1e-8
 
 
+def test_round_trip_recovers_field_2d():
+    # 2D strips give banded level systems wider than tridiagonal
+    mesh, grid, _, dec, ctx = make_problem(cells=(8, 8), n_steps=4, p=3.0,
+                                           lam=1.0, source="cos")
+    rng = np.random.default_rng(0)
+    s = 2.0
+    for ell in range(dec.q):
+        assert ctx.bundle(ell).bandwidth > 1
+        u_star = 0.5 * random_field(rng, grid, mesh)
+        g = s * u_star + primal_F(ctx, ell, u_star)
+        u = resolvent_solve(ctx, ell, g, ResolventConfig(s=s))
+        assert h_norm(ctx, u - u_star) <= 1e-8
+
+
 def test_linear_problem_single_newton_iteration():
     _, grid, _, _, ctx = make_problem(cells=12, n_steps=2, p=2.0, lam=1.0)
     rng = np.random.default_rng(1)
     bundle = ctx.bundle(0)
     rhs = bundle.m * rng.standard_normal(bundle.n_nodes)
-    res = newton_time_step(ctx, 0, ResolventConfig(s=1.0), 0,
-                           np.zeros(bundle.n_nodes), rhs)
+    res = newton_level_solve(ctx, 0, 1.0, NewtonConfig(), 0,
+                             np.zeros(bundle.n_nodes), rhs)
     assert res.iterations <= 1
     assert res.residual_norm <= 1e-9
 
@@ -71,8 +82,8 @@ def test_linear_problem_single_newton_iteration():
 def test_zero_rhs_zero_start_immediate():
     _, grid, _, _, ctx = make_problem(p=3.0)
     bundle = ctx.bundle(0)
-    res = newton_time_step(ctx, 0, ResolventConfig(s=1.0), 0,
-                           np.zeros(bundle.n_nodes), np.zeros(bundle.n_nodes))
+    res = newton_level_solve(ctx, 0, 1.0, NewtonConfig(), 0,
+                             np.zeros(bundle.n_nodes), np.zeros(bundle.n_nodes))
     assert res.iterations == 0
     assert np.all(res.values == 0.0)
 
@@ -87,7 +98,7 @@ def test_nonlinear_level_recovery():
     s, k = 1.5, 1
     rhs = (s * bundle.m * u_star + bundle.cap * (u_star - u_prev) / grid.dt
            + apply_A(ctx, 1, k, u_star) + bundle.loads[k])
-    res = newton_time_step(ctx, 1, ResolventConfig(s=s), k, u_prev, rhs)
+    res = newton_level_solve(ctx, 1, s, NewtonConfig(), k, u_prev, rhs)
     assert np.max(np.abs(res.values - u_star)) <= 1e-10
 
 
@@ -148,9 +159,9 @@ def test_newton_failure_reports_worst_residual():
     _, grid, _, _, ctx = make_problem(cells=12, n_steps=2, p=4.0)
     bundle = ctx.bundle(0)
     rhs = 1e8 * bundle.m
-    cfg = ResolventConfig(s=1.0, newton=NewtonConfig(max_iters=1, max_halvings=0))
+    newton = NewtonConfig(max_iters=1, max_halvings=0)
     with pytest.raises(SolverError) as err:
-        newton_time_step(ctx, 0, cfg, 0, np.zeros(bundle.n_nodes), rhs)
+        newton_level_solve(ctx, 0, 1.0, newton, 0, np.zeros(bundle.n_nodes), rhs)
     assert err.value.worst_residual is not None
     assert err.value.worst_residual > 0.0
 
