@@ -42,11 +42,11 @@ def main():
               f"{dec.weights[1].a[i]:6.2f} {dec.weights[0].g_node[i]:6.2f} "
               f"{dec.weights[1].g_node[i]:6.2f}")
 
-    print("\nelement weights (b = reaction):")
-    print(f"{'mid':>6s} {'b_1':>6s} {'b_2':>6s}")
+    print("\nelement weights (b = reaction, one value per element node):")
+    print(f"{'mid':>6s} {'b_1':>13s} {'b_2':>13s}")
     for e in range(mesh.n_elements):
-        print(f"{mids[e]:6.2f} {dec.weights[0].b_elem[e]:6.2f} "
-              f"{dec.weights[1].b_elem[e]:6.2f}")
+        b1, b2 = (" ".join(f"{v:6.2f}" for v in w.b_elem[e]) for w in dec.weights)
+        print(f"{mids[e]:6.2f} {b1} {b2}")
 
     a_sum = dec.weights[0].a + dec.weights[1].a
     b_sum = dec.weights[0].b_elem + dec.weights[1].b_elem

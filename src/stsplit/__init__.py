@@ -22,7 +22,7 @@ from .iteration import (
     shift_factors,
     shift_model,
 )
-from .mesh import Mesh, QuadratureRule, build_mesh, element_integrate
+from .mesh import Mesh, QuadratureRule, build_mesh
 from .models import (
     PStructureModel,
     PStructureReport,
@@ -61,7 +61,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigurationError", "NumericError", "SolverError",
-    "Mesh", "QuadratureRule", "build_mesh", "element_integrate",
+    "Mesh", "QuadratureRule", "build_mesh",
     "PStructureModel", "PStructureReport", "SourceTerm",
     "anti_monotone_model", "check_p_structure", "constant_gamma",
     "indicator_gamma", "monotonicity_constant", "p_laplace_model",

@@ -305,8 +305,6 @@ def _cmd_run(args):
     mesh, grid, model, dec, scheme_cfg, initial, output, seed = pieces
     if args.seed is not None:
         seed = args.seed
-    if args.threads < 1:
-        raise ConfigurationError("--threads must be at least 1")
 
     ctx = build_context(mesh, model, grid, dec)
     u_ref = solve_monolithic(ctx)
@@ -316,8 +314,7 @@ def _cmd_run(args):
         rng = np.random.default_rng(seed)
         u0 = rng.standard_normal((grid.n_steps, mesh.n_nodes))
 
-    result = run_scheme(ctx, scheme_cfg, u_ref=u_ref, threads=args.threads,
-                        initial=u0)
+    result = run_scheme(ctx, scheme_cfg, u_ref=u_ref, initial=u0)
 
     csv_path, summary_path = output
     write_trace_csv(csv_path, result.trace)
@@ -438,8 +435,6 @@ def main(argv=None):
         p.add_argument("config", help="path to the JSON experiment config")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config's rng_seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="cap for concurrent subdomain solves")
         p.set_defaults(handler=fn)
     args = parser.parse_args(argv)
     try:

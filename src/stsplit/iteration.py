@@ -18,7 +18,6 @@ where R_ell = (sI + F_ell)^{-1}.
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -182,18 +181,7 @@ def shift_factors(grid, rate):
     return np.exp(-float(rate) * grid.times)
 
 
-def _as_fan_out(ctx, rhs, rcfg, q, threads):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(resolvent_solve, ctx, ell, rhs, rcfg)
-                for ell in range(q)
-            ]
-            return [f.result() for f in futures]
-    return [resolvent_solve(ctx, ell, rhs, rcfg) for ell in range(q)]
-
-
-def run_scheme(ctx, cfg, u_ref=None, threads=1, initial=None):
+def run_scheme(ctx, cfg, u_ref=None, initial=None):
     """Run a splitting scheme and collect its convergence trace.
 
     Args:
@@ -201,10 +189,11 @@ def run_scheme(ctx, cfg, u_ref=None, threads=1, initial=None):
         cfg: SchemeConfig.
         u_ref: optional reference field; enables the error and monitor
             columns in the trace.
-        threads: fan-out cap for the additive schemes' independent
-            subdomain solves.  Results are reduced in fixed subdomain
-            order, so the outcome does not depend on this value.
         initial: starting field (defaults to zero).
+
+    The additive schemes apply their q independent subdomain resolvents in
+    one block-diagonal solve per sweep (see resolvent_solve) and average the
+    results in subdomain order.
 
     Returns a RunResult whose fields are unshifted for every scheme.
     """
@@ -276,7 +265,7 @@ def run_scheme(ctx, cfg, u_ref=None, threads=1, initial=None):
             wn = s * u2 - f2
         else:
             rhs = s * u_cmp_prev
-            u_subs = _as_fan_out(ctx_run, rhs, rcfg, q, threads)
+            u_subs = resolvent_solve(ctx_run, tuple(range(q)), rhs, rcfg)
             u_cmp = u_subs[0] / q
             for ell in range(1, q):
                 u_cmp = u_cmp + u_subs[ell] / q

@@ -9,7 +9,7 @@ residual and matrix assembly can run vectorized over all elements.
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError
 
 # 2-point Gauss on the reference interval [0, 1]: degree-3 exact.
 _GAUSS2_POINTS = np.array([[0.5 - 0.5 / np.sqrt(3.0)], [0.5 + 0.5 / np.sqrt(3.0)]])
@@ -173,23 +173,3 @@ def build_mesh(extent, cells):
     mesh.element_column = np.repeat(i_idx, 2)
     return mesh
 
-
-def element_integrate(mesh, elem, integrand):
-    """Integrate over one element with the mesh quadrature rule.
-
-    The integrand is called per quadrature point as
-    ``integrand(x, basis_values, basis_gradients)`` with physical coordinates
-    x of shape (dim,), basis values of shape (n_local,) and constant basis
-    gradients of shape (n_local, dim); it must return a finite scalar.
-    """
-    grads = mesh.basis_gradients[elem]
-    total = 0.0
-    for q in range(len(mesh.quadrature)):
-        value = integrand(mesh.quad_points[elem, q], mesh.basis_at_quad[q], grads)
-        if not np.isfinite(value):
-            raise NumericError(
-                f"non-finite integrand value on element {elem} at "
-                f"x={mesh.quad_points[elem, q]}"
-            )
-        total += mesh.quad_weights[elem, q] * value
-    return total

@@ -8,9 +8,11 @@ dividing by the lumped mass maps them back to field space.
 
 An OperatorContext freezes one discretization: mesh, model, time grid,
 optional decomposition, and every precomputed table needed for assembly
-(quadrature weights, weight profiles at quadrature points, capacity
-diagonals, load vectors per time level).  Contexts are immutable after
-construction and safe to share across threads.
+(quadrature weights times the weight profiles at quadrature points,
+capacity diagonals, load vectors per time level).  With a decomposition it
+also holds the stacked tables of all subdomains, on which the additive
+schemes solve their q independent subdomain systems as one block-diagonal
+system.  Contexts are immutable after construction.
 """
 
 from dataclasses import dataclass
@@ -40,25 +42,45 @@ class TimeGrid:
         return self.dt * np.arange(1, self.n_steps + 1)
 
 
-class _AssemblyBundle:
-    """Per-(sub)domain assembly tables in local node numbering."""
+def _band_layout(conn, n_nodes):
+    """Bandwidth and flat LAPACK band-storage index of the element entries.
 
-    def __init__(self, nodes, conn, bandwidth, band_index, qw, qp, dphi, phi,
-                 a_q, b_q, m, cap, loads):
+    Element entry (l, m) lands at ab[bw + i - j, j], i = conn[l], j = conn[m];
+    bw is the largest |conn_i - conn_j| within an element.
+    """
+    n_loc = conn.shape[1]
+    rows = np.repeat(conn, n_loc, axis=1)
+    cols = np.tile(conn, (1, n_loc))
+    bandwidth = int(np.max(np.abs(rows - cols)))
+    return bandwidth, ((bandwidth + rows - cols) * n_nodes + cols).ravel()
+
+
+class _AssemblyBundle:
+    """Per-(sub)domain assembly tables in local node numbering.
+
+    A stacked bundle holds several subdomains side by side: block i owns the
+    local nodes offsets[i]:offsets[i+1] and no element couples two blocks,
+    so every system assembled on it is block-diagonal.  A plain bundle is
+    one block, offsets (0, n_nodes).
+    """
+
+    def __init__(self, nodes, conn, qp, dphi, phi, wa, wb, m, cap,
+                 offsets=None):
         self.nodes = nodes  # global node ids
         self.n_nodes = len(nodes)
         self.conn = conn  # (n_el, n_loc) local indices
-        self.bandwidth = bandwidth  # max |conn_i - conn_j| within an element
-        self.band_index = band_index  # flat (e, l, m) -> LAPACK band storage
-        self.qw = qw
+        self.bandwidth, self.band_index = _band_layout(conn, self.n_nodes)
+        self.offsets = (0, self.n_nodes) if offsets is None else offsets
         self.qp = qp
         self.dphi = dphi
         self.phi = phi
-        self.a_q = a_q  # flux weights at quadrature points
-        self.b_q = b_q  # reaction weights at quadrature points
+        # phi_l * phi_m at each quadrature point, (n_q, n_loc**2)
+        self.pp = (phi[:, :, None] * phi[:, None, :]).reshape(len(phi), -1)
+        self.wa = wa  # quadrature weight * flux weight, (n_el, n_q)
+        self.wb = wb  # quadrature weight * reaction weight, (n_el, n_q)
         self.m = m  # restricted global lumped mass
         self.cap = cap  # m * g * gamma, the diagonal capacity weights
-        self.loads = loads  # (n_steps, n_nodes) dual load vectors
+        self.loads = None  # (n_steps, n_nodes) dual load vectors
 
     def scatter(self, contrib):
         """Accumulate (n_el, n_loc) element contributions into a nodal array."""
@@ -67,10 +89,12 @@ class _AssemblyBundle:
         )
 
 
-def _weights_at_quad(phi, a_node_on_conn, b_elem):
-    a_q = np.einsum("el,ql->eq", a_node_on_conn, phi)
-    b_q = np.einsum("el,ql->eq", b_elem, phi)
-    return a_q, b_q
+def quad_values(bundle, u):
+    """Values (n_el, n_q) and gradients (n_el, n_q, dim) of u at quadrature points."""
+    ue = u[bundle.conn]
+    uq = np.einsum("el,ql->eq", ue, bundle.phi)
+    gz = np.einsum("el,eld->ed", ue, bundle.dphi)
+    return uq, gz[:, None, :].repeat(uq.shape[1], axis=1)
 
 
 def _make_bundle(mesh, grid, model, nodes, elements, a_node, b_elem, g_node,
@@ -80,26 +104,49 @@ def _make_bundle(mesh, grid, model, nodes, elements, a_node, b_elem, g_node,
     conn = local_of[mesh.elements[elements]]
     if np.any(conn < 0):
         raise ConfigurationError("subdomain elements reference outside nodes")
-    # element entry (l, m) lands at ab[bw + i - j, j], i = conn[l], j = conn[m]
-    n_loc = conn.shape[1]
-    rows = np.repeat(conn, n_loc, axis=1)
-    cols = np.tile(conn, (1, n_loc))
-    bandwidth = int(np.max(np.abs(rows - cols)))
-    band_index = ((bandwidth + rows - cols) * len(nodes) + cols).ravel()
     qw = mesh.quad_weights[elements]
-    qp = mesh.quad_points[elements]
-    dphi = mesh.basis_gradients[elements]
     phi = mesh.basis_at_quad
-    a_q, b_q = _weights_at_quad(phi, a_node[mesh.elements[elements]], b_elem[elements])
+    a_q = np.einsum("el,ql->eq", a_node[mesh.elements[elements]], phi)
+    b_q = np.einsum("el,ql->eq", b_elem[elements], phi)
     m = lumped[nodes]
-    cap = m * g_node[nodes] * gamma_nodes[nodes]
     bundle = _AssemblyBundle(
-        nodes=nodes, conn=conn, bandwidth=bandwidth, band_index=band_index,
-        qw=qw, qp=qp, dphi=dphi, phi=phi, a_q=a_q, b_q=b_q, m=m, cap=cap,
-        loads=None,
+        nodes=nodes, conn=conn, qp=mesh.quad_points[elements],
+        dphi=mesh.basis_gradients[elements], phi=phi, wa=qw * a_q,
+        wb=qw * b_q, m=m, cap=m * g_node[nodes] * gamma_nodes[nodes],
     )
     bundle.loads = _assemble_loads(bundle, model.source, grid)
     return bundle
+
+
+def _stack_bundles(subs):
+    """One block-diagonal bundle over the subdomain bundles, in order.
+
+    The subdomain bundles are re-pointed at views of the stack's arrays, so
+    the tables are held once.
+    """
+    offsets = tuple(int(o) for o in np.cumsum([0] + [b.n_nodes for b in subs]))
+    el_offsets = np.cumsum([0] + [len(b.conn) for b in subs])
+    stack = _AssemblyBundle(
+        nodes=np.concatenate([b.nodes for b in subs]),
+        conn=np.concatenate([b.conn + o for b, o in zip(subs, offsets)]),
+        qp=np.concatenate([b.qp for b in subs]),
+        dphi=np.concatenate([b.dphi for b in subs]),
+        phi=subs[0].phi,
+        wa=np.concatenate([b.wa for b in subs]),
+        wb=np.concatenate([b.wb for b in subs]),
+        m=np.concatenate([b.m for b in subs]),
+        cap=np.concatenate([b.cap for b in subs]),
+        offsets=offsets,
+    )
+    stack.loads = np.concatenate([b.loads for b in subs], axis=1)
+    for i, b in enumerate(subs):
+        nodes = slice(offsets[i], offsets[i + 1])
+        elems = slice(el_offsets[i], el_offsets[i + 1])
+        b.nodes, b.m, b.cap = stack.nodes[nodes], stack.m[nodes], stack.cap[nodes]
+        b.loads = stack.loads[:, nodes]
+        b.qp, b.dphi = stack.qp[elems], stack.dphi[elems]
+        b.wa, b.wb = stack.wa[elems], stack.wb[elems]
+    return stack
 
 
 def _assemble_loads(bundle, source, grid):
@@ -109,8 +156,8 @@ def _assemble_loads(bundle, source, grid):
     for k, t in enumerate(grid.times):
         e0 = np.asarray(source.eta0(bundle.qp, t))
         ev = np.asarray(source.eta(bundle.qp, t))
-        contrib = np.einsum("eq,eq,ql->el", bundle.qw * bundle.b_q, e0, bundle.phi)
-        contrib += np.einsum("eq,eqd,eld->el", bundle.qw * bundle.a_q, ev, bundle.dphi)
+        contrib = np.einsum("eq,eq,ql->el", bundle.wb, e0, bundle.phi)
+        contrib += np.einsum("eq,eqd,eld->el", bundle.wa, ev, bundle.dphi)
         loads[k] = bundle.scatter(contrib)
     if not np.all(np.isfinite(loads)):
         raise NumericError("source densities produced non-finite load values")
@@ -142,6 +189,7 @@ class OperatorContext:
             self.gamma_nodes, self.lumped_mass,
         )
         self._subs = []
+        self._stack = None
         if dec is not None:
             for sub, w in zip(dec.subdomains, dec.weights):
                 self._subs.append(
@@ -150,13 +198,24 @@ class OperatorContext:
                         w.b_elem, w.g_node, self.gamma_nodes, self.lumped_mass,
                     )
                 )
+            self._stack = _stack_bundles(self._subs)
 
     def bundle(self, ell=None):
-        """Assembly tables for subdomain ell, or the whole domain if None."""
+        """Assembly tables for subdomain ell, or the whole domain if None.
+
+        ell = tuple(range(q)) selects the stacked tables of all subdomains.
+        """
         if ell is None:
             return self._global
         if self.dec is None:
             raise ConfigurationError("context has no decomposition")
+        if isinstance(ell, tuple):
+            if ell != tuple(range(self.dec.q)):
+                raise ConfigurationError(
+                    f"a batched solve takes every subdomain in order, "
+                    f"{tuple(range(self.dec.q))}, not {ell}"
+                )
+            return self._stack
         return self._subs[ell]
 
     @property
@@ -189,14 +248,12 @@ def apply_A(ctx, ell, k, u_k):
     b = ctx.bundle(ell)
     u_k = np.asarray(u_k, dtype=float)
     t = ctx.grid.times[k]
-    ue = u_k[b.conn]
-    uq = np.einsum("el,ql->eq", ue, b.phi)
-    gz = np.einsum("el,eld->ed", ue, b.dphi)
-    zq = np.broadcast_to(gz[:, None, :], b.qp.shape)
+    uq, zq = quad_values(b, u_k)
     flux = np.asarray(ctx.model.alpha(b.qp, t, zq))
     reac = np.asarray(ctx.model.beta(b.qp, t, uq))
-    contrib = np.einsum("eq,eqd,eld->el", b.qw * b.a_q, flux, b.dphi)
-    contrib += np.einsum("eq,eq,ql->el", b.qw * b.b_q, reac, b.phi)
+    # P1 gradients are constant per element: sum the flux over quadrature first
+    contrib = np.einsum("ed,eld->el", np.einsum("eq,eqd->ed", b.wa, flux), b.dphi)
+    contrib += (b.wb * reac) @ b.phi
     r = b.scatter(contrib)
     if ctx.reaction_shift != 0.0:
         r = r + ctx.reaction_shift * b.cap * u_k
@@ -239,14 +296,16 @@ def v_norm_p(ctx, ell, u):
     b = ctx.bundle(ell)
     u = _check_field(ctx, u, ell)
     p = ctx.model.p
+    # all levels at once; the per-level sums are then added level by level
+    ue = u[:, b.conn]
+    uq = np.einsum("kel,ql->keq", ue, b.phi)
+    gmag = np.linalg.norm(np.einsum("kel,eld->ked", ue, b.dphi), axis=-1)
+    flux = (b.wa * gmag[:, :, None] ** p).reshape(len(u), -1).sum(axis=1)
+    reac = (b.wb * np.abs(uq) ** p).reshape(len(u), -1).sum(axis=1)
     total = 0.0
-    for k in range(ctx.grid.n_steps):
-        ue = u[k][b.conn]
-        uq = np.einsum("el,ql->eq", ue, b.phi)
-        gz = np.einsum("el,eld->ed", ue, b.dphi)
-        gmag = np.linalg.norm(gz, axis=-1)
-        total += float(np.sum(b.qw * b.a_q * (gmag[:, None] ** p)))
-        total += float(np.sum(b.qw * b.b_q * np.abs(uq) ** p))
+    for f, r in zip(flux.tolist(), reac.tolist()):
+        total += f
+        total += r
     return (ctx.grid.dt * total) ** (1.0 / p)
 
 

@@ -349,10 +349,30 @@ def test_criterion_09_discretization_sanity():
                     + f", temporal orders {torders[0]:.2f}, {torders[1]:.2f}")
 
 
-def test_criterion_10_thread_determinism(tmp_path):
+# Runs the CLI with the additive resolvents applied one subdomain at a time.
+_PER_SUBDOMAIN_CLI = """
+import sys
+import stsplit.iteration as it
+batched = it.resolvent_solve
+def looped(ctx, ell, g, cfg):
+    if isinstance(ell, tuple):
+        return [batched(ctx, e, g, cfg) for e in ell]
+    return batched(ctx, ell, g, cfg)
+it.resolvent_solve = looped
+from stsplit.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_criterion_10_batched_determinism(tmp_path):
+    runs = {
+        "batched": ["-m", "stsplit"],
+        "repeat": ["-m", "stsplit"],
+        "per_subdomain": ["-c", _PER_SUBDOMAIN_CLI],
+    }
     outputs = {}
-    for threads in (1, 4):
-        csv_path = tmp_path / f"trace_{threads}.csv"
+    for name, entry in runs.items():
+        csv_path = tmp_path / f"trace_{name}.csv"
         config = {
             "mesh": {"dim": 1, "extent": [1.0], "cells": [24]},
             "time": {"T": 0.5, "N_t": 4},
@@ -363,32 +383,34 @@ def test_criterion_10_thread_determinism(tmp_path):
             "scheme": {"scheme": "AS", "s": 2.0, "max_sweeps": 5,
                        "stop_tol": 0.0},
             "output": {"csv_path": str(csv_path),
-                       "json_summary_path": str(tmp_path / f"s{threads}.json")},
+                       "json_summary_path": str(tmp_path / f"s_{name}.json")},
         }
-        cfg_path = tmp_path / f"cfg_{threads}.json"
+        cfg_path = tmp_path / f"cfg_{name}.json"
         cfg_path.write_text(json.dumps(config))
         proc = subprocess.run(
-            [sys.executable, "-m", "stsplit", "run", str(cfg_path),
-             "--threads", str(threads)],
+            [sys.executable, *entry, "run", str(cfg_path)],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        outputs[threads] = csv_path.read_text().strip().split("\n")
+        outputs[name] = csv_path.read_text().strip().split("\n")
 
-    header = outputs[1][0].split(",")
-    wall_col = header.index("wall_ms")
-    assert outputs[4][0] == outputs[1][0]
-    assert len(outputs[1]) == len(outputs[4])
+    base = outputs["batched"]
+    wall_col = base[0].split(",").index("wall_ms")
     worst = 0.0
-    for row1, row4 in zip(outputs[1][1:], outputs[4][1:]):
-        c1, c4 = row1.split(","), row4.split(",")
-        for j, (a, b) in enumerate(zip(c1, c4)):
-            if j == wall_col:
-                continue  # timing noise is the one permitted difference
-            if a == "" or b == "":
-                assert a == b
-            else:
-                worst = max(worst, abs(float(a) - float(b)))
+    for name in ("repeat", "per_subdomain"):
+        other = outputs[name]
+        assert other[0] == base[0]
+        assert len(other) == len(base)
+        for row_a, row_b in zip(base[1:], other[1:]):
+            ca, cb = row_a.split(","), row_b.split(",")
+            for j, (a, b) in enumerate(zip(ca, cb)):
+                if j == wall_col:
+                    continue  # timing noise is the one permitted difference
+                if a == "" or b == "":
+                    assert a == b
+                else:
+                    worst = max(worst, abs(float(a) - float(b)))
     ok = worst <= 1e-14
-    assert _verdict(10, "thread-count determinism", ok,
+    assert _verdict(10, "batched-solve determinism", ok,
                     f"max per-entry difference {worst:.1e} over "
-                    f"{len(outputs[1]) - 1} sweeps")
+                    f"{len(base) - 1} sweeps, against a repeat and a "
+                    f"per-subdomain run")

@@ -116,9 +116,12 @@ def test_bad_scheme_name(tmp_path):
     assert main(["run", write_config(tmp_path, cfg)]) == 2
 
 
-def test_threads_must_be_positive(tmp_path):
+def test_threads_option_is_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, base_config(tmp_path))
-    assert main(["run", cfg, "--threads", "0"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["run", cfg, "--threads", "1"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_missing_config_file(tmp_path):

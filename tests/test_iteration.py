@@ -114,20 +114,29 @@ def test_additive_average_uses_equal_weights(monkeypatch):
     shape = (grid.n_steps, ctx.mesh.n_nodes)
 
     def stub(ctx_, ell, rhs, rcfg):
-        return np.full(shape, 2.0 * ell)
+        return [np.full(shape, 2.0 * e) for e in ell]
 
     monkeypatch.setattr(stsplit.iteration, "resolvent_solve", stub)
     result = run_scheme(ctx, SchemeConfig(scheme="AS", s=1.0, max_sweeps=1))
     np.testing.assert_allclose(result.u, 1.0)  # mean of 0 and 2
 
 
-def test_additive_fanout_is_order_independent():
+def test_additive_fanout_is_order_independent(monkeypatch):
     _, grid, _, _, ctx = make_problem(cells=24, n_steps=3, p=3.0, q=3,
-                                      source="cos")
-    cfg = SchemeConfig(scheme="AS", s=2.0, max_sweeps=4, stop_tol=0.0)
-    serial = run_scheme(ctx, cfg, threads=1)
-    pooled = run_scheme(ctx, cfg, threads=4)
-    assert np.max(np.abs(serial.u - pooled.u)) <= 1e-14
+                                      source="cos", lam=1.0)
+    cfgs = [SchemeConfig(scheme=scheme, s=2.0, max_sweeps=4, stop_tol=0.0)
+            for scheme in ("AS", "AS_shifted")]
+    batched = [run_scheme(ctx, cfg) for cfg in cfgs]
+
+    # the reference: the additive resolvents solved one subdomain at a time
+    solve = stsplit.iteration.resolvent_solve
+    monkeypatch.setattr(stsplit.iteration, "resolvent_solve",
+                        lambda c, ell, rhs, rcfg: [solve(c, e, rhs, rcfg) for e in ell])
+    looped = [run_scheme(ctx, cfg) for cfg in cfgs]
+    for one, other in zip(batched, looped):
+        assert np.array_equal(one.u, other.u)
+        for a, b in zip(one.subdomain_fields, other.subdomain_fields):
+            assert np.array_equal(a, b)
 
 
 def test_shift_factors_formula():

@@ -24,7 +24,8 @@ def _context(cells, q, overlap):
 
 
 def _bundles(ctx):
-    return [ctx.bundle(None)] + [ctx.bundle(ell) for ell in range(ctx.dec.q)]
+    subs = [ctx.bundle(ell) for ell in range(ctx.dec.q)]
+    return [ctx.bundle(None), ctx.bundle(tuple(range(ctx.dec.q)))] + subs
 
 
 def _dense(bundle, ke, diag_extra):

