@@ -12,8 +12,9 @@ Subcommands:
 Exit codes: 0 success, 1 verify found a failing property, 2 configuration
 error, 3 solver failure, 4 I/O failure.
 
-The config is a single strict JSON file; unknown keys are rejected so that
-experiment files stay diffable and reproducible.
+The config is a single strict JSON file, checked against `_SCHEMA`: unknown
+and missing keys, values of the wrong type and non-finite numbers are
+rejected, so that experiment files stay diffable and reproducible.
 """
 
 import argparse
@@ -24,7 +25,7 @@ import numpy as np
 
 from .decomposition import build_decomposition
 from .errors import ConfigurationError, NumericError, SolverError
-from .iteration import SchemeConfig, run_scheme
+from .iteration import SCHEMES, SchemeConfig, run_scheme
 from .mesh import build_mesh
 from .models import (
     SourceTerm,
@@ -44,114 +45,101 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_IO = 4
 
-_TOP_KEYS = ("mesh", "time", "model", "source", "decomposition", "scheme",
-             "output", "rng_seed")
+_REQUIRED = object()  # default of a key that the config must give
+
+# Every config key, section by section: key -> (kind, default or _REQUIRED).
+# A kind is float (a finite number), int, str, dict (a JSON object), a
+# one-element list such as [float] (a list of that kind), a tuple of the
+# accepted values, or the name of a nested section.  A section with variants
+# maps to the key that names its variant; each variant has its own entry:
+# model.<name>, source.<name>, and model.gamma_params.<gamma_kind>.
+_GAMMA = {"gamma_kind": (("constant", "indicator"), "constant"),
+          "gamma_params": (dict, {})}
+_SCHEMA = {
+    "config": {"mesh": ("mesh", _REQUIRED), "time": ("time", _REQUIRED),
+               "model": ("model", _REQUIRED),
+               "source": ("source", _REQUIRED),
+               "decomposition": ("decomposition", _REQUIRED),
+               "scheme": ("scheme", _REQUIRED), "output": ("output", None),
+               "rng_seed": (int, 0)},
+    "mesh": {"dim": ((1, 2), _REQUIRED), "extent": ([float], _REQUIRED),
+             "cells": ([int], _REQUIRED)},
+    "time": {"T": (float, _REQUIRED), "N_t": (int, _REQUIRED)},
+    "model": "name",
+    "model.p_laplace": {"name": (str, _REQUIRED), "p": (float, _REQUIRED),
+                        "lambda": (float, 0.0), **_GAMMA},
+    "model.anti_monotone": {"name": (str, _REQUIRED), "p": (float, 2.0),
+                            **_GAMMA},
+    "model.gamma_params.constant": {"value": (float, 1.0)},
+    "model.gamma_params.indicator": {
+        "zero_lo": (float, _REQUIRED), "zero_hi": (float, _REQUIRED),
+        "value": (float, 1.0), "axis": (int, 0)},
+    "source": "name",
+    "source.zero": {"name": (str, _REQUIRED)},
+    "source.manufactured_cos": {"name": (str, _REQUIRED),
+                                "amplitude": (float, 1.0)},
+    "source.custom": {"name": (str, _REQUIRED), "amplitude": (float, 1.0),
+                      "mode": (int, 1), "decay": (float, 0.0)},
+    "decomposition": {"q": (int, _REQUIRED),
+                      "overlap_fraction": (float, _REQUIRED),
+                      "c_min": (float, 0.1)},
+    "scheme": {"scheme": (SCHEMES, _REQUIRED), "s": (float, None),
+               "s_rule_constant": (float, None), "max_sweeps": (int, 100),
+               "stop_tol": (float, 1e-10),
+               "initial": (("zero", "random"), "zero")},
+    "output": {"csv_path": (str, _REQUIRED),
+               "json_summary_path": (str, _REQUIRED)},
+}
+
+_KIND_NAMES = {float: "a finite number", int: "an integer", str: "a string",
+               dict: "a JSON object", list: "a list"}
 
 
-def _require_dict(obj, where):
-    if not isinstance(obj, dict):
+def _value(val, where, kind):
+    """Check one config value against its kind (see _SCHEMA); return it."""
+    if isinstance(kind, str):
+        return _section(val, kind, _SCHEMA[kind])
+    if isinstance(kind, tuple):
+        if _value(val, where, type(kind[0])) not in kind:
+            raise ConfigurationError(
+                f"'{where}' must be one of {sorted(kind)}, got '{val}'")
+        return val
+    if isinstance(kind, list):
+        return [_value(v, f"{where}[{i}]", kind[0])
+                for i, v in enumerate(_value(val, where, list))]
+    # abs(val) <= max float also fails for NaN and for too large integers
+    if (isinstance(val, bool)
+            or not isinstance(val, (int, float) if kind is float else kind)
+            or kind is float and not abs(val) <= sys.float_info.max):
+        raise ConfigurationError(f"'{where}' must be {_KIND_NAMES[kind]}")
+    return float(val) if kind is float else val
+
+
+def _section(raw, where, spec):
+    """Check a config object against its spec; return it with defaults filled.
+
+    Rejects unknown and missing keys and values not of their kind.  A spec
+    that is a key name selects the variant `_SCHEMA['<where>.<raw[key]>']`.
+    """
+    if not isinstance(raw, dict):
         raise ConfigurationError(f"'{where}' must be a JSON object")
-    return obj
-
-
-def _check_keys(sec, where, required, optional=()):
-    allowed = set(required) | set(optional)
-    for key in sec:
-        if key not in allowed:
+    if isinstance(spec, str):
+        if spec not in raw:
+            raise ConfigurationError(f"missing key '{where}.{spec}'")
+        names = tuple(n.rpartition(".")[2] for n in _SCHEMA
+                      if n.rpartition(".")[0] == where)
+        name = _value(raw[spec], f"{where}.{spec}", names)
+        spec = _SCHEMA[f"{where}.{name}"]
+    for key in raw:
+        if key not in spec:
             raise ConfigurationError(f"unknown key '{where}.{key}'")
-    for key in required:
-        if key not in sec:
+    out = {}
+    for key, (kind, default) in spec.items():
+        if key not in raw and default is _REQUIRED:
             raise ConfigurationError(f"missing key '{where}.{key}'")
-
-
-def _num(sec, where, key, default=None):
-    if key not in sec:
-        return default
-    val = sec[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigurationError(f"'{where}.{key}' must be a number")
-    return float(val)
-
-
-def _int(sec, where, key, default=None):
-    if key not in sec:
-        return default
-    val = sec[key]
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigurationError(f"'{where}.{key}' must be an integer")
-    return val
-
-
-def _str(sec, where, key, choices=None, default=None):
-    if key not in sec:
-        return default
-    val = sec[key]
-    if not isinstance(val, str):
-        raise ConfigurationError(f"'{where}.{key}' must be a string")
-    if choices is not None and val not in choices:
-        raise ConfigurationError(
-            f"'{where}.{key}' must be one of {sorted(choices)}, got '{val}'"
-        )
-    return val
-
-
-def _num_list(sec, where, key, length):
-    val = sec.get(key)
-    if (not isinstance(val, list) or len(val) != length
-            or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                   for v in val)):
-        raise ConfigurationError(
-            f"'{where}.{key}' must be a list of {length} numbers"
-        )
-    return [float(v) for v in val]
-
-
-def _int_list(sec, where, key, length):
-    val = sec.get(key)
-    if (not isinstance(val, list) or len(val) != length
-            or any(isinstance(v, bool) or not isinstance(v, int) for v in val)):
-        raise ConfigurationError(
-            f"'{where}.{key}' must be a list of {length} integers"
-        )
-    return list(val)
-
-
-def _build_gamma(model_sec):
-    kind = _str(model_sec, "model", "gamma_kind",
-                choices={"constant", "indicator"}, default="constant")
-    params = _require_dict(model_sec.get("gamma_params", {}),
-                           "model.gamma_params")
-    if kind == "constant":
-        _check_keys(params, "model.gamma_params", (), ("value",))
-        return constant_gamma(_num(params, "model.gamma_params", "value", 1.0))
-    _check_keys(params, "model.gamma_params", ("zero_lo", "zero_hi"),
-                ("value", "axis"))
-    return indicator_gamma(
-        _num(params, "model.gamma_params", "zero_lo"),
-        _num(params, "model.gamma_params", "zero_hi"),
-        value=_num(params, "model.gamma_params", "value", 1.0),
-        axis=_int(params, "model.gamma_params", "axis", 0),
-    )
-
-
-def _build_model(model_sec):
-    name = _str(model_sec, "model", "name",
-                choices={"p_laplace", "anti_monotone"})
-    if name is None:
-        raise ConfigurationError("missing key 'model.name'")
-    gamma = _build_gamma(model_sec)
-    if name == "p_laplace":
-        _check_keys(model_sec, "model", ("name", "p"),
-                    ("lambda", "gamma_kind", "gamma_params"))
-        return p_laplace_model(
-            _num(model_sec, "model", "p"),
-            lam=_num(model_sec, "model", "lambda", 0.0),
-            gamma=gamma,
-        )
-    _check_keys(model_sec, "model", ("name",),
-                ("p", "gamma_kind", "gamma_params"))
-    return anti_monotone_model(p=_num(model_sec, "model", "p", 2.0),
-                               gamma=gamma)
+        out[key] = (_value(raw[key], f"{where}.{key}", kind) if key in raw
+                    else default)
+    return out
 
 
 def _custom_source(dim, amplitude, mode, decay):
@@ -171,46 +159,6 @@ def _custom_source(dim, amplitude, mode, decay):
     return SourceTerm(eta0=eta0, eta=eta)
 
 
-def _build_source(source_sec, model, mesh, grid):
-    name = _str(source_sec, "source", "name",
-                choices={"zero", "manufactured_cos", "custom"})
-    if name is None:
-        raise ConfigurationError("missing key 'source.name'")
-    if name == "zero":
-        _check_keys(source_sec, "source", ("name",))
-        return model
-    if name == "manufactured_cos":
-        _check_keys(source_sec, "source", ("name",), ("amplitude",))
-        exact = cosine_solution(
-            mesh.dim, amplitude=_num(source_sec, "source", "amplitude", 1.0))
-        return model.with_source(manufactured_rhs(model, exact, mesh, grid))
-    _check_keys(source_sec, "source", ("name",),
-                ("amplitude", "mode", "decay"))
-    return model.with_source(_custom_source(
-        mesh.dim,
-        _num(source_sec, "source", "amplitude", 1.0),
-        _int(source_sec, "source", "mode", 1),
-        _num(source_sec, "source", "decay", 0.0),
-    ))
-
-
-def _build_scheme_config(scheme_sec):
-    _check_keys(scheme_sec, "scheme", ("scheme",),
-                ("s", "s_rule_constant", "max_sweeps", "stop_tol", "initial"))
-    name = _str(scheme_sec, "scheme", "scheme",
-                choices={"PR", "DR", "AS", "AS_shifted"})
-    cfg = SchemeConfig(
-        scheme=name,
-        s=_num(scheme_sec, "scheme", "s"),
-        s_rule_constant=_num(scheme_sec, "scheme", "s_rule_constant"),
-        max_sweeps=_int(scheme_sec, "scheme", "max_sweeps", 100),
-        stop_tol=_num(scheme_sec, "scheme", "stop_tol", 1e-10),
-    )
-    initial = _str(scheme_sec, "scheme", "initial",
-                   choices={"zero", "random"}, default="zero")
-    return cfg, initial
-
-
 def load_config(path, require_output):
     """Parse and validate an experiment config; returns the built pieces."""
     with open(path, "r") as fh:
@@ -219,51 +167,47 @@ def load_config(path, require_output):
         cfg = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
-    _require_dict(cfg, "config")
-    required = ["mesh", "time", "model", "source", "decomposition", "scheme"]
-    if require_output:
-        required.append("output")
-    _check_keys(cfg, "config", tuple(required),
-                tuple(k for k in _TOP_KEYS if k not in required))
+    cfg = _section(cfg, "config", dict(_SCHEMA["config"], output=(
+        "output", _REQUIRED if require_output else None)))
 
-    mesh_sec = _require_dict(cfg["mesh"], "mesh")
-    _check_keys(mesh_sec, "mesh", ("dim", "extent", "cells"))
-    dim = _int(mesh_sec, "mesh", "dim")
-    mesh = build_mesh(_num_list(mesh_sec, "mesh", "extent", dim),
-                      _int_list(mesh_sec, "mesh", "cells", dim))
+    dim = cfg["mesh"]["dim"]
+    for key in ("extent", "cells"):
+        if len(cfg["mesh"][key]) != dim:
+            raise ConfigurationError(
+                f"'mesh.{key}' must have mesh.dim = {dim} entries")
+    mesh = build_mesh(cfg["mesh"]["extent"], cfg["mesh"]["cells"])
+    grid = TimeGrid(T=cfg["time"]["T"], n_steps=cfg["time"]["N_t"])
 
-    time_sec = _require_dict(cfg["time"], "time")
-    _check_keys(time_sec, "time", ("T", "N_t"))
-    grid = TimeGrid(T=_num(time_sec, "time", "T"),
-                    n_steps=_int(time_sec, "time", "N_t"))
+    model_sec = cfg["model"]
+    kind = model_sec["gamma_kind"]
+    gamma_sec = _section(model_sec["gamma_params"], "model.gamma_params",
+                         _SCHEMA[f"model.gamma_params.{kind}"])
+    if not 0 <= gamma_sec.get("axis", 0) < dim:
+        raise ConfigurationError(
+            f"'model.gamma_params.axis' must lie in [0, {dim})")
+    build_gamma = constant_gamma if kind == "constant" else indicator_gamma
+    gamma = build_gamma(**gamma_sec)
+    if model_sec["name"] == "p_laplace":
+        model = p_laplace_model(model_sec["p"], lam=model_sec["lambda"],
+                                gamma=gamma)
+    else:
+        model = anti_monotone_model(p=model_sec["p"], gamma=gamma)
 
-    model = _build_model(_require_dict(cfg["model"], "model"))
-    model = _build_source(_require_dict(cfg["source"], "source"),
-                          model, mesh, grid)
+    source_sec = cfg["source"]
+    name = source_sec.pop("name")
+    if name == "manufactured_cos":
+        exact = cosine_solution(dim, **source_sec)
+        model = model.with_source(manufactured_rhs(model, exact, mesh, grid))
+    elif name == "custom":
+        model = model.with_source(_custom_source(dim, **source_sec))
 
-    dec_sec = _require_dict(cfg["decomposition"], "decomposition")
-    _check_keys(dec_sec, "decomposition", ("q", "overlap_fraction"), ("c_min",))
-    dec = build_decomposition(
-        mesh,
-        _int(dec_sec, "decomposition", "q"),
-        _num(dec_sec, "decomposition", "overlap_fraction"),
-        c_min=_num(dec_sec, "decomposition", "c_min", 0.1),
-    )
-
-    scheme_cfg, initial = _build_scheme_config(
-        _require_dict(cfg["scheme"], "scheme"))
-
-    output = None
-    if "output" in cfg:
-        out_sec = _require_dict(cfg["output"], "output")
-        _check_keys(out_sec, "output", ("csv_path", "json_summary_path"))
-        output = (_str(out_sec, "output", "csv_path"),
-                  _str(out_sec, "output", "json_summary_path"))
-        if output[0] is None or output[1] is None:
-            raise ConfigurationError("output paths must be strings")
-
-    seed = _int(cfg, "config", "rng_seed", 0)
-    return mesh, grid, model, dec, scheme_cfg, initial, output, seed
+    dec = build_decomposition(mesh, **cfg["decomposition"])
+    initial = cfg["scheme"].pop("initial")
+    scheme_cfg = SchemeConfig(**cfg["scheme"])
+    out = cfg["output"]
+    output = None if out is None else (out["csv_path"],
+                                       out["json_summary_path"])
+    return mesh, grid, model, dec, scheme_cfg, initial, output, cfg["rng_seed"]
 
 
 def _format_cell(value):
@@ -321,6 +265,7 @@ def _cmd_run(args):
     summary = {
         "final_err_H": result.trace.err_H[-1],
         "sweeps": result.sweeps,
+        "converged": result.converged,
         "s_used": result.s_used,
         "monotone_violations": count_monotone_violations(
             result.trace, scheme_cfg.scheme),
@@ -330,7 +275,8 @@ def _cmd_run(args):
         fh.write("\n")
     print(f"wrote {csv_path} and {summary_path}")
     print(f"final_err_H={summary['final_err_H']:.6e} "
-          f"sweeps={summary['sweeps']} s_used={summary['s_used']:.6g} "
+          f"sweeps={summary['sweeps']} converged={summary['converged']} "
+          f"s_used={summary['s_used']:.6g} "
           f"monotone_violations={summary['monotone_violations']}")
     return EXIT_OK
 

@@ -54,11 +54,13 @@ class SchemeConfig:
             )
         if self.max_sweeps < 1:
             raise ConfigurationError("max_sweeps must be at least 1")
-        if self.s is not None and self.s <= 0.0:
+        if self.s is not None and not self.s > 0.0:
             raise ConfigurationError("s must be positive")
         if self.s is None and self.s_rule_constant is not None:
-            if self.s_rule_constant <= 0.0:
+            if not self.s_rule_constant > 0.0:
                 raise ConfigurationError("s_rule_constant must be positive")
+        if not self.stop_tol >= 0.0:
+            raise ConfigurationError("stop_tol must be nonnegative")
 
     def resolve_s(self):
         if self.s is not None:

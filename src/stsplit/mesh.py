@@ -127,7 +127,7 @@ def build_mesh(extent, cells):
     dim = len(extent)
     if dim not in (1, 2):
         raise ConfigurationError(f"unsupported dimension {dim}; expected 1 or 2")
-    if any(e <= 0.0 for e in extent):
+    if not all(e > 0.0 for e in extent):
         raise ConfigurationError("extent entries must be positive")
     if any(c < 2 for c in cells):
         raise ConfigurationError("need at least 2 cells per axis")

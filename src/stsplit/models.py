@@ -34,7 +34,7 @@ def zero_source():
 def constant_gamma(value):
     """Spatially constant capacity coefficient."""
     value = float(value)
-    if value < 0.0:
+    if not value >= 0.0:
         raise ConfigurationError("gamma must be nonnegative")
     return lambda x: np.full(np.shape(x)[:-1], value)
 
@@ -43,7 +43,7 @@ def indicator_gamma(zero_lo, zero_hi, value=1.0, axis=0):
     """Capacity that vanishes for x[axis] in [zero_lo, zero_hi) and equals
     value elsewhere.  Models an elliptic region inside a parabolic problem."""
     zero_lo, zero_hi, value = float(zero_lo), float(zero_hi), float(value)
-    if value < 0.0:
+    if not value >= 0.0:
         raise ConfigurationError("gamma must be nonnegative")
 
     def gamma(x):
@@ -78,7 +78,7 @@ class PStructureModel:
     reaction_derivative: Optional[Callable] = None  # (x, t, y, eps) -> (...)
 
     def __post_init__(self):
-        if self.p < 2.0:
+        if not self.p >= 2.0:
             raise ConfigurationError("p must be >= 2")
         if self.mono_const is None:
             object.__setattr__(self, "mono_const", monotonicity_constant(self.p))
@@ -110,7 +110,7 @@ def p_laplace_model(p, lam=0.0, gamma=None, source=None):
     """
     p = float(p)
     lam = float(lam)
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ConfigurationError("lam must be nonnegative")
     if gamma is None:
         gamma = constant_gamma(1.0)

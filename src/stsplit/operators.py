@@ -30,7 +30,7 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if self.T <= 0.0 or self.n_steps < 1:
+        if not self.T > 0.0 or self.n_steps < 1:
             raise ConfigurationError("need T > 0 and at least one time step")
 
     @property

@@ -56,7 +56,7 @@ class ResolventConfig:
     newton: NewtonConfig = field(default_factory=NewtonConfig)
 
     def __post_init__(self):
-        if self.s <= 0.0:
+        if not self.s > 0.0:
             raise ConfigurationError("resolvent parameter s must be positive")
 
 

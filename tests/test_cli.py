@@ -1,9 +1,16 @@
+import contextlib
 import copy
+import io
 import json
+import math
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from stsplit.cli import main
+from stsplit.cli import load_config, main
 
 HEADER = "sweep,err_H,err_k_total,err_k_1,err_k_2,pr_v_norm,pr_w_norm,wall_ms"
 
@@ -45,13 +52,15 @@ def test_run_zero_source(tmp_path, capsys):
     assert rows[0][1] == "0"  # err_H
     assert rows[0][5] == "0"  # pr_v_norm
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert set(summary) == {"final_err_H", "sweeps", "s_used",
+    assert set(summary) == {"final_err_H", "sweeps", "converged", "s_used",
                             "monotone_violations"}
     assert summary["final_err_H"] == 0.0
     assert summary["sweeps"] == 1
+    assert summary["converged"] is True
     assert summary["monotone_violations"] == 0
     out = capsys.readouterr().out
     assert "final_err_H=" in out
+    assert "converged=True" in out
 
 
 def test_run_pr_trace_is_monotone(tmp_path):
@@ -69,6 +78,7 @@ def test_run_pr_trace_is_monotone(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["monotone_violations"] == 0
     assert summary["final_err_H"] > 0.0
+    assert summary["converged"] is False  # stop_tol 0 runs to max_sweeps
 
 
 def test_additive_run_leaves_pr_columns_empty(tmp_path):
@@ -221,3 +231,160 @@ def test_verify_accepts_degenerate_capacity(tmp_path, capsys):
     assert rc == 0
     assert "capacity_reconstruction" in out
     assert "all checks passed" in out
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("key,value", [
+    ("model.p", NAN), ("time.T", NAN), ("scheme.s", INF),
+    ("scheme.stop_tol", NAN), ("source.decay", NAN),
+    ("model.gamma_params.value", NAN),
+    ("decomposition.overlap_fraction", INF),
+    ("model.gamma_params.axis", 3), ("model.gamma_params.axis", -5),
+    ("mesh.dim", -1),
+])
+def test_bad_value_is_named(tmp_path, capsys, key, value):
+    cfg = base_config(tmp_path)
+    cfg["model"]["gamma_kind"] = "indicator"
+    cfg["model"]["gamma_params"] = {"zero_lo": 0.0, "zero_hi": 0.5}
+    cfg["source"] = {"name": "custom"}
+    *parents, last = key.split(".")
+    sec = cfg
+    for part in parents:
+        sec = sec[part]
+    sec[last] = value
+    path = write_config(tmp_path, cfg)
+    for command in ("run", "verify"):
+        assert main([command, path]) == 2
+        assert key in capsys.readouterr().err
+
+
+def test_readme_config_block_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
+    path = tmp_path / "readme.json"
+    path.write_text(re.sub(r"//.*", "", block))
+    mesh, grid, model, dec, scheme_cfg, initial, output, seed = load_config(
+        str(path), require_output=True)
+    assert (mesh.dim, grid.n_steps, model.p, dec.q) == (1, 8, 3.0, 2)
+    assert (scheme_cfg.scheme, initial, seed) == ("PR", "zero", 7)
+    assert output == ("trace.csv", "summary.json")
+
+
+# Keys the config must give (model.p only for p_laplace; output only for
+# run).  Dropping any other key of the tiny configs below selects a default.
+REQUIRED = {"mesh", "time", "model", "source", "decomposition", "scheme",
+            "mesh.dim", "mesh.extent", "mesh.cells", "time.T", "time.N_t",
+            "model.name", "model.gamma_params.zero_lo",
+            "model.gamma_params.zero_hi", "source.name", "decomposition.q",
+            "decomposition.overlap_fraction", "scheme.scheme",
+            "output.csv_path", "output.json_summary_path"}
+
+
+@st.composite
+def tiny_configs(draw):
+    """Valid configs small enough that every run ends in milliseconds."""
+    dim = draw(st.sampled_from([1, 2]))
+    model = draw(st.sampled_from([
+        {"name": "p_laplace", "p": 3.0, "lambda": 1.0},
+        {"name": "p_laplace", "p": 2.0, "gamma_kind": "indicator",
+         "gamma_params": {"zero_lo": 0.0, "zero_hi": 0.5, "value": 1.0,
+                          "axis": 0}},
+        {"name": "anti_monotone", "p": 2.0, "gamma_kind": "constant",
+         "gamma_params": {"value": 1.0}},
+    ]))
+    source = draw(st.sampled_from([
+        {"name": "zero"}, {"name": "manufactured_cos", "amplitude": 1.0},
+        {"name": "custom", "amplitude": 0.5, "mode": 2, "decay": 1.0},
+    ]))
+    return copy.deepcopy({
+        "mesh": {"dim": dim, "extent": [1.0] * dim,
+                 "cells": draw(st.lists(st.integers(4, 8), min_size=dim,
+                                        max_size=dim))},
+        "time": {"T": 0.25, "N_t": draw(st.integers(1, 2))},
+        "model": model,
+        "source": source,
+        "decomposition": {"q": 2, "overlap_fraction": 0.9, "c_min": 0.1},
+        "scheme": {"scheme": draw(st.sampled_from(["PR", "DR", "AS",
+                                                   "AS_shifted"])),
+                   "s": 1.0, "s_rule_constant": 1.0,
+                   "max_sweeps": draw(st.integers(1, 2)), "stop_tol": 1e-10,
+                   "initial": draw(st.sampled_from(["zero", "random"]))},
+        "output": {"csv_path": "trace.csv",
+                   "json_summary_path": "summary.json"},
+        "rng_seed": 3,
+    })
+
+
+def _paths(node, prefix=()):
+    """Paths to every value below node: dict keys and list indices."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, val in items:
+        yield prefix + (key,)
+        if isinstance(val, (dict, list)):
+            yield from _paths(val, prefix + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def _is_type_error(old, new):
+    if new is None or isinstance(new, bool):
+        return True
+    if isinstance(old, float):  # integers are numbers too
+        return not isinstance(new, (int, float))
+    return type(new) is not type(old)
+
+
+REPLACEMENTS = st.one_of(
+    st.sampled_from([NAN, INF, -INF, True, "x", [], {}, None]),
+    st.integers(-3, 12), st.floats(-2.0, 2.0))
+
+
+@pytest.mark.parametrize("action", ["drop", "add", "replace"])
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=tiny_configs(), data=st.data())
+def test_mutated_config_never_escapes(tmp_path, monkeypatch, action, cfg,
+                                      data):
+    monkeypatch.chdir(tmp_path)  # mutated output paths stay in here
+    # sampled_from favours the first entries; a seeded Random spreads the
+    # mutations evenly over the config's keys
+    rng = data.draw(st.randoms(use_true_random=False))
+    must_fail = set()  # commands that must exit with 2
+    if action == "add":
+        dicts = [()] + [p for p in _paths(cfg)
+                        if isinstance(_at(cfg, p), dict)]
+        _at(cfg, rng.choice(dicts))["bogus"] = 1
+        must_fail = {"run", "verify"}
+    elif action == "drop":
+        path = rng.choice([p for p in _paths(cfg) if isinstance(p[-1], str)])
+        del _at(cfg, path[:-1])[path[-1]]
+        dotted = ".".join(path)
+        if (dotted in REQUIRED or dotted == "model.p"
+                and cfg["model"]["name"] == "p_laplace"):
+            must_fail = {"run", "verify"}
+        elif dotted == "output":
+            must_fail = {"run"}
+    else:  # replace any value but a whole section, list entries included
+        path = rng.choice([p for p in _paths(cfg)
+                           if not isinstance(_at(cfg, p), dict)])
+        parent, key = _at(cfg, path[:-1]), path[-1]
+        new = data.draw(REPLACEMENTS)
+        if (isinstance(new, float) and not math.isfinite(new)
+                or _is_type_error(parent[key], new)):
+            must_fail = {"run", "verify"}
+        parent[key] = new
+    cfg_path = tmp_path / "mutated.json"
+    cfg_path.write_text(json.dumps(cfg))
+    for command in ("run", "verify"):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            rc = main([command, str(cfg_path)])
+        assert rc in (0, 1, 2, 3)
+        if command in must_fail:
+            assert rc == 2, (command, cfg)

@@ -28,6 +28,11 @@ def test_scheme_config_validation():
         SchemeConfig(scheme="PR", s=0.0)
     with pytest.raises(ConfigurationError):
         SchemeConfig(scheme="AS", s_rule_constant=-1.0)
+    for bad in ({"s": float("nan")}, {"s_rule_constant": float("nan")},
+                {"stop_tol": float("nan")}, {"stop_tol": -1e-10}):
+        with pytest.raises(ConfigurationError):
+            SchemeConfig(scheme="PR", **bad)
+    SchemeConfig(scheme="PR", stop_tol=0.0)
 
 
 def test_s_rule():

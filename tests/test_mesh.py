@@ -51,6 +51,8 @@ def test_rejects_bad_specs():
         build_mesh((1.0, 1.0, 1.0), (2, 2, 2))
     with pytest.raises(ConfigurationError):
         build_mesh((1.0, 1.0), (2,))
+    with pytest.raises(ConfigurationError):
+        build_mesh((float("nan"),), (4,))
 
 
 @pytest.mark.parametrize("extent,cells", [((1.0,), (7,)), ((2.0, 1.0), (5, 3))])

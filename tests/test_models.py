@@ -34,6 +34,8 @@ def test_reaction_point_values():
 def test_p_below_two_rejected():
     with pytest.raises(ConfigurationError):
         p_laplace_model(1.5)
+    with pytest.raises(ConfigurationError):
+        p_laplace_model(float("nan"))
 
 
 def test_negative_lambda_and_gamma_rejected():
@@ -43,6 +45,12 @@ def test_negative_lambda_and_gamma_rejected():
         constant_gamma(-0.5)
     with pytest.raises(ConfigurationError):
         indicator_gamma(0.0, 0.5, value=-1.0)
+    with pytest.raises(ConfigurationError):
+        p_laplace_model(3.0, lam=float("nan"))
+    with pytest.raises(ConfigurationError):
+        constant_gamma(float("nan"))
+    with pytest.raises(ConfigurationError):
+        indicator_gamma(0.0, 0.5, value=float("nan"))
 
 
 def test_indicator_gamma_values():

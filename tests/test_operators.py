@@ -34,6 +34,8 @@ def test_time_grid_consistency():
         TimeGrid(T=0.0, n_steps=4)
     with pytest.raises(ConfigurationError):
         TimeGrid(T=1.0, n_steps=0)
+    with pytest.raises(ConfigurationError):
+        TimeGrid(T=float("nan"), n_steps=4)
 
 
 def test_apply_A_zero_field_is_zero():

@@ -22,6 +22,8 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         ResolventConfig(s=-1.0)
     with pytest.raises(ConfigurationError):
+        ResolventConfig(s=float("nan"))
+    with pytest.raises(ConfigurationError):
         NewtonConfig(damping=0.0)
     for bad in ({"max_iters": 0}, {"max_halvings": -1}, {"abs_tol": -1e-12},
                 {"rel_tol": -1e-10}, {"epsilon_reg": -1e-8},
