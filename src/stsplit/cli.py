@@ -10,7 +10,8 @@ Subcommands:
                         structure sampling) and print per-check margins
 
 Exit codes: 0 success, 1 verify found a failing property, 2 configuration
-error, 3 solver failure, 4 I/O failure.
+error (including a problem too large for the available memory), 3 solver
+failure, 4 I/O failure.
 
 The config is a single strict JSON file, checked against `_SCHEMA`: unknown
 and missing keys, values of the wrong type and non-finite numbers are
@@ -396,6 +397,10 @@ def main(argv=None):
         return EXIT_IO
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError:
+        print("configuration error: the problem is too large for the "
+              "available memory", file=sys.stderr)
         return EXIT_CONFIG
 
 

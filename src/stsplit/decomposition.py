@@ -23,8 +23,7 @@ from .errors import ConfigurationError
 class Subdomain:
     """Index sets of one strip: nodes, elements, internal boundary nodes."""
 
-    def __init__(self, index, nodes, elements, internal_boundary):
-        self.index = index
+    def __init__(self, nodes, elements, internal_boundary):
         self.nodes = nodes
         self.elements = elements
         self.internal_boundary = internal_boundary
@@ -48,10 +47,9 @@ class WeightFamily:
 class Decomposition:
     """Overlapping decomposition with restriction/extension operators."""
 
-    def __init__(self, mesh, q, c_min, subdomains, weights):
+    def __init__(self, mesh, q, subdomains, weights):
         self.mesh = mesh
         self.q = q
-        self.c_min = c_min
         self.subdomains = subdomains
         self.weights = weights
 
@@ -72,14 +70,21 @@ def build_decomposition(mesh, q, overlap_fraction, c_min=0.1):
 
     Args:
         mesh: structured Mesh from build_mesh.
-        q: number of strips, >= 2.
+        q: number of strips, an integer >= 2.
         overlap_fraction: overlap width as a fraction of the ideal strip
-            width; rounded to a whole number of element columns (>= 2).
+            width, finite and positive; rounded to a whole number of element
+            columns (>= 2).
         c_min: lower bound of the b weights on their subdomain, in (0, 0.5).
     """
+    if not float(q).is_integer():
+        raise ConfigurationError(f"q must be an integer, got {q!r}")
     q = int(q)
     if q < 2:
         raise ConfigurationError("need at least 2 subdomains")
+    if not 0.0 < overlap_fraction < np.inf:
+        raise ConfigurationError(
+            f"overlap_fraction must be finite and positive, got {overlap_fraction!r}"
+        )
     if not (0.0 < c_min < 0.5):
         raise ConfigurationError("c_min must lie in (0, 0.5)")
     n0 = mesh.cells[0]
@@ -159,7 +164,7 @@ def build_decomposition(mesh, q, overlap_fraction, c_min=0.1):
             span = elem_in & (elem_col >= starts[ell]) & (elem_col < ends[ell])
             b_elem[span, :] = 1.0 - ramp_b(elem_node_col[span], ell)
 
-        subdomains.append(Subdomain(ell, nodes, elements, internal_boundary))
+        subdomains.append(Subdomain(nodes, elements, internal_boundary))
         weights.append(WeightFamily(a, b_elem, g))
 
-    return Decomposition(mesh, q, c_min, subdomains, weights)
+    return Decomposition(mesh, q, subdomains, weights)

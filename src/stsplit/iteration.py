@@ -18,7 +18,7 @@ where R_ell = (sI + F_ell)^{-1}.
 """
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .models import default_flux_jacobian, default_reaction_derivative
 from .operators import build_context, h_norm, k_functional, primal_F
-from .resolvent import NewtonConfig, ResolventConfig, resolvent_solve
+from .resolvent import ResolventConfig, resolvent_solve
 
 SCHEMES = ("PR", "DR", "AS", "AS_shifted")
 
@@ -45,7 +45,6 @@ class SchemeConfig:
     s_rule_constant: Optional[float] = None
     max_sweeps: int = 100
     stop_tol: float = 1e-10
-    newton: NewtonConfig = field(default_factory=NewtonConfig)
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -205,7 +204,7 @@ def run_scheme(ctx, cfg, u_ref=None, initial=None):
     if cfg.scheme in ("PR", "DR") and q != 2:
         raise ConfigurationError(f"{cfg.scheme} requires exactly 2 subdomains")
     s = cfg.resolve_s()
-    rcfg = ResolventConfig(s=s, newton=cfg.newton)
+    rcfg = ResolventConfig(s=s)
     n_steps, n_nodes = ctx.grid.n_steps, ctx.mesh.n_nodes
 
     u0 = np.zeros((n_steps, n_nodes)) if initial is None else np.array(initial, float)

@@ -23,10 +23,9 @@ _TRI3_WEIGHTS = np.array([1.0 / 6.0, 1.0 / 6.0, 1.0 / 6.0])
 class QuadratureRule:
     """Reference-element quadrature rule with strictly positive weights."""
 
-    def __init__(self, points, weights, degree):
+    def __init__(self, points, weights):
         self.points = np.atleast_2d(np.asarray(points, dtype=float))
         self.weights = np.asarray(weights, dtype=float)
-        self.degree = int(degree)
         if self.weights.ndim != 1 or len(self.weights) != len(self.points):
             raise ConfigurationError("quadrature points and weights disagree in length")
         if np.any(self.weights <= 0.0):
@@ -72,9 +71,9 @@ class Mesh:
         self.n_elements = len(elements)
         self.n_local = dim + 1
         if dim == 1:
-            self.quadrature = QuadratureRule(_GAUSS2_POINTS, _GAUSS2_WEIGHTS, degree=3)
+            self.quadrature = QuadratureRule(_GAUSS2_POINTS, _GAUSS2_WEIGHTS)
         else:
-            self.quadrature = QuadratureRule(_TRI3_POINTS, _TRI3_WEIGHTS, degree=2)
+            self.quadrature = QuadratureRule(_TRI3_POINTS, _TRI3_WEIGHTS)
         self._build_tables()
 
     def _build_tables(self):

@@ -58,8 +58,8 @@ class PStructureModel:
     """Nonlinear coefficients satisfying p-growth, monotonicity, coercivity.
 
     The declared constants are the ones the built-in constructors can
-    guarantee; `check_p_structure` uses them as defaults when sampling the
-    structural inequalities.
+    guarantee; `check_p_structure` samples the structural inequalities
+    with them.
     """
 
     p: float
@@ -146,20 +146,17 @@ def anti_monotone_model(p=2.0, gamma=None):
     return replace(base, alpha=lambda x, t, z: -np.asarray(z, dtype=float))
 
 
-def p_structure_margins(model, x, t, y1, y2, z1, z2, growth_const=None,
-                        growth_offset=None, mono_const=None, coer_const=None,
-                        coer_offset=None):
+def p_structure_margins(model, x, t, y1, y2, z1, z2):
     """Slack arrays of the four structural inequalities on given samples.
 
-    Every returned margin is >= 0 where the corresponding inequality holds.
+    The constants are the model's declared ones.  Every returned margin is
+    >= 0 where the corresponding inequality holds.
     Shapes: x (..., d); z1, z2 (..., d); y1, y2, t (...) or scalars.
     """
     p = model.p
-    C = model.growth_const if growth_const is None else growth_const
-    d1 = model.growth_offset if growth_offset is None else growth_offset
-    cm = model.mono_const if mono_const is None else mono_const
-    cc = model.coer_const if coer_const is None else coer_const
-    d2 = model.coer_offset if coer_offset is None else coer_offset
+    C, d1 = model.growth_const, model.growth_offset
+    cm = model.mono_const
+    cc, d2 = model.coer_const, model.coer_offset
 
     a1 = model.alpha(x, t, z1)
     a2 = model.alpha(x, t, z2)
@@ -228,28 +225,26 @@ class PStructureReport:
     num_samples: int
 
 
-def check_p_structure(model, num_samples=10_000, magnitude=2.0, seed=0, dim=1,
-                      tol=1e-12, **constants):
+def check_p_structure(model, num_samples=10_000, seed=0, dim=1):
     """Sample the structural inequalities on random arguments.
 
     Args:
-        model: PStructureModel to probe.
-        num_samples: number of random (x, t, y, z) tuples (and pairs).
-        magnitude: half-width of the uniform sampling range for y and z.
+        model: PStructureModel to probe, with its declared constants.
+        num_samples: number of random (x, t, y, z) tuples (and pairs);
+            y and z are drawn uniformly from [-2, 2].
         seed: RNG seed; the check is deterministic given the seed.
         dim: spatial dimension of the sampled gradients.
-        tol: margins below -tol count as failures (floating-point slack).
-        **constants: optional overrides (growth_const, mono_const, ...).
 
+    A margin below -1e-12 (floating-point slack) counts as a failure.
     Returns a PStructureReport with the per-inequality worst margins.
     """
     rng = np.random.default_rng(seed)
     n = int(num_samples)
     x = rng.uniform(0.0, 1.0, size=(n, dim))
     t = rng.uniform(0.0, 1.0, size=n)
-    y1, y2 = rng.uniform(-magnitude, magnitude, size=(2, n))
-    z1, z2 = rng.uniform(-magnitude, magnitude, size=(2, n, dim))
-    margins = p_structure_margins(model, x, t, y1, y2, z1, z2, **constants)
+    y1, y2 = rng.uniform(-2.0, 2.0, size=(2, n))
+    z1, z2 = rng.uniform(-2.0, 2.0, size=(2, n, dim))
+    margins = p_structure_margins(model, x, t, y1, y2, z1, z2)
     worst = {name: float(np.min(vals)) for name, vals in margins.items()}
-    passed = all(np.isfinite(v) and v >= -tol for v in worst.values())
+    passed = all(np.isfinite(v) and v >= -1e-12 for v in worst.values())
     return PStructureReport(passed=passed, worst_margins=worst, num_samples=n)

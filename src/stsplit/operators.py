@@ -98,7 +98,7 @@ def quad_values(bundle, u):
 
 
 def _make_bundle(mesh, grid, model, nodes, elements, a_node, b_elem, g_node,
-                 gamma_nodes, lumped):
+                 gamma_nodes):
     local_of = np.full(mesh.n_nodes, -1, dtype=int)
     local_of[nodes] = np.arange(len(nodes))
     conn = local_of[mesh.elements[elements]]
@@ -108,7 +108,7 @@ def _make_bundle(mesh, grid, model, nodes, elements, a_node, b_elem, g_node,
     phi = mesh.basis_at_quad
     a_q = np.einsum("el,ql->eq", a_node[mesh.elements[elements]], phi)
     b_q = np.einsum("el,ql->eq", b_elem[elements], phi)
-    m = lumped[nodes]
+    m = mesh.lumped_mass[nodes]
     bundle = _AssemblyBundle(
         nodes=nodes, conn=conn, qp=mesh.quad_points[elements],
         dphi=mesh.basis_gradients[elements], phi=phi, wa=qw * a_q,
@@ -175,10 +175,9 @@ class OperatorContext:
         self.grid = grid
         self.dec = dec
         self.reaction_shift = float(reaction_shift)
-        self.gamma_nodes = np.asarray(model.gamma(mesh.nodes), dtype=float)
-        if np.any(self.gamma_nodes < 0.0):
+        gamma_nodes = np.asarray(model.gamma(mesh.nodes), dtype=float)
+        if np.any(gamma_nodes < 0.0):
             raise ConfigurationError("gamma must be nonnegative at mesh nodes")
-        self.lumped_mass = mesh.lumped_mass
 
         all_nodes = np.arange(mesh.n_nodes)
         all_elems = np.arange(mesh.n_elements)
@@ -186,7 +185,7 @@ class OperatorContext:
         ones_b = np.ones((mesh.n_elements, mesh.n_local))
         self._global = _make_bundle(
             mesh, grid, model, all_nodes, all_elems, ones_n, ones_b, ones_n,
-            self.gamma_nodes, self.lumped_mass,
+            gamma_nodes,
         )
         self._subs = []
         self._stack = None
@@ -195,7 +194,7 @@ class OperatorContext:
                 self._subs.append(
                     _make_bundle(
                         mesh, grid, model, sub.nodes, sub.elements, w.a,
-                        w.b_elem, w.g_node, self.gamma_nodes, self.lumped_mass,
+                        w.b_elem, w.g_node, gamma_nodes,
                     )
                 )
             self._stack = _stack_bundles(self._subs)
@@ -309,15 +308,14 @@ def v_norm_p(ctx, ell, u):
     return (ctx.grid.dt * total) ** (1.0 / p)
 
 
-def k_functional(ctx, ell, u, constant=None):
-    """Monotonicity gap functional: constant * ||u||_{V_ell}^p.
+def k_functional(ctx, ell, u):
+    """Monotonicity gap functional: c * ||u||_{V_ell}^p.
 
     u is a global field; restriction onto the subdomain happens internally.
-    The default constant is the model's declared monotonicity constant.
+    c is the model's declared monotonicity constant.
     """
-    c = ctx.model.mono_const if constant is None else constant
     u_loc = np.asarray(u)[:, ctx.bundle(ell).nodes]
-    return c * v_norm_p(ctx, ell, u_loc) ** ctx.model.p
+    return ctx.model.mono_const * v_norm_p(ctx, ell, u_loc) ** ctx.model.p
 
 
 def primal_F(ctx, ell, u):
@@ -330,7 +328,7 @@ def primal_F(ctx, ell, u):
     b = ctx.bundle(ell)
     u = np.asarray(u, dtype=float)
     if ell is None:
-        return apply_F(ctx, None, u) / ctx.lumped_mass[None, :]
+        return apply_F(ctx, None, u) / ctx.mesh.lumped_mass[None, :]
     dual = apply_F(ctx, ell, u[:, b.nodes])
     out = np.zeros_like(u)
     out[:, b.nodes] = dual / b.m[None, :]

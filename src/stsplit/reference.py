@@ -7,10 +7,10 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .models import SourceTerm
-from .resolvent import NewtonConfig, newton_level_solve
+from .resolvent import newton_level_solve
 
 
-def solve_monolithic(ctx, newton=None, initial=None):
+def solve_monolithic(ctx, initial=None):
     """Solve the undecomposed space-time system by implicit Euler marching.
 
     Each level solves cap*(u_k - u_{k-1})/dt + A(t_k)u_k + f_k = 0 with the
@@ -18,14 +18,13 @@ def solve_monolithic(ctx, newton=None, initial=None):
     optionally supplies per-level Newton starting guesses, e.g. to probe
     uniqueness of the discrete solution.
     """
-    newton = newton or NewtonConfig()
     n = ctx.mesh.n_nodes
     u = np.empty((ctx.grid.n_steps, n))
     u_prev = np.zeros(n)
     zero_rhs = np.zeros(n)
     for k in range(ctx.grid.n_steps):
         u0 = None if initial is None else np.asarray(initial[k], dtype=float)
-        res = newton_level_solve(ctx, None, 0.0, newton, k, u_prev, zero_rhs, u0=u0)
+        res = newton_level_solve(ctx, None, 0.0, k, u_prev, zero_rhs, u0=u0)
         u[k] = res.values
         u_prev = res.values
     return u

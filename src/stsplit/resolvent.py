@@ -17,7 +17,7 @@ result is bit-identical to the single-subdomain solve.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -29,31 +29,18 @@ from .operators import apply_A, quad_values
 _TINY = 1e-300
 
 
-@dataclass(frozen=True)
-class NewtonConfig:
-    max_iters: int = 50
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    damping: float = 1.0  # initial step scale in (0, 1]
-    epsilon_reg: float = 1e-8
-    max_halvings: int = 30
-
-    def __post_init__(self):
-        if not (0.0 < self.damping <= 1.0):
-            raise ConfigurationError("damping must lie in (0, 1]")
-        if self.max_iters < 1:
-            raise ConfigurationError("max_iters must be at least 1")
-        if self.max_halvings < 0:
-            raise ConfigurationError("max_halvings must be nonnegative")
-        for name in ("abs_tol", "rel_tol", "epsilon_reg"):
-            if not getattr(self, name) >= 0.0:
-                raise ConfigurationError(f"{name} must be nonnegative")
+# Newton controls, read at call time: iteration cap, absolute and relative
+# residual tolerances, Jacobian regularization, step halvings per pass.
+_MAX_ITERS = 50
+_ABS_TOL = 1e-12
+_REL_TOL = 1e-10
+_EPSILON_REG = 1e-8
+_MAX_HALVINGS = 30
 
 
 @dataclass(frozen=True)
 class ResolventConfig:
     s: float
-    newton: NewtonConfig = field(default_factory=NewtonConfig)
 
     def __post_init__(self):
         if not self.s > 0.0:
@@ -106,7 +93,7 @@ def _solve_linear(bundle, ke, diag_extra, rhs):
         raise SolverError(f"banded solve failed: {exc}") from exc
 
 
-def newton_level_solve(ctx, ell, s, newton, k, u_prev, rhs, u0=None):
+def newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0=None):
     """Damped Newton on one time level; returns a NewtonResult.
 
     Falls back to a single Picard step (frozen-coefficient linearization)
@@ -120,7 +107,7 @@ def newton_level_solve(ctx, ell, s, newton, k, u_prev, rhs, u0=None):
     bundle = ctx.bundle(ell)
     t = ctx.grid.times[k]
     dt = ctx.grid.dt
-    eps = newton.epsilon_reg
+    eps = _EPSILON_REG
     shift = ctx.reaction_shift
     diag_extra = s * bundle.m + bundle.cap / dt + shift * bundle.cap
     offsets = bundle.offsets
@@ -131,9 +118,11 @@ def newton_level_solve(ctx, ell, s, newton, k, u_prev, rhs, u0=None):
         return "" if names[b] is None else f" on subdomain {names[b]}"
 
     def norms(r):
-        # H-norm of the mass-divided residual per block: sqrt(sum r_i^2 / m_i)
-        w = r * r / bundle.m
-        return [math.sqrt(w[sl].sum()) for sl in blocks]
+        # H-norm of the mass-divided residual per block: sqrt(sum r_i^2 / m_i);
+        # a huge trial residual overflows to inf, which the callers reject
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = r * r / bundle.m
+            return [math.sqrt(w[sl].sum()) for sl in blocks]
 
     u = np.array(u_prev if u0 is None else u0, dtype=float)
     r = _level_residual(ctx, ell, bundle, s, k, u, u_prev, rhs)
@@ -142,7 +131,7 @@ def newton_level_solve(ctx, ell, s, newton, k, u_prev, rhs, u0=None):
         if not math.isfinite(v):
             raise SolverError(f"non-finite residual at Newton start{where(b)}",
                               worst_residual=v)
-    tol = [max(newton.abs_tol, newton.rel_tol * v) for v in rn]
+    tol = [max(_ABS_TOL, _REL_TOL * v) for v in rn]
     worst = list(rn)
     iters = [0] * len(blocks)
     while True:
@@ -150,7 +139,7 @@ def newton_level_solve(ctx, ell, s, newton, k, u_prev, rhs, u0=None):
         if not active:
             break
         for b in active:
-            if iters[b] >= newton.max_iters:
+            if iters[b] >= _MAX_ITERS:
                 raise SolverError(
                     f"Newton did not converge at level {k}{where(b)}: residual "
                     f"{rn[b]:.3e} after {iters[b]} iterations "
@@ -163,8 +152,8 @@ def newton_level_solve(ctx, ell, s, newton, k, u_prev, rhs, u0=None):
             if b not in active:
                 du[sl] = 0.0
         pending = active
-        step = newton.damping
-        for _ in range(newton.max_halvings + 1):
+        step = 1.0
+        for _ in range(_MAX_HALVINGS + 1):
             u_try = u + step * du
             r_try = _level_residual(ctx, ell, bundle, s, k, u_try, u_prev, rhs)
             rn_try = norms(r_try)
@@ -173,16 +162,13 @@ def newton_level_solve(ctx, ell, s, newton, k, u_prev, rhs, u0=None):
                 if math.isfinite(rn_try[b])
                 and (rn_try[b] < rn[b] or rn_try[b] <= tol[b])
             ]
-            if len(accepted) == len(pending):
-                # frozen blocks have du = 0, so u_try and r_try agree with u, r there
-                u, r, rn = u_try, r_try, rn_try
-                pending = []
-                break
             for b in accepted:
                 sl = blocks[b]
                 u[sl], r[sl], rn[b] = u_try[sl], r_try[sl], rn_try[b]
                 du[sl] = 0.0
             pending = [b for b in pending if b not in accepted]
+            if not pending:
+                break
             step *= 0.5
         if pending:
             ke = _element_matrices(ctx, bundle, t, u, eps, picard=True)
@@ -226,7 +212,7 @@ def resolvent_solve(ctx, ell, g, cfg):
     u_prev = np.zeros(bundle.n_nodes)
     for k in range(ctx.grid.n_steps):
         rhs = bundle.m * g[k, bundle.nodes]
-        res = newton_level_solve(ctx, ell, cfg.s, cfg.newton, k, u_prev, rhs)
+        res = newton_level_solve(ctx, ell, cfg.s, k, u_prev, rhs)
         levels[k] = res.values
         u_prev = res.values
     out = []

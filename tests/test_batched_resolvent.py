@@ -9,7 +9,6 @@ import stsplit.resolvent
 from conftest import make_problem
 from stsplit import (
     ConfigurationError,
-    NewtonConfig,
     ResolventConfig,
     SolverError,
     resolvent_solve,
@@ -49,8 +48,10 @@ def test_batched_equals_per_subdomain(case):
         assume(False)
     rng = np.random.default_rng(case["seed"])
     g = case["scale"] * rng.standard_normal((grid.n_steps, mesh.n_nodes))
-    cfg = ResolventConfig(s=case["s"],
-                          newton=NewtonConfig(max_halvings=case["max_halvings"]))
+    cfg = ResolventConfig(s=case["s"])
+    # hypothesis forbids function-scoped fixtures, so patch by hand
+    saved = stsplit.resolvent._MAX_HALVINGS
+    stsplit.resolvent._MAX_HALVINGS = case["max_halvings"]
     try:
         _assert_matches_per_subdomain(ctx, g, cfg)
     except SolverError:
@@ -58,6 +59,8 @@ def test_batched_equals_per_subdomain(case):
         with pytest.raises(SolverError):
             for ell in range(ctx.dec.q):
                 resolvent_solve(ctx, ell, g, cfg)
+    finally:
+        stsplit.resolvent._MAX_HALVINGS = saved
 
 
 @pytest.mark.parametrize("cells", [24, (8, 4)])
@@ -96,13 +99,15 @@ def test_one_block_halving_alone(monkeypatch, cells):
     _assert_matches_per_subdomain(ctx, g, cfg)
 
 
-def test_failing_block_names_its_subdomain():
+def test_failing_block_names_its_subdomain(monkeypatch):
     mesh, grid, _, dec, ctx = make_problem(cells=24, n_steps=2, p=4.0, q=3)
     g = np.zeros((grid.n_steps, mesh.n_nodes))
     only = np.setdiff1d(dec.subdomains[2].nodes,
                         np.union1d(dec.subdomains[0].nodes, dec.subdomains[1].nodes))
     g[:, only] = 1e8
-    cfg = ResolventConfig(s=1.0, newton=NewtonConfig(max_iters=1, max_halvings=0))
+    cfg = ResolventConfig(s=1.0)
+    monkeypatch.setattr(stsplit.resolvent, "_MAX_ITERS", 1)
+    monkeypatch.setattr(stsplit.resolvent, "_MAX_HALVINGS", 0)
     with pytest.raises(SolverError, match="on subdomain 2") as err:
         resolvent_solve(ctx, (0, 1, 2), g, cfg)
     assert err.value.worst_residual > 0.0

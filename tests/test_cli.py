@@ -3,7 +3,11 @@ import copy
 import io
 import json
 import math
+import os
 import re
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -132,6 +136,29 @@ def test_threads_option_is_rejected(tmp_path, capsys):
         main(["run", cfg, "--threads", "1"])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+def _limit_address_space():
+    # runs in the child only: 2 GiB of address space
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_problem_too_large_for_memory(tmp_path, command):
+    cfg = base_config(tmp_path)
+    cfg["time"]["N_t"] = 10**12
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    # one BLAS thread: each one reserves address space under the limit
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "stsplit", command, write_config(tmp_path, cfg)],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "too large for the available memory" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_missing_config_file(tmp_path):

@@ -149,6 +149,12 @@ def test_invalid_configurations_rejected():
     mesh = build_mesh((1.0,), (10,))
     with pytest.raises(ConfigurationError):
         build_decomposition(mesh, 1, 0.4)
+    for q in (2.7, float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError, match="q must be an integer"):
+            build_decomposition(mesh, q, 0.4)
+    for overlap in (float("inf"), float("nan"), -0.4, 0.0):
+        with pytest.raises(ConfigurationError, match="overlap"):
+            build_decomposition(mesh, 2, overlap)
     with pytest.raises(ConfigurationError):
         build_decomposition(mesh, 2, 0.4, c_min=0.0)
     with pytest.raises(ConfigurationError):

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+import stsplit.resolvent
 from conftest import make_problem, random_field
 from stsplit.cli import _custom_source
 from stsplit import (
     ConfigurationError,
     ManufacturedSolution,
-    NewtonConfig,
     SolverError,
     TimeGrid,
     apply_F,
@@ -116,15 +116,15 @@ def test_monolithic_residual_consistency():
     assert residual <= 10.0 * (1e-10 * scale + 1e-12)
 
 
-def test_uniqueness_probe_different_initial_guesses():
+def test_uniqueness_probe_different_initial_guesses(monkeypatch):
     mesh, grid, _, _, ctx = make_problem(cells=20, n_steps=5, p=3.0, lam=1.0,
                                          source="cos")
     # tight tolerances so the random start converges as far as the zero start
-    newton = NewtonConfig(abs_tol=1e-13, rel_tol=1e-12)
-    u_a = solve_monolithic(ctx, newton=newton)
+    monkeypatch.setattr(stsplit.resolvent, "_ABS_TOL", 1e-13)
+    monkeypatch.setattr(stsplit.resolvent, "_REL_TOL", 1e-12)
+    u_a = solve_monolithic(ctx)
     rng = np.random.default_rng(8)
-    u_b = solve_monolithic(ctx, newton=newton,
-                           initial=random_field(rng, grid, mesh))
+    u_b = solve_monolithic(ctx, initial=random_field(rng, grid, mesh))
     assert h_norm(ctx, u_a - u_b) <= 1e-9
 
 
@@ -152,6 +152,7 @@ def test_degenerate_capacity_monolithic():
     assert h_norm(ctx, u_h) > 0.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
 def test_purely_elliptic_corner_converges_or_raises(p):
     # zero capacity and lam = 0 leave a Neumann p-Laplace problem on every

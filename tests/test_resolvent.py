@@ -4,7 +4,6 @@ import pytest
 from conftest import make_problem, random_field
 from stsplit import (
     ConfigurationError,
-    NewtonConfig,
     ResolventConfig,
     SolverError,
     apply_A,
@@ -13,6 +12,7 @@ from stsplit import (
     primal_F,
     resolvent_solve,
 )
+import stsplit.resolvent
 from stsplit.resolvent import newton_level_solve
 
 
@@ -23,15 +23,6 @@ def test_config_validation():
         ResolventConfig(s=-1.0)
     with pytest.raises(ConfigurationError):
         ResolventConfig(s=float("nan"))
-    with pytest.raises(ConfigurationError):
-        NewtonConfig(damping=0.0)
-    for bad in ({"max_iters": 0}, {"max_halvings": -1}, {"abs_tol": -1e-12},
-                {"rel_tol": -1e-10}, {"epsilon_reg": -1e-8},
-                {"rel_tol": float("nan")}):
-        with pytest.raises(ConfigurationError):
-            NewtonConfig(**bad)
-    NewtonConfig(max_iters=1, max_halvings=0)
-    NewtonConfig(abs_tol=0.0, rel_tol=0.0, epsilon_reg=0.0)
 
 
 def test_zero_input_zero_output():
@@ -82,8 +73,7 @@ def test_linear_problem_single_newton_iteration():
     rng = np.random.default_rng(1)
     bundle = ctx.bundle(0)
     rhs = bundle.m * rng.standard_normal(bundle.n_nodes)
-    res = newton_level_solve(ctx, 0, 1.0, NewtonConfig(), 0,
-                             np.zeros(bundle.n_nodes), rhs)
+    res = newton_level_solve(ctx, 0, 1.0, 0, np.zeros(bundle.n_nodes), rhs)
     assert res.iterations <= 1
     assert res.residual_norm <= 1e-9
 
@@ -91,8 +81,8 @@ def test_linear_problem_single_newton_iteration():
 def test_zero_rhs_zero_start_immediate():
     _, grid, _, _, ctx = make_problem(p=3.0)
     bundle = ctx.bundle(0)
-    res = newton_level_solve(ctx, 0, 1.0, NewtonConfig(), 0,
-                             np.zeros(bundle.n_nodes), np.zeros(bundle.n_nodes))
+    res = newton_level_solve(ctx, 0, 1.0, 0, np.zeros(bundle.n_nodes),
+                             np.zeros(bundle.n_nodes))
     assert res.iterations == 0
     assert np.all(res.values == 0.0)
 
@@ -107,7 +97,7 @@ def test_nonlinear_level_recovery():
     s, k = 1.5, 1
     rhs = (s * bundle.m * u_star + bundle.cap * (u_star - u_prev) / grid.dt
            + apply_A(ctx, 1, k, u_star) + bundle.loads[k])
-    res = newton_level_solve(ctx, 1, s, NewtonConfig(), k, u_prev, rhs)
+    res = newton_level_solve(ctx, 1, s, k, u_prev, rhs)
     assert np.max(np.abs(res.values - u_star)) <= 1e-10
 
 
@@ -164,13 +154,14 @@ def test_degenerate_capacity_supported():
     assert h_norm(ctx, u - u_star) <= 1e-8
 
 
-def test_newton_failure_reports_worst_residual():
+def test_newton_failure_reports_worst_residual(monkeypatch):
     _, grid, _, _, ctx = make_problem(cells=12, n_steps=2, p=4.0)
     bundle = ctx.bundle(0)
     rhs = 1e8 * bundle.m
-    newton = NewtonConfig(max_iters=1, max_halvings=0)
+    monkeypatch.setattr(stsplit.resolvent, "_MAX_ITERS", 1)
+    monkeypatch.setattr(stsplit.resolvent, "_MAX_HALVINGS", 0)
     with pytest.raises(SolverError) as err:
-        newton_level_solve(ctx, 0, 1.0, newton, 0, np.zeros(bundle.n_nodes), rhs)
+        newton_level_solve(ctx, 0, 1.0, 0, np.zeros(bundle.n_nodes), rhs)
     assert err.value.worst_residual is not None
     assert err.value.worst_residual > 0.0
 
