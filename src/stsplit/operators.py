@@ -217,10 +217,6 @@ class OperatorContext:
             return self._stack
         return self._subs[ell]
 
-    @property
-    def q(self):
-        return 0 if self.dec is None else self.dec.q
-
 
 def build_context(mesh, model, grid, dec=None, reaction_shift=0.0):
     return OperatorContext(mesh, model, grid, dec, reaction_shift)

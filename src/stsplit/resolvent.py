@@ -4,11 +4,12 @@ Each time level solves the nodal system (dual representation)
 
     s*m.u + cap*(u - u_prev)/dt + A_ell(t_k)u + load_k = rhs
 
-with an exact residual and an epsilon-regularized Jacobian.  Strips are cut
-along the first mesh axis, so every level system is banded and each Newton
-step ends in one banded direct solve.  Off the subdomain the resolvent acts
-as division by s, so the returned global field is
-u = extend(u_ell) + (g - extend(restrict(g)))/s.
+with an exact residual and an epsilon-regularized Jacobian, globalized by
+step halving alone: a Newton step that no halving makes lower the residual
+raises SolverError.  Strips are cut along the first mesh axis, so every
+level system is banded and each Newton step ends in one banded direct
+solve.  Off the subdomain the resolvent acts as division by s, so the
+returned global field is u = extend(u_ell) + (g - extend(restrict(g)))/s.
 
 Passing ell = tuple(range(q)) applies all q subdomain resolvents to the same
 input at once: their level systems are stacked into one block-diagonal
@@ -25,9 +26,6 @@ import scipy.linalg
 from .errors import ConfigurationError, SolverError
 from .models import default_flux_jacobian, default_reaction_derivative
 from .operators import apply_A, quad_values
-
-_TINY = 1e-300
-
 
 # Newton controls, read at call time: iteration cap, absolute and relative
 # residual tolerances, Jacobian regularization, step halvings per pass.
@@ -60,21 +58,12 @@ def _level_residual(ctx, ell, bundle, s, k, u, u_prev, rhs):
     return r
 
 
-def _element_matrices(ctx, bundle, t, u, eps, picard=False):
+def _element_matrices(ctx, bundle, t, u, eps):
     """Element stiffness+reaction blocks (n_el, n_loc, n_loc)."""
     model = ctx.model
     uq, zq = quad_values(bundle, u)
-    if picard:
-        m2 = np.sum(zq * zq, axis=-1) + eps * eps
-        c1 = m2 ** ((model.p - 2.0) / 2.0)
-        d = bundle.qp.shape[-1]
-        jf = c1[..., None, None] * np.eye(d)
-        bq = np.asarray(model.beta(bundle.qp, t, uq))
-        deriv = default_reaction_derivative(model)(bundle.qp, t, uq, eps)
-        rp = np.where(np.abs(uq) > _TINY, bq / np.where(uq == 0.0, 1.0, uq), deriv)
-    else:
-        jf = np.asarray(default_flux_jacobian(model)(bundle.qp, t, zq, eps))
-        rp = np.asarray(default_reaction_derivative(model)(bundle.qp, t, uq, eps))
+    jf = np.asarray(default_flux_jacobian(model)(bundle.qp, t, zq, eps))
+    rp = np.asarray(default_reaction_derivative(model)(bundle.qp, t, uq, eps))
     w = np.einsum("eq,eqdk->edk", bundle.wa, jf)
     ke = bundle.dphi @ w @ bundle.dphi.transpose(0, 2, 1)
     ke += ((bundle.wb * rp) @ bundle.pp).reshape(ke.shape)
@@ -96,13 +85,15 @@ def _solve_linear(bundle, ke, diag_extra, rhs):
 def newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0=None):
     """Damped Newton on one time level; returns a NewtonResult.
 
-    Falls back to a single Picard step (frozen-coefficient linearization)
-    whenever step halving fails to reduce the residual, then resumes Newton.
+    Each pass makes one linear solve and then halves the step, up to
+    _MAX_HALVINGS times, until the residual norm drops.  If no halved step
+    lowers it, the solve raises SolverError at once.
 
     On a stacked bundle (ell a tuple) each block has its own residual norm,
-    tolerance, iteration count, step halving and Picard fallback.  A block
-    that has converged, or has accepted a trial step of the current pass,
-    is frozen by zeroing its slice of the Newton direction.
+    tolerance, iteration count and step halving.  A block that has
+    converged, or has accepted a trial step of the current pass, is frozen
+    by zeroing its slice of the Newton direction; the first block whose
+    line search fails is the one the SolverError names.
     """
     bundle = ctx.bundle(ell)
     t = ctx.grid.times[k]
@@ -132,7 +123,9 @@ def newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0=None):
             raise SolverError(f"non-finite residual at Newton start{where(b)}",
                               worst_residual=v)
     tol = [max(_ABS_TOL, _REL_TOL * v) for v in rn]
-    worst = list(rn)
+    # every accepted step lowers its block's residual, so the worst residual
+    # a block reaches is its starting one
+    rn0 = list(rn)
     iters = [0] * len(blocks)
     while True:
         active = [b for b, v in enumerate(rn) if v > tol[b]]
@@ -144,7 +137,7 @@ def newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0=None):
                     f"Newton did not converge at level {k}{where(b)}: residual "
                     f"{rn[b]:.3e} after {iters[b]} iterations "
                     f"(tolerance {tol[b]:.3e})",
-                    worst_residual=worst[b],
+                    worst_residual=rn0[b],
                 )
         ke = _element_matrices(ctx, bundle, t, u, eps)
         du = _solve_linear(bundle, ke, diag_extra, -r)
@@ -171,21 +164,13 @@ def newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0=None):
                 break
             step *= 0.5
         if pending:
-            ke = _element_matrices(ctx, bundle, t, u, eps, picard=True)
-            pr_rhs = rhs - bundle.loads[k] + bundle.cap * u_prev / dt
-            u_pic = _solve_linear(bundle, ke, diag_extra, pr_rhs)
-            for b in pending:
-                u[blocks[b]] = u_pic[blocks[b]]
-            r = _level_residual(ctx, ell, bundle, s, k, u, u_prev, rhs)
-            rn = norms(r)
-            for b in pending:
-                if not math.isfinite(rn[b]):
-                    raise SolverError(
-                        f"Picard fallback diverged at level {k}{where(b)}",
-                        worst_residual=worst[b],
-                    )
+            b = pending[0]
+            raise SolverError(
+                f"Newton line search failed at level {k}{where(b)}: residual "
+                f"{rn[b]:.3e} after {iters[b]} iterations",
+                worst_residual=rn0[b],
+            )
         for b in active:
-            worst[b] = max(worst[b], rn[b])
             iters[b] += 1
     return NewtonResult(values=u, iterations=max(iters), residual_norm=max(rn))
 
