@@ -15,6 +15,11 @@ Scheme update rules per sweep (two subdomains for the alternating schemes):
                       iterates mapped back by e^{q t} for reporting
 
 where R_ell = (sI + F_ell)^{-1}.
+
+Every update is a level-by-level map, so the sweeps run as one wavefront
+along time (see resolvent.py): each scheme is a chain of Sweep records
+whose inputs at level k are built from level k of the sweep before, and
+run_scheme takes the completed sweeps in order.
 """
 
 import time
@@ -26,7 +31,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .models import default_flux_jacobian, default_reaction_derivative
 from .operators import build_context, h_norm, k_functional, primal_F
-from .resolvent import ResolventConfig, resolvent_solve
+from .resolvent import ResolventConfig, Sweep, resolvent_solve
 
 SCHEMES = ("PR", "DR", "AS", "AS_shifted")
 
@@ -145,26 +150,34 @@ def shift_model(model, dec):
     base_fjac = default_flux_jacobian(model)
     base_rder = default_reaction_derivative(model)
 
+    # t is a scalar or broadcasts against the points' leading axes (one time
+    # per element of a stack); vector values take one more axis
+    def grow(t):
+        return np.exp(rate * np.asarray(t))
+
+    def decay(t):
+        return np.exp(-rate * np.asarray(t))
+
     def alpha(x, t, z):
-        w = np.exp(rate * t)
+        w = grow(t)[..., None]
         return np.asarray(base_alpha(x, t, w * np.asarray(z))) / w
 
     def beta(x, t, y):
-        w = np.exp(rate * t)
+        w = grow(t)
         return np.asarray(base_beta(x, t, w * np.asarray(y))) / w
 
     def eta0(x, t):
-        return np.asarray(base_eta0(x, t)) * np.exp(-rate * t)
+        return np.asarray(base_eta0(x, t)) * decay(t)
 
     def eta(x, t):
-        return np.asarray(base_eta(x, t)) * np.exp(-rate * t)
+        return np.asarray(base_eta(x, t)) * decay(t)[..., None]
 
     # chain rule: the shifted Jacobians are the base ones at the scaled state
     def flux_jacobian(x, t, z, eps):
-        return np.asarray(base_fjac(x, t, np.exp(rate * t) * np.asarray(z), eps))
+        return np.asarray(base_fjac(x, t, grow(t)[..., None] * np.asarray(z), eps))
 
     def reaction_derivative(x, t, y, eps):
-        return np.asarray(base_rder(x, t, np.exp(rate * t) * np.asarray(y), eps))
+        return np.asarray(base_rder(x, t, grow(t) * np.asarray(y), eps))
 
     shifted = replace(
         model,
@@ -182,6 +195,57 @@ def shift_factors(grid, rate):
     return np.exp(-float(rate) * grid.times)
 
 
+class _AdditiveSweep(Sweep):
+    """u_ell <- R_ell(s*u), u <- mean of the u_ell, level by level."""
+
+    def __init__(self, s, start):
+        self.s = s
+        self.start = start  # the iterate before the first sweep
+
+    def level_input(self, phase, k):
+        if self.prev is None:
+            return self.s * self.start[k]
+        return self.s * _mean([f[k] for f in self.prev.out[0]])
+
+
+class _AlternatingSweep(Sweep):
+    """Peaceman-Rachford or Douglas-Rachford, level by level.
+
+    Phase 0 solves u1 <- R1(s*u2 - f2) and phase 1 u2 <- R2(rhs2), with
+    f2 = F2*u2 recovered from the previous sweep as rhs2 - s*u2.
+    """
+
+    def __init__(self, s, douglas, start):
+        self.s = s
+        self.douglas = douglas
+        self.start = start  # (u2, F2*u2) before the first sweep
+        self.rhs = ([], [])  # the inputs of both phases, level by level
+
+    def _previous(self, k):
+        if self.prev is None:
+            return self.start[0][k], self.start[1][k]
+        u2 = self.prev.out[1][0][k]
+        return u2, self.prev.rhs[1][k] - self.s * u2
+
+    def level_input(self, phase, k):
+        if phase == 0:
+            u2, f2 = self._previous(k)
+            g = self.s * u2 - f2
+        elif self.douglas:
+            g = self.s * self.out[0][0][k] + self._previous(k)[1]
+        else:
+            g = 2.0 * self.s * self.out[0][0][k] - self.rhs[0][k]
+        self.rhs[phase].append(g)
+        return g
+
+
+def _mean(fields):
+    out = fields[0] / len(fields)
+    for f in fields[1:]:
+        out = out + f / len(fields)
+    return out
+
+
 def run_scheme(ctx, cfg, u_ref=None, initial=None):
     """Run a splitting scheme and collect its convergence trace.
 
@@ -192,9 +256,12 @@ def run_scheme(ctx, cfg, u_ref=None, initial=None):
             columns in the trace.
         initial: starting field (defaults to zero).
 
-    The additive schemes apply their q independent subdomain resolvents in
-    one block-diagonal solve per sweep (see resolvent_solve) and average the
-    results in subdomain order.
+    The sweeps run as one wavefront along time (see resolvent_solve): the
+    additive schemes apply their q subdomain resolvents to one input per
+    sweep, the alternating ones apply R1 and then R2.  The completed sweeps
+    are taken in order; after each the monitors and the stop test run, and
+    once the test or max_sweeps ends the run the sweeps still in flight are
+    dropped.  wall_ms is the time between consecutive sweep completions.
 
     Returns a RunResult whose fields are unshifted for every scheme.
     """
@@ -237,61 +304,59 @@ def run_scheme(ctx, cfg, u_ref=None, initial=None):
     if alternating:
         u2 = u0.copy()
         f2 = primal_F(ctx_run, 1, u2)
-        u1 = None
         if v_ref is not None:
             trace.v0_norm = h_norm(ctx, (s * u2 + f2) - v_ref)
             trace.w0_norm = h_norm(ctx, (s * u2 - f2) - w_ref)
         u_cmp_prev = u2
+        start = (u2, f2)
+        phases = ((0,), (1,))
+        chain = (_AlternatingSweep(s, cfg.scheme == "DR", start)
+                 for _ in range(cfg.max_sweeps))
     else:
-        u = down * u0 if down is not None else u0.copy()
-        u_subs = [u] * q
-        u_cmp_prev = u
+        u_cmp_prev = start = down * u0 if down is not None else u0.copy()
+        phases = (tuple(range(q)),)
+        chain = (_AdditiveSweep(s, start) for _ in range(cfg.max_sweeps))
 
     converged = False
     sweeps = 0
-    for n in range(1, cfg.max_sweeps + 1):
+    completed = resolvent_solve(ctx_run, phases, chain, rcfg)
+    try:
         tic = time.perf_counter()
-        if alternating:
-            rhs1 = s * u2 - f2
-            u1 = resolvent_solve(ctx_run, 0, rhs1, rcfg)
-            if cfg.scheme == "PR":
-                rhs2 = 2.0 * s * u1 - rhs1
+        for n, sweep in enumerate(completed, start=1):
+            toc = time.perf_counter()
+            wall_ms, tic = (toc - tic) * 1e3, toc
+            if alternating:
+                u1, u2 = sweep.out[0][0], sweep.out[1][0]
+                vn = np.array(sweep.rhs[1])  # (sI + F2)u2 by construction
+                f2 = vn - s * u2
+                wn = s * u2 - f2
+                u_cmp = u2
+                subs = [u1, u2]
             else:
-                rhs2 = s * u1 + f2
-            u2 = resolvent_solve(ctx_run, 1, rhs2, rcfg)
-            f2 = rhs2 - s * u2
-            u_cmp = u2
-            subs = [u1, u2]
-            vn = rhs2  # (sI + F2)u2 by construction
-            wn = s * u2 - f2
-        else:
-            rhs = s * u_cmp_prev
-            u_subs = resolvent_solve(ctx_run, tuple(range(q)), rhs, rcfg)
-            u_cmp = u_subs[0] / q
-            for ell in range(1, q):
-                u_cmp = u_cmp + u_subs[ell] / q
-            subs = u_subs
-            vn = wn = None
-        wall_ms = (time.perf_counter() - tic) * 1e3
-        sweeps = n
+                subs = sweep.out[0]
+                u_cmp = _mean(subs)
+                vn = wn = None
+            sweeps = n
 
-        err_H = err_k = pr_v = pr_w = None
-        if u_ref is not None:
-            err_H = h_norm(ctx, unshift(u_cmp) - u_ref)
-            err_k = [
-                k_functional(ctx, ell, unshift(subs[ell]) - u_ref)
-                for ell in range(q)
-            ]
-            if v_ref is not None:
-                pr_v = h_norm(ctx, vn - v_ref)
-                pr_w = h_norm(ctx, wn - w_ref)
-        trace.append(n, err_H, err_k, pr_v, pr_w, wall_ms)
+            err_H = err_k = pr_v = pr_w = None
+            if u_ref is not None:
+                err_H = h_norm(ctx, unshift(u_cmp) - u_ref)
+                err_k = [
+                    k_functional(ctx, ell, unshift(subs[ell]) - u_ref)
+                    for ell in range(q)
+                ]
+                if v_ref is not None:
+                    pr_v = h_norm(ctx, vn - v_ref)
+                    pr_w = h_norm(ctx, wn - w_ref)
+            trace.append(n, err_H, err_k, pr_v, pr_w, wall_ms)
 
-        delta = h_norm(ctx, unshift(u_cmp - u_cmp_prev))
-        u_cmp_prev = u_cmp
-        if delta <= cfg.stop_tol:
-            converged = True
-            break
+            delta = h_norm(ctx, unshift(u_cmp - u_cmp_prev))
+            u_cmp_prev = u_cmp
+            if delta <= cfg.stop_tol:
+                converged = True
+                break
+    finally:
+        completed.close()
 
     if alternating:
         final = u2

@@ -9,12 +9,13 @@ dividing by the lumped mass maps them back to field space.
 An OperatorContext freezes one discretization: mesh, model, time grid,
 optional decomposition, and every precomputed table needed for assembly
 (quadrature weights times the weight profiles at quadrature points,
-capacity diagonals, load vectors per time level).  With a decomposition it
-also holds the stacked tables of all subdomains, on which the additive
-schemes solve their q independent subdomain systems as one block-diagonal
-system.  Contexts are immutable after construction.
+capacity diagonals, load vectors per time level).  Several subdomain
+systems, at one time level or at different ones, are solved as one
+block-diagonal system on a stack of subdomain tables (`stack_bundles`).
+Contexts are immutable after construction.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +38,11 @@ class TimeGrid:
     def dt(self):
         return self.T / self.n_steps
 
-    @property
+    @functools.cached_property
     def times(self):
-        return self.dt * np.arange(1, self.n_steps + 1)
+        times = self.dt * np.arange(1, self.n_steps + 1)
+        times.flags.writeable = False
+        return times
 
 
 def _band_layout(conn, n_nodes):
@@ -56,21 +59,22 @@ def _band_layout(conn, n_nodes):
 
 
 class _AssemblyBundle:
-    """Per-(sub)domain assembly tables in local node numbering.
+    """Assembly tables in local node numbering.
 
-    A stacked bundle holds several subdomains side by side: block i owns the
-    local nodes offsets[i]:offsets[i+1] and no element couples two blocks,
-    so every system assembled on it is block-diagonal.  A plain bundle is
-    one block, offsets (0, n_nodes).
+    A plain bundle covers one subdomain, or the whole domain, and also holds
+    its global node ids, its name (the subdomain index, or None) and its
+    load vectors.  A stack (see `stack_bundles`) holds several plain bundles
+    side by side as its `parts`: block i owns the local nodes
+    offsets[i]:offsets[i+1] and the i-th run of elements, and no element
+    couples two blocks, so every system assembled on it is block-diagonal.
+    A plain bundle is its own single block.
     """
 
-    def __init__(self, nodes, conn, qp, dphi, phi, wa, wb, m, cap,
-                 offsets=None):
-        self.nodes = nodes  # global node ids
-        self.n_nodes = len(nodes)
+    def __init__(self, conn, qp, dphi, phi, wa, wb, m, cap, nodes=None,
+                 name=None, parts=None):
+        self.n_nodes = len(m)
         self.conn = conn  # (n_el, n_loc) local indices
         self.bandwidth, self.band_index = _band_layout(conn, self.n_nodes)
-        self.offsets = (0, self.n_nodes) if offsets is None else offsets
         self.qp = qp
         self.dphi = dphi
         self.phi = phi
@@ -80,13 +84,72 @@ class _AssemblyBundle:
         self.wb = wb  # quadrature weight * reaction weight, (n_el, n_q)
         self.m = m  # restricted global lumped mass
         self.cap = cap  # m * g * gamma, the diagonal capacity weights
-        self.loads = None  # (n_steps, n_nodes) dual load vectors
+        self.parts = parts
+        self.nodes = nodes  # global node ids
+        self.name = name  # subdomain index, or None for the whole domain
+        self.loads = None  # (n_steps, n_nodes) dual load vectors (plain bundles)
+        if parts is None:
+            self.offsets = (0, self.n_nodes)
+            el_counts = [len(conn)]
+        else:
+            self.offsets = tuple(np.cumsum([0] + [b.n_nodes for b in parts]).tolist())
+            el_counts = [len(b.conn) for b in parts]
+            self.nodes = np.concatenate([b.nodes for b in parts])
+        blocks = np.arange(len(self.offsets) - 1)
+        self.block_of_node = np.repeat(blocks, np.diff(self.offsets))
+        self.block_of_element = np.repeat(blocks, el_counts)
+
+    @property
+    def blocks(self):
+        """The plain bundles of the blocks, in order."""
+        return (self,) if self.parts is None else self.parts
 
     def scatter(self, contrib):
         """Accumulate (n_el, n_loc) element contributions into a nodal array."""
         return np.bincount(
             self.conn.ravel(), weights=contrib.ravel(), minlength=self.n_nodes
         )
+
+
+def stack_bundles(parts):
+    """One block-diagonal stack of the plain bundles `parts`, in order.
+
+    A bundle may appear more than once.  The stack's tables are copies, so
+    it can be dropped without touching the parts.
+    """
+    offsets = np.cumsum([0] + [b.n_nodes for b in parts])
+    return _AssemblyBundle(
+        conn=np.concatenate([b.conn + o for b, o in zip(parts, offsets)]),
+        qp=np.concatenate([b.qp for b in parts]),
+        dphi=np.concatenate([b.dphi for b in parts]),
+        phi=parts[0].phi,
+        wa=np.concatenate([b.wa for b in parts]),
+        wb=np.concatenate([b.wb for b in parts]),
+        m=np.concatenate([b.m for b in parts]),
+        cap=np.concatenate([b.cap for b in parts]),
+        parts=tuple(parts),
+    )
+
+
+def level_times(ctx, bundle, k):
+    """Time of level k, broadcastable against the quadrature points.
+
+    k is one level index, and the time a scalar, or on a stack one level per
+    block, and the times are per element, shape (n_el, 1).  One level for
+    the whole stack keeps the time a scalar.
+    """
+    t = ctx.grid.times[k]
+    if bundle.parts is None or np.ndim(t) == 0:
+        return t
+    return t[bundle.block_of_element, None]
+
+
+def level_loads(bundle, k):
+    """Load vector of level k, or on a stack of level k or k[i] per block."""
+    if bundle.parts is None:
+        return bundle.loads[k]
+    levels = np.broadcast_to(k, len(bundle.parts))
+    return np.concatenate([b.loads[kb] for b, kb in zip(bundle.parts, levels)])
 
 
 def quad_values(bundle, u):
@@ -97,8 +160,8 @@ def quad_values(bundle, u):
     return uq, gz[:, None, :].repeat(uq.shape[1], axis=1)
 
 
-def _make_bundle(mesh, grid, model, nodes, elements, a_node, b_elem, g_node,
-                 gamma_nodes):
+def _make_bundle(mesh, grid, model, name, nodes, elements, a_node, b_elem,
+                 g_node, gamma_nodes):
     local_of = np.full(mesh.n_nodes, -1, dtype=int)
     local_of[nodes] = np.arange(len(nodes))
     conn = local_of[mesh.elements[elements]]
@@ -110,43 +173,13 @@ def _make_bundle(mesh, grid, model, nodes, elements, a_node, b_elem, g_node,
     b_q = np.einsum("el,ql->eq", b_elem[elements], phi)
     m = mesh.lumped_mass[nodes]
     bundle = _AssemblyBundle(
-        nodes=nodes, conn=conn, qp=mesh.quad_points[elements],
+        conn=conn, qp=mesh.quad_points[elements],
         dphi=mesh.basis_gradients[elements], phi=phi, wa=qw * a_q,
         wb=qw * b_q, m=m, cap=m * g_node[nodes] * gamma_nodes[nodes],
+        nodes=nodes, name=name,
     )
     bundle.loads = _assemble_loads(bundle, model.source, grid)
     return bundle
-
-
-def _stack_bundles(subs):
-    """One block-diagonal bundle over the subdomain bundles, in order.
-
-    The subdomain bundles are re-pointed at views of the stack's arrays, so
-    the tables are held once.
-    """
-    offsets = tuple(int(o) for o in np.cumsum([0] + [b.n_nodes for b in subs]))
-    el_offsets = np.cumsum([0] + [len(b.conn) for b in subs])
-    stack = _AssemblyBundle(
-        nodes=np.concatenate([b.nodes for b in subs]),
-        conn=np.concatenate([b.conn + o for b, o in zip(subs, offsets)]),
-        qp=np.concatenate([b.qp for b in subs]),
-        dphi=np.concatenate([b.dphi for b in subs]),
-        phi=subs[0].phi,
-        wa=np.concatenate([b.wa for b in subs]),
-        wb=np.concatenate([b.wb for b in subs]),
-        m=np.concatenate([b.m for b in subs]),
-        cap=np.concatenate([b.cap for b in subs]),
-        offsets=offsets,
-    )
-    stack.loads = np.concatenate([b.loads for b in subs], axis=1)
-    for i, b in enumerate(subs):
-        nodes = slice(offsets[i], offsets[i + 1])
-        elems = slice(el_offsets[i], el_offsets[i + 1])
-        b.nodes, b.m, b.cap = stack.nodes[nodes], stack.m[nodes], stack.cap[nodes]
-        b.loads = stack.loads[:, nodes]
-        b.qp, b.dphi = stack.qp[elems], stack.dphi[elems]
-        b.wa, b.wb = stack.wa[elems], stack.wb[elems]
-    return stack
 
 
 def _assemble_loads(bundle, source, grid):
@@ -184,37 +217,30 @@ class OperatorContext:
         ones_n = np.ones(mesh.n_nodes)
         ones_b = np.ones((mesh.n_elements, mesh.n_local))
         self._global = _make_bundle(
-            mesh, grid, model, all_nodes, all_elems, ones_n, ones_b, ones_n,
-            gamma_nodes,
+            mesh, grid, model, None, all_nodes, all_elems, ones_n, ones_b,
+            ones_n, gamma_nodes,
         )
         self._subs = []
-        self._stack = None
         if dec is not None:
-            for sub, w in zip(dec.subdomains, dec.weights):
+            for ell, (sub, w) in enumerate(zip(dec.subdomains, dec.weights)):
                 self._subs.append(
                     _make_bundle(
-                        mesh, grid, model, sub.nodes, sub.elements, w.a,
+                        mesh, grid, model, ell, sub.nodes, sub.elements, w.a,
                         w.b_elem, w.g_node, gamma_nodes,
                     )
                 )
-            self._stack = _stack_bundles(self._subs)
 
     def bundle(self, ell=None):
         """Assembly tables for subdomain ell, or the whole domain if None.
 
-        ell = tuple(range(q)) selects the stacked tables of all subdomains.
+        A bundle passed as ell (a stack, say) is returned as it is.
         """
+        if isinstance(ell, _AssemblyBundle):
+            return ell
         if ell is None:
             return self._global
         if self.dec is None:
             raise ConfigurationError("context has no decomposition")
-        if isinstance(ell, tuple):
-            if ell != tuple(range(self.dec.q)):
-                raise ConfigurationError(
-                    f"a batched solve takes every subdomain in order, "
-                    f"{tuple(range(self.dec.q))}, not {ell}"
-                )
-            return self._stack
         return self._subs[ell]
 
 
@@ -233,16 +259,19 @@ def _check_field(ctx, u, ell):
     return u
 
 
-def apply_A(ctx, ell, k, u_k):
+def apply_A(ctx, ell, k, u_k, check=True):
     """Dual action of the weighted spatial operator at time level k.
 
     r_i = int a*alpha(t_k, grad u) . grad(phi_i) + b*beta(t_k, u) phi_i,
     plus the diagonal exponential-shift reaction when the context carries one.
-    k is the 0-based level index (physical time ctx.grid.times[k]).
+    k is the 0-based level index (physical time ctx.grid.times[k]); on a
+    stack passed as ell it holds one level per block.  Non-finite values
+    raise NumericError unless check is False, in which case the caller
+    tests each block itself.
     """
     b = ctx.bundle(ell)
     u_k = np.asarray(u_k, dtype=float)
-    t = ctx.grid.times[k]
+    t = level_times(ctx, b, k)
     uq, zq = quad_values(b, u_k)
     flux = np.asarray(ctx.model.alpha(b.qp, t, zq))
     reac = np.asarray(ctx.model.beta(b.qp, t, uq))
@@ -252,7 +281,7 @@ def apply_A(ctx, ell, k, u_k):
     r = b.scatter(contrib)
     if ctx.reaction_shift != 0.0:
         r = r + ctx.reaction_shift * b.cap * u_k
-    if not np.all(np.isfinite(r)):
+    if check and not np.all(np.isfinite(r)):
         raise NumericError("model functions produced non-finite values in apply_A")
     return r
 

@@ -349,16 +349,12 @@ def test_criterion_09_discretization_sanity():
                     + f", temporal orders {torders[0]:.2f}, {torders[1]:.2f}")
 
 
-# Runs the CLI with the additive resolvents applied one subdomain at a time.
-_PER_SUBDOMAIN_CLI = """
+# Runs the CLI in sequential order: one resolvent application at a time,
+# sweep by sweep, each stacked Newton taking its blocks at one level.
+_SEQUENTIAL_CLI = """
 import sys
-import stsplit.iteration as it
-batched = it.resolvent_solve
-def looped(ctx, ell, g, cfg):
-    if isinstance(ell, tuple):
-        return [batched(ctx, e, g, cfg) for e in ell]
-    return batched(ctx, ell, g, cfg)
-it.resolvent_solve = looped
+import stsplit.resolvent
+stsplit.resolvent._STAGE_NODES = 1
 from stsplit.cli import main
 sys.exit(main(sys.argv[1:]))
 """
@@ -366,51 +362,54 @@ sys.exit(main(sys.argv[1:]))
 
 def test_criterion_10_batched_determinism(tmp_path):
     runs = {
-        "batched": ["-m", "stsplit"],
+        "pipelined": ["-m", "stsplit"],
         "repeat": ["-m", "stsplit"],
-        "per_subdomain": ["-c", _PER_SUBDOMAIN_CLI],
+        "sequential": ["-c", _SEQUENTIAL_CLI],
     }
-    outputs = {}
-    for name, entry in runs.items():
-        csv_path = tmp_path / f"trace_{name}.csv"
-        config = {
-            "mesh": {"dim": 1, "extent": [1.0], "cells": [24]},
-            "time": {"T": 0.5, "N_t": 4},
-            "model": {"name": "p_laplace", "p": 3.0, "lambda": 1.0},
-            "source": {"name": "custom", "amplitude": 0.5, "mode": 2,
-                       "decay": 1.0},
-            "decomposition": {"q": 3, "overlap_fraction": 0.5},
-            "scheme": {"scheme": "AS", "s": 2.0, "max_sweeps": 5,
-                       "stop_tol": 0.0},
-            "output": {"csv_path": str(csv_path),
-                       "json_summary_path": str(tmp_path / f"s_{name}.json")},
-        }
-        cfg_path = tmp_path / f"cfg_{name}.json"
-        cfg_path.write_text(json.dumps(config))
-        proc = subprocess.run(
-            [sys.executable, *entry, "run", str(cfg_path)],
-            capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        outputs[name] = csv_path.read_text().strip().split("\n")
+    schemes = {"AS": 3, "AS_shifted": 3, "PR": 2}
+    worst, rows = 0.0, 0
+    for scheme, q in schemes.items():
+        outputs = {}
+        for name, entry in runs.items():
+            csv_path = tmp_path / f"trace_{scheme}_{name}.csv"
+            config = {
+                "mesh": {"dim": 1, "extent": [1.0], "cells": [24]},
+                "time": {"T": 0.5, "N_t": 4},
+                "model": {"name": "p_laplace", "p": 3.0, "lambda": 1.0},
+                "source": {"name": "custom", "amplitude": 0.5, "mode": 2,
+                           "decay": 1.0},
+                "decomposition": {"q": q, "overlap_fraction": 0.5},
+                "scheme": {"scheme": scheme, "s": 2.0, "max_sweeps": 5,
+                           "stop_tol": 0.0},
+                "output": {"csv_path": str(csv_path),
+                           "json_summary_path": str(tmp_path / f"s_{name}.json")},
+            }
+            cfg_path = tmp_path / f"cfg_{scheme}_{name}.json"
+            cfg_path.write_text(json.dumps(config))
+            proc = subprocess.run(
+                [sys.executable, *entry, "run", str(cfg_path)],
+                capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            outputs[name] = csv_path.read_text().strip().split("\n")
 
-    base = outputs["batched"]
-    wall_col = base[0].split(",").index("wall_ms")
-    worst = 0.0
-    for name in ("repeat", "per_subdomain"):
-        other = outputs[name]
-        assert other[0] == base[0]
-        assert len(other) == len(base)
-        for row_a, row_b in zip(base[1:], other[1:]):
-            ca, cb = row_a.split(","), row_b.split(",")
-            for j, (a, b) in enumerate(zip(ca, cb)):
-                if j == wall_col:
-                    continue  # timing noise is the one permitted difference
-                if a == "" or b == "":
-                    assert a == b
-                else:
-                    worst = max(worst, abs(float(a) - float(b)))
+        base = outputs["pipelined"]
+        wall_col = base[0].split(",").index("wall_ms")
+        rows += len(base) - 1
+        for name in ("repeat", "sequential"):
+            other = outputs[name]
+            assert other[0] == base[0]
+            assert len(other) == len(base)
+            for row_a, row_b in zip(base[1:], other[1:]):
+                ca, cb = row_a.split(","), row_b.split(",")
+                for j, (a, b) in enumerate(zip(ca, cb)):
+                    if j == wall_col:
+                        continue  # timing noise is the one permitted difference
+                    if a == "" or b == "":
+                        assert a == b
+                    else:
+                        worst = max(worst, abs(float(a) - float(b)))
     ok = worst <= 1e-14
-    assert _verdict(10, "batched-solve determinism", ok,
-                    f"max per-entry difference {worst:.1e} over "
-                    f"{len(base) - 1} sweeps, against a repeat and a "
-                    f"per-subdomain run")
+    assert _verdict(10, "pipelined-solve determinism", ok,
+                    f"max per-entry difference {worst:.1e} over {rows} sweeps "
+                    f"of {', '.join(schemes)}, against a repeat and a "
+                    f"sequential-order run")

@@ -11,8 +11,12 @@ from stsplit import (
     ConfigurationError,
     ResolventConfig,
     SolverError,
+    build_context,
     resolvent_solve,
+    shift_model,
 )
+from stsplit.operators import stack_bundles
+from stsplit.resolvent import _stacker, newton_level_solve
 
 
 def _assert_matches_per_subdomain(ctx, g, cfg):
@@ -23,17 +27,49 @@ def _assert_matches_per_subdomain(ctx, g, cfg):
         assert np.array_equal(batched[ell], resolvent_solve(ctx, ell, g, cfg))
 
 
+def _assert_stack_matches_blocks(ctx, blocks, s, rng, scale):
+    """A stack of (subdomain, level) blocks against each block solved alone."""
+    parts = [ctx.bundle(ell) for ell, _ in blocks]
+    levels = [k for _, k in blocks]
+    u_prev = [scale * rng.standard_normal(b.n_nodes) for b in parts]
+    rhs = [scale * b.m * rng.standard_normal(b.n_nodes) for b in parts]
+    alone = []
+    for (ell, k), up, r in zip(blocks, u_prev, rhs):
+        try:
+            alone.append(newton_level_solve(ctx, ell, s, k, up, r))
+        except SolverError as err:
+            alone.append(err)
+    stack = stack_bundles(parts)
+    try:
+        res = newton_level_solve(ctx, stack, s, levels, np.concatenate(u_prev),
+                                 np.concatenate(rhs))
+    except SolverError as err:
+        # the stack fails for a block that fails alone, with its message
+        assert isinstance(alone[err.block], SolverError)
+        assert str(err) == str(alone[err.block])
+        return
+    assert not any(isinstance(a, SolverError) for a in alone)
+    for i, a in enumerate(alone):
+        lo, hi = stack.offsets[i], stack.offsets[i + 1]
+        assert np.array_equal(res.values[lo:hi], a.values)
+    assert res.iterations == max(a.iterations for a in alone)
+
+
 @st.composite
 def cases(draw):
     q = draw(st.integers(2, 4))
     nx = draw(st.integers(2 * q, 6 * q))
     cells = nx if draw(st.booleans()) else (nx, draw(st.integers(2, 5)))
+    n_steps = draw(st.integers(2, 4))
+    block = st.tuples(st.integers(0, q - 1), st.integers(0, n_steps - 1))
     return dict(
-        cells=cells, q=q, overlap=draw(st.floats(0.2, 1.0)),
+        cells=cells, q=q, n_steps=n_steps, overlap=draw(st.floats(0.2, 1.0)),
         p=draw(st.floats(2.0, 6.0)), s=draw(st.floats(0.1, 10.0)),
         scale=10.0 ** draw(st.floats(-2.0, 2.0)),
         max_halvings=draw(st.sampled_from([0, 30])),
         seed=draw(st.integers(0, 2**32 - 1)),
+        shifted=draw(st.booleans()),
+        blocks=draw(st.lists(block, min_size=2, max_size=8)),
     )
 
 
@@ -41,11 +77,14 @@ def cases(draw):
 @given(cases())
 def test_batched_equals_per_subdomain(case):
     try:
-        mesh, grid, _, _, ctx = make_problem(
-            cells=case["cells"], n_steps=2, p=case["p"], lam=1.0, q=case["q"],
-            overlap=case["overlap"], source="cos")
+        mesh, grid, model, dec, ctx = make_problem(
+            cells=case["cells"], n_steps=case["n_steps"], p=case["p"],
+            lam=1.0, q=case["q"], overlap=case["overlap"], source="cos")
     except ConfigurationError:
         assume(False)
+    if case["shifted"]:
+        ctx = build_context(mesh, shift_model(model, dec), grid, dec,
+                            reaction_shift=float(dec.q))
     rng = np.random.default_rng(case["seed"])
     g = case["scale"] * rng.standard_normal((grid.n_steps, mesh.n_nodes))
     cfg = ResolventConfig(s=case["s"])
@@ -53,12 +92,16 @@ def test_batched_equals_per_subdomain(case):
     saved = stsplit.resolvent._MAX_HALVINGS
     stsplit.resolvent._MAX_HALVINGS = case["max_halvings"]
     try:
-        _assert_matches_per_subdomain(ctx, g, cfg)
-    except SolverError:
-        # a non-convergent input must fail alone as well as batched
-        with pytest.raises(SolverError):
-            for ell in range(ctx.dec.q):
-                resolvent_solve(ctx, ell, g, cfg)
+        try:
+            _assert_matches_per_subdomain(ctx, g, cfg)
+        except SolverError:
+            # a non-convergent input must fail alone as well as batched
+            with pytest.raises(SolverError):
+                for ell in range(ctx.dec.q):
+                    resolvent_solve(ctx, ell, g, cfg)
+        # blocks of mixed subdomains and levels, repeats allowed
+        _assert_stack_matches_blocks(ctx, case["blocks"], case["s"], rng,
+                                     case["scale"])
     finally:
         stsplit.resolvent._MAX_HALVINGS = saved
 
@@ -78,9 +121,9 @@ def test_one_block_halving_alone(monkeypatch, cells):
     apply_a = stsplit.resolvent.apply_A
     newton = stsplit.resolvent.newton_level_solve
 
-    def counted_apply_a(*args):
+    def counted_apply_a(*args, **kwargs):
         calls[-1][0] += 1
-        return apply_a(*args)
+        return apply_a(*args, **kwargs)
 
     def counted_newton(*args, **kwargs):
         res = newton(*args, **kwargs)
@@ -123,14 +166,20 @@ def test_batch_must_list_every_subdomain_in_order():
             resolvent_solve(ctx, ell, g, ResolventConfig(s=1.0))
 
 
-def test_subdomain_tables_are_views_of_the_stack():
+def test_stage_stack_is_reused_while_its_blocks_repeat():
     _, _, _, _, ctx = make_problem(cells=(12, 4), q=3)
-    stack = ctx.bundle((0, 1, 2))
-    assert stack.offsets[0] == 0 and stack.offsets[-1] == stack.n_nodes
-    for ell in range(3):
-        sub = ctx.bundle(ell)
-        a, b = stack.offsets[ell], stack.offsets[ell + 1]
-        assert b - a == sub.n_nodes
-        for name in ("nodes", "m", "cap", "loads", "qp", "dphi", "wa", "wb"):
-            assert np.shares_memory(getattr(sub, name), getattr(stack, name))
-        np.testing.assert_array_equal(stack.nodes[a:b], sub.nodes)
+    subs = [ctx.bundle(ell) for ell in range(3)]
+    stack = _stacker()
+    assert stack((subs[1],)) is subs[1]  # one block needs no stack
+    full = stack(tuple(subs))
+    assert stack(tuple(subs)) is full
+    repeat = stack(tuple(subs + subs[:1]))
+    assert repeat is not full and stack(tuple(subs)) is not full
+    names = ("conn", "qp", "dphi", "wa", "wb", "m", "cap", "band_index")
+    for name in names:
+        np.testing.assert_array_equal(getattr(repeat, name),
+                                      getattr(stack_bundles(subs + subs[:1]), name))
+        for sub in subs:  # a stack copies, so dropping it frees its tables
+            assert not np.shares_memory(getattr(repeat, name), getattr(sub, name))
+    assert repeat.offsets[-1] == repeat.n_nodes == sum(
+        b.n_nodes for b in subs + subs[:1])

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 import stsplit.iteration
+import stsplit.resolvent
 from conftest import make_problem, random_field
 from stsplit import (
     ConfigurationError,
     SchemeConfig,
+    SolverError,
     apply_A,
     build_context,
     build_decomposition,
@@ -17,6 +19,7 @@ from stsplit import (
     shift_model,
     solve_monolithic,
 )
+from stsplit.resolvent import NewtonResult
 
 
 def test_scheme_config_validation():
@@ -118,8 +121,10 @@ def test_additive_average_uses_equal_weights(monkeypatch):
     _, grid, _, _, ctx = make_problem(cells=12, n_steps=3)
     shape = (grid.n_steps, ctx.mesh.n_nodes)
 
-    def stub(ctx_, ell, rhs, rcfg):
-        return [np.full(shape, 2.0 * e) for e in ell]
+    def stub(ctx_, phases, chain, rcfg):
+        for sweep in chain:
+            sweep.out = [[np.full(shape, 2.0 * e) for e in ells] for ells in phases]
+            yield sweep
 
     monkeypatch.setattr(stsplit.iteration, "resolvent_solve", stub)
     result = run_scheme(ctx, SchemeConfig(scheme="AS", s=1.0, max_sweeps=1))
@@ -133,10 +138,23 @@ def test_additive_fanout_is_order_independent(monkeypatch):
             for scheme in ("AS", "AS_shifted")]
     batched = [run_scheme(ctx, cfg) for cfg in cfgs]
 
-    # the reference: the additive resolvents solved one subdomain at a time
-    solve = stsplit.iteration.resolvent_solve
-    monkeypatch.setattr(stsplit.iteration, "resolvent_solve",
-                        lambda c, ell, rhs, rcfg: [solve(c, e, rhs, rcfg) for e in ell])
+    # the reference: every block of every stacked level solve solved alone
+    newton = stsplit.resolvent.newton_level_solve
+
+    def one_block_at_a_time(c, ell, s, k, u_prev, rhs, u0=None):
+        bundle = c.bundle(ell)
+        if bundle.parts is None:
+            return newton(c, ell, s, k, u_prev, rhs, u0)
+        levels = np.broadcast_to(k, len(bundle.parts))
+        cuts = list(zip(bundle.offsets, bundle.offsets[1:]))
+        alone = [newton(c, part.name, s, int(kb), u_prev[a:b], rhs[a:b])
+                 for part, kb, (a, b) in zip(bundle.parts, levels, cuts)]
+        return NewtonResult(np.concatenate([r.values for r in alone]),
+                            max(r.iterations for r in alone),
+                            max(r.residual_norm for r in alone))
+
+    monkeypatch.setattr(stsplit.resolvent, "newton_level_solve",
+                        one_block_at_a_time)
     looped = [run_scheme(ctx, cfg) for cfg in cfgs]
     for one, other in zip(batched, looped):
         assert np.array_equal(one.u, other.u)
@@ -230,3 +248,89 @@ def test_per_subdomain_error_columns():
     assert all(v is None for v in result.trace.pr_v_norm)
     assert result.trace.err_k_total[0] == pytest.approx(sum(result.trace.err_k[0]))
     assert all(w >= 0.0 for w in result.trace.wall_ms)
+
+
+def _sequential_order(monkeypatch):
+    """One resolvent application at a time: the sweep-by-sweep order."""
+    monkeypatch.setattr(stsplit.resolvent, "_STAGE_NODES", 1)
+
+
+def _runs_equal(one, other):
+    assert (one.sweeps, one.converged) == (other.sweeps, other.converged)
+    assert np.array_equal(one.u, other.u)
+    for a, b in zip(one.subdomain_fields, other.subdomain_fields):
+        assert np.array_equal(a, b)
+    for name in ("err_H", "err_k", "pr_v_norm", "pr_w_norm"):
+        assert getattr(one.trace, name) == getattr(other.trace, name)
+
+
+@pytest.mark.parametrize("scheme, tol", [("PR", 5e-2), ("DR", 1e-3),
+                                         ("AS", 1e-3), ("AS_shifted", 1e-3)])
+def test_early_stop_matches_sequential_order(monkeypatch, scheme, tol):
+    _, grid, _, _, ctx = make_problem(cells=24, n_steps=6, p=3.0, lam=1.0,
+                                      source="cos")
+    u_h = solve_monolithic(ctx)
+    cfg = SchemeConfig(scheme=scheme, s=2.0, max_sweeps=60, stop_tol=tol)
+    pipelined = run_scheme(ctx, cfg, u_ref=u_h)
+    assert pipelined.converged and 1 < pipelined.sweeps < cfg.max_sweeps
+    _sequential_order(monkeypatch)
+    _runs_equal(pipelined, run_scheme(ctx, cfg, u_ref=u_h))
+
+
+def _inject_failure(monkeypatch, ell, k, sweep):
+    """Make the level-k solve of subdomain ell fail in the given sweep.
+
+    Stages run in order and every sweep solves each (subdomain, level)
+    block once, so the sweep-th such block seen is the one of that sweep.
+    """
+    newton = stsplit.resolvent.newton_level_solve
+    seen = [0]
+
+    def failing(c, bundle, s, levels, u_prev, rhs, u0=None):
+        blocks = c.bundle(bundle).blocks
+        for b, (part, kb) in enumerate(
+                zip(blocks, np.broadcast_to(levels, len(blocks)))):
+            if (part.name, kb) == (ell, k):
+                seen[0] += 1
+                if seen[0] == sweep:
+                    raise SolverError(f"injected at level {k}", block=b)
+        return newton(c, bundle, s, levels, u_prev, rhs, u0)
+
+    monkeypatch.setattr(stsplit.resolvent, "newton_level_solve", failing)
+
+
+@pytest.mark.parametrize("scheme, ell", [("DR", 1), ("AS", 2)])
+def test_failure_is_raised_when_the_run_reaches_its_sweep(monkeypatch,
+                                                         scheme, ell):
+    _, grid, _, _, ctx = make_problem(cells=24, n_steps=6, p=3.0, lam=1.0,
+                                      q=3 if scheme == "AS" else 2,
+                                      source="cos")
+    u_h = solve_monolithic(ctx)
+    cfg = SchemeConfig(scheme=scheme, s=2.0, max_sweeps=60, stop_tol=1e-3)
+    clean = run_scheme(ctx, cfg, u_ref=u_h)
+    m = clean.sweeps
+
+    # the stop test ends the run at sweep m; sweep m + 1 has already failed
+    # at level 1 by then, in a stage before sweep m completes
+    with monkeypatch.context() as patch:
+        _inject_failure(patch, ell, 1, m + 1)
+        _runs_equal(clean, run_scheme(ctx, cfg, u_ref=u_h))
+
+    # a failure in sweep m surfaces once sweeps 1..m-1 are taken
+    for order in ("pipelined", "sequential"):
+        with monkeypatch.context() as patch:
+            if order == "sequential":
+                _sequential_order(patch)
+            _inject_failure(patch, ell, 1, m)
+            with pytest.raises(SolverError, match="injected at level 1"):
+                run_scheme(ctx, cfg, u_ref=u_h)
+
+            monitored = []
+            real_h_norm = stsplit.iteration.h_norm
+            patch.setattr(stsplit.iteration, "h_norm",
+                          lambda *a, **kw: monitored.append(1) or real_h_norm(*a, **kw))
+            _inject_failure(patch, ell, 1, m)
+            with pytest.raises(SolverError):
+                run_scheme(ctx, cfg)
+            # without a reference, the stop test is the one h_norm per sweep
+            assert len(monitored) == m - 1

@@ -14,6 +14,7 @@ from stsplit import (
     build_mesh,
     p_laplace_model,
 )
+from stsplit.operators import stack_bundles
 from stsplit.resolvent import _solve_linear
 
 
@@ -24,8 +25,11 @@ def _context(cells, q, overlap):
 
 
 def _bundles(ctx):
+    # the whole domain, each subdomain, a stack of them all, and a stack
+    # that repeats them in reverse
     subs = [ctx.bundle(ell) for ell in range(ctx.dec.q)]
-    return [ctx.bundle(None), ctx.bundle(tuple(range(ctx.dec.q)))] + subs
+    repeat = stack_bundles(subs + subs[::-1])
+    return [ctx.bundle(None), stack_bundles(subs), repeat] + subs
 
 
 def _dense(bundle, ke, diag_extra):

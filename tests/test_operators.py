@@ -3,7 +3,7 @@ import pytest
 
 from conftest import make_problem, random_field
 from stsplit.models import default_flux_jacobian, default_reaction_derivative
-from stsplit.operators import quad_values
+from stsplit.operators import quad_values, stack_bundles
 from stsplit.resolvent import _element_matrices
 from stsplit import (
     ConfigurationError,
@@ -232,7 +232,7 @@ def test_quadrature_kernels_match_einsum_reference(cells):
     _, grid, model, _, ctx = make_problem(cells=cells, n_steps=3, p=3.5,
                                           lam=1.0, source="cos")
     rng = np.random.default_rng(4)
-    for ell in (None, 0, (0, 1)):
+    for ell in (None, 0, stack_bundles([ctx.bundle(0), ctx.bundle(1)])):
         b = ctx.bundle(ell)
         u = rng.standard_normal((grid.n_steps, b.n_nodes))
         k, t = 1, grid.times[1]

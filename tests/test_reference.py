@@ -153,7 +153,7 @@ def test_degenerate_capacity_monolithic():
     assert h_norm(ctx, u_h) > 0.0
 
 
-@pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0, 8.0, 10.0])
 def test_purely_elliptic_corner_converges_or_raises(monkeypatch, p):
     # zero capacity and lam = 0 leave a Neumann p-Laplace problem on every
     # level, solvable for the mean-zero load; near u = 0 only the Newton
@@ -170,8 +170,8 @@ def test_purely_elliptic_corner_converges_or_raises(monkeypatch, p):
     def recording_newton(ctx, ell, s, k, u_prev, rhs, u0=None):
         u = u_prev if u0 is None else u0
         bundle = ctx.bundle(ell)
-        r = stsplit.resolvent._level_residual(ctx, ell, bundle, s, k, u,
-                                              u_prev, rhs)
+        r = stsplit.resolvent._level_residual(ctx, bundle, s, k, u, u_prev,
+                                              rhs, bundle.loads[k])
         starts.append(np.sqrt(np.sum(r * r / bundle.m)))
         return newton(ctx, ell, s, k, u_prev, rhs, u0=u0)
 
