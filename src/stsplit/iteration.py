@@ -219,23 +219,28 @@ class _AlternatingSweep(Sweep):
         self.s = s
         self.douglas = douglas
         self.start = start  # (u2, F2*u2) before the first sweep
-        self.rhs = ([], [])  # the inputs of both phases, level by level
+        self.rhs2 = []  # the phase-1 inputs, level by level
+        # PR: the phase-0 inputs that phase 1 has still to read, by level
+        self.pending = {}
 
     def _previous(self, k):
         if self.prev is None:
             return self.start[0][k], self.start[1][k]
         u2 = self.prev.out[1][0][k]
-        return u2, self.prev.rhs[1][k] - self.s * u2
+        return u2, self.prev.rhs2[k] - self.s * u2
 
     def level_input(self, phase, k):
         if phase == 0:
             u2, f2 = self._previous(k)
             g = self.s * u2 - f2
-        elif self.douglas:
+            if not self.douglas:
+                self.pending[k] = g
+            return g
+        if self.douglas:
             g = self.s * self.out[0][0][k] + self._previous(k)[1]
         else:
-            g = 2.0 * self.s * self.out[0][0][k] - self.rhs[0][k]
-        self.rhs[phase].append(g)
+            g = 2.0 * self.s * self.out[0][0][k] - self.pending.pop(k)
+        self.rhs2.append(g)
         return g
 
 
@@ -327,7 +332,7 @@ def run_scheme(ctx, cfg, u_ref=None, initial=None):
             wall_ms, tic = (toc - tic) * 1e3, toc
             if alternating:
                 u1, u2 = sweep.out[0][0], sweep.out[1][0]
-                vn = np.array(sweep.rhs[1])  # (sI + F2)u2 by construction
+                vn = np.array(sweep.rhs2)  # (sI + F2)u2 by construction
                 f2 = vn - s * u2
                 wn = s * u2 - f2
                 u_cmp = u2

@@ -3,8 +3,11 @@
 A model bundles the flux alpha(x, t, z), the reaction beta(x, t, y), the
 capacity coefficient gamma(x) >= 0, and a source given by a pair of
 densities (eta0, eta) that pair with test functions and their gradients.
-All callables are numpy-vectorized: x has shape (..., dim), z has shape
-(..., dim), y and t broadcast.
+All callables are numpy-vectorized and must broadcast their arguments
+against each other.  At the quadrature points x has shape (n_el, n_q, dim)
+and y shape (n_el, n_q); the gradient z of a P1 field is constant on each
+element and comes with shape (n_el, 1, dim).  t is a scalar, or one time
+per element of shape (n_el, 1) on a stack of level systems.
 """
 
 from dataclasses import dataclass, field, replace

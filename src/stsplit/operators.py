@@ -153,11 +153,16 @@ def level_loads(bundle, k):
 
 
 def quad_values(bundle, u):
-    """Values (n_el, n_q) and gradients (n_el, n_q, dim) of u at quadrature points."""
+    """Values (n_el, n_q) and gradients (n_el, 1, dim) of u at quadrature points.
+
+    P1 gradients are constant on each element, so the gradient is evaluated
+    once per element; its size-1 axis broadcasts against the quadrature
+    points.
+    """
     ue = u[bundle.conn]
     uq = np.einsum("el,ql->eq", ue, bundle.phi)
     gz = np.einsum("el,eld->ed", ue, bundle.dphi)
-    return uq, gz[:, None, :].repeat(uq.shape[1], axis=1)
+    return uq, gz[:, None, :]
 
 
 def _make_bundle(mesh, grid, model, name, nodes, elements, a_node, b_elem,
@@ -259,20 +264,21 @@ def _check_field(ctx, u, ell):
     return u
 
 
-def apply_A(ctx, ell, k, u_k, check=True):
+def apply_A(ctx, ell, k, u_k, check=True, values=None):
     """Dual action of the weighted spatial operator at time level k.
 
     r_i = int a*alpha(t_k, grad u) . grad(phi_i) + b*beta(t_k, u) phi_i,
     plus the diagonal exponential-shift reaction when the context carries one.
     k is the 0-based level index (physical time ctx.grid.times[k]); on a
-    stack passed as ell it holds one level per block.  Non-finite values
-    raise NumericError unless check is False, in which case the caller
-    tests each block itself.
+    stack passed as ell it holds one level per block.  values, when given,
+    is quad_values of u_k, which the caller has already evaluated.
+    Non-finite values raise NumericError unless check is False, in which
+    case the caller tests each block itself.
     """
     b = ctx.bundle(ell)
     u_k = np.asarray(u_k, dtype=float)
     t = level_times(ctx, b, k)
-    uq, zq = quad_values(b, u_k)
+    uq, zq = quad_values(b, u_k) if values is None else values
     flux = np.asarray(ctx.model.alpha(b.qp, t, zq))
     reac = np.asarray(ctx.model.beta(b.qp, t, uq))
     # P1 gradients are constant per element: sum the flux over quadrature first

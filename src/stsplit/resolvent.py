@@ -89,16 +89,19 @@ class NewtonResult:
     residual_norm: float  # largest final residual norm over the blocks
 
 
-def _level_residual(ctx, bundle, s, k, u, u_prev, rhs, loads):
+def _level_residual(ctx, bundle, s, k, u, u_prev, rhs, loads, values=None):
     r = s * bundle.m * u + bundle.cap * (u - u_prev) / ctx.grid.dt
-    r += apply_A(ctx, bundle, k, u, check=False) - rhs + loads
+    r += apply_A(ctx, bundle, k, u, check=False, values=values) - rhs + loads
     return r
 
 
-def _element_matrices(ctx, bundle, t, u, eps):
-    """Element stiffness+reaction blocks (n_el, n_loc, n_loc)."""
+def _element_matrices(ctx, bundle, t, values, eps):
+    """Element stiffness+reaction blocks (n_el, n_loc, n_loc).
+
+    values is quad_values of the iterate the Jacobian is taken at.
+    """
     model = ctx.model
-    uq, zq = quad_values(bundle, u)
+    uq, zq = values
     jf = np.asarray(default_flux_jacobian(model)(bundle.qp, t, zq, eps))
     rp = np.asarray(default_reaction_derivative(model)(bundle.qp, t, uq, eps))
     w = np.einsum("eq,eqdk->edk", bundle.wa, jf)
@@ -108,13 +111,20 @@ def _element_matrices(ctx, bundle, t, u, eps):
 
 
 def _solve_linear(bundle, ke, diag_extra, rhs):
-    """Solve (assembled ke + diag(diag_extra)) x = rhs as a banded system."""
+    """Solve (assembled ke + diag(diag_extra)) x = rhs as a banded system.
+
+    The band storage is built here, so LAPACK may overwrite it; rhs is left
+    as it is.  A non-finite or singular system raises SolverError.
+    """
     bw, n = bundle.bandwidth, bundle.n_nodes
     ab = np.bincount(bundle.band_index, weights=ke.ravel(),
                      minlength=(2 * bw + 1) * n).reshape(2 * bw + 1, n)
     ab[bw] += diag_extra
+    if not np.all(np.isfinite(ab)):
+        raise SolverError("banded system has non-finite entries")
     try:
-        return scipy.linalg.solve_banded((bw, bw), ab, rhs)
+        return scipy.linalg.solve_banded((bw, bw), ab, rhs, overwrite_ab=True,
+                                         check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"banded solve failed: {exc}") from exc
 
@@ -150,10 +160,14 @@ def _block_sum(offsets):
 def newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0=None):
     """Damped Newton on one time level; returns a NewtonResult.
 
-    Each pass makes one linear solve and then halves the step, up to
-    _MAX_HALVINGS times, until the residual norm drops.  A trial whose
-    residual is not finite counts as not lower.  If no halved step lowers
-    it, the solve raises SolverError at once.
+    The iteration starts from u0, or from u_prev when u0 is None; either
+    way each block's tolerance is relative to its residual at u_prev, so a
+    better start never tightens it.  Each pass makes one linear solve and
+    then halves the step, up to _MAX_HALVINGS times, until the residual
+    norm drops.  A trial whose residual is not finite counts as not lower.
+    If no halved step lowers it, the solve raises SolverError at once.  The
+    quadrature values of each trial are evaluated once, for its residual,
+    and those of the accepted iterate give the next Jacobian.
 
     ell is None, a subdomain index or a stack (see `stack_bundles`); on a
     stack k is one level for all blocks or holds one level per block.  Each
@@ -173,6 +187,7 @@ def newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0=None):
     shift = ctx.reaction_shift
     diag_extra = s * bundle.m + bundle.cap / dt + shift * bundle.cap
     block_of_node = bundle.block_of_node
+    block_of_element = bundle.block_of_element
     block_sum = _block_sum(bundle.offsets)
 
     def where(b):
@@ -183,24 +198,33 @@ def newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0=None):
         return np.broadcast_to(k, len(blocks))[b]
 
     def residual(u):
-        # the residual and, per block, the H-norm of the mass-divided
-        # residual, sqrt(sum r_i^2 / m_i); a huge trial overflows to inf or
-        # nan, which the line search rejects
+        # the quadrature values of u, the residual and, per block, the H-norm
+        # of the mass-divided residual, sqrt(sum r_i^2 / m_i); a huge trial
+        # overflows to inf or nan, which the line search rejects
         with np.errstate(over="ignore", invalid="ignore"):
-            r = _level_residual(ctx, bundle, s, k, u, u_prev, rhs, loads)
-            return r, np.sqrt(block_sum(r * r / bundle.m))
+            values = quad_values(bundle, u)
+            r = _level_residual(ctx, bundle, s, k, u, u_prev, rhs, loads,
+                                values)
+            return values, r, np.sqrt(block_sum(r * r / bundle.m))
 
     def first(mask):
         return int(np.flatnonzero(mask)[0])
 
-    u = np.array(u_prev if u0 is None else u0, dtype=float)
-    r, rn = residual(u)
-    bad = ~np.isfinite(rn)
-    if np.count_nonzero(bad):
-        b = first(bad)
-        raise SolverError(f"non-finite residual at Newton start{where(b)}",
-                          worst_residual=float(rn[b]), block=b)
+    def start(u):
+        values, r, rn = residual(u)
+        bad = ~np.isfinite(rn)
+        if np.count_nonzero(bad):
+            b = first(bad)
+            raise SolverError(f"non-finite residual at Newton start{where(b)}",
+                              worst_residual=float(rn[b]), block=b)
+        return values, r, rn
+
+    u = np.array(u_prev, dtype=float)
+    (uq, zq), r, rn = start(u)
     tol = np.maximum(_ABS_TOL, _REL_TOL * rn)
+    if u0 is not None:
+        u = np.array(u0, dtype=float)
+        (uq, zq), r, rn = start(u)
     # every accepted step lowers its block's residual, so the worst residual
     # a block reaches is its starting one
     rn0 = rn.copy()
@@ -218,7 +242,7 @@ def newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0=None):
                 f"(tolerance {tol[b]:.3e})",
                 worst_residual=float(rn0[b]), block=b,
             )
-        ke = _element_matrices(ctx, bundle, t, u, eps)
+        ke = _element_matrices(ctx, bundle, t, (uq, zq), eps)
         du = _solve_linear(bundle, ke, diag_extra, -r)
         if n_active < len(blocks):
             du[~active[block_of_node]] = 0.0
@@ -226,14 +250,17 @@ def newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0=None):
         step = 1.0
         for _ in range(_MAX_HALVINGS + 1):
             u_try = u + step * du
-            r_try, rn_try = residual(u_try)
+            (uq_try, zq_try), r_try, rn_try = residual(u_try)
             # a pending block is above its tolerance, so reaching the
             # tolerance lowers its residual too; nan and inf never do
             accepted = pending & (rn_try < rn)
             nodes = accepted[block_of_node]
+            elements = accepted[block_of_element][:, None]
             np.copyto(u, u_try, where=nodes)
             np.copyto(r, r_try, where=nodes)
             np.copyto(rn, rn_try, where=accepted)
+            np.copyto(uq, uq_try, where=elements)
+            np.copyto(zq, zq_try, where=elements[:, :, None])
             pending = pending ^ accepted
             if not np.count_nonzero(pending):
                 break

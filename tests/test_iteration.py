@@ -334,3 +334,27 @@ def test_failure_is_raised_when_the_run_reaches_its_sweep(monkeypatch,
                 run_scheme(ctx, cfg)
             # without a reference, the stop test is the one h_norm per sweep
             assert len(monitored) == m - 1
+
+
+@pytest.mark.parametrize("scheme", ["PR", "DR"])
+def test_completed_alternating_sweep_holds_no_phase0_inputs(monkeypatch,
+                                                           scheme):
+    # PR reads each phase-0 input once, at the same level of phase 1, and DR
+    # never reads them; only the phase-1 inputs, which give F2*u2, are kept
+    _, grid, _, _, ctx = make_problem(cells=24, n_steps=6, p=3.0, lam=1.0,
+                                      source="cos")
+    chain = stsplit.iteration.resolvent_solve
+    completed = []
+
+    def recording(*args):
+        for sweep in chain(*args):
+            completed.append(sweep)
+            yield sweep
+
+    monkeypatch.setattr(stsplit.iteration, "resolvent_solve", recording)
+    cfg = SchemeConfig(scheme=scheme, s=2.0, max_sweeps=5, stop_tol=0.0)
+    run_scheme(ctx, cfg)
+    assert len(completed) == cfg.max_sweeps
+    for sweep in completed:
+        assert sweep.pending == {}
+        assert len(sweep.rhs2) == grid.n_steps

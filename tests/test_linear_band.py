@@ -77,3 +77,16 @@ def test_singular_system_raises_solver_error(cells):
         with pytest.raises(SolverError):
             _solve_linear(bundle, np.zeros((n_el, n_loc, n_loc)),
                           np.zeros(bundle.n_nodes), np.ones(bundle.n_nodes))
+
+
+@pytest.mark.parametrize("cells", [(12,), (8, 4)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_system_raises_solver_error(cells, bad):
+    for bundle in _bundles(_context(cells, 2, 0.5)):
+        n_el, n_loc = bundle.conn.shape
+        ke = np.ones((n_el, n_loc, n_loc))
+        ke[n_el // 2, 0, -1] = bad
+        rhs = np.ones(bundle.n_nodes)
+        with pytest.raises(SolverError):
+            _solve_linear(bundle, ke, np.ones(bundle.n_nodes), rhs)
+        assert np.all(rhs == 1.0)

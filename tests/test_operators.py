@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -225,37 +227,60 @@ def test_manufactured_residual_decays_under_refinement():
     assert norms[2] <= norms[0] / 4.0
 
 
+def _x_weighted(model):
+    """The model with its flux and flux Jacobian scaled by 1 + x_0."""
+    base_alpha, base_fjac = model.alpha, default_flux_jacobian(model)
+
+    def alpha(x, t, z):
+        return (1.0 + x[..., :1]) * base_alpha(x, t, z)
+
+    def flux_jacobian(x, t, z, eps):
+        return (1.0 + x[..., 0, None, None]) * base_fjac(x, t, z, eps)
+
+    return replace(model, alpha=alpha, flux_jacobian=flux_jacobian)
+
+
 @pytest.mark.parametrize("cells", [20, (8, 6)])
 def test_quadrature_kernels_match_einsum_reference(cells):
-    # reference: the contractions written out over every quadrature point;
-    # the kernels group the sums differently, so they agree to rounding
-    _, grid, model, _, ctx = make_problem(cells=cells, n_steps=3, p=3.5,
-                                          lam=1.0, source="cos")
+    # reference: the contractions written out over every quadrature point,
+    # with the gradient repeated at each; the kernels evaluate it once per
+    # element and group the sums differently, so they agree to rounding.
+    # The x-weighted flux differs between the quadrature points of an element
+    mesh, grid, model, dec, ctx = make_problem(cells=cells, n_steps=3, p=3.5,
+                                               lam=1.0, source="cos")
+    weighted = _x_weighted(model)
+    cases = [(model, ctx), (weighted, build_context(mesh, weighted, grid, dec))]
     rng = np.random.default_rng(4)
-    for ell in (None, 0, stack_bundles([ctx.bundle(0), ctx.bundle(1)])):
-        b = ctx.bundle(ell)
-        u = rng.standard_normal((grid.n_steps, b.n_nodes))
-        k, t = 1, grid.times[1]
-        uq, zq = quad_values(b, u[k])
-        flux = model.alpha(b.qp, t, zq)
-        reac = model.beta(b.qp, t, uq)
-        parts = [np.einsum("eq,eqd,eld->el", b.wa, flux, b.dphi),
-                 np.einsum("eq,eq,ql->el", b.wb, reac, b.phi)]
-        scale = sum(b.scatter(np.abs(c)) for c in parts)
-        ref = b.scatter(parts[0] + parts[1])
-        assert np.all(np.abs(apply_A(ctx, ell, k, u[k]) - ref) <= 1e-14 * scale)
+    for model, ctx in cases:
+        stack = stack_bundles([ctx.bundle(0), ctx.bundle(1)])
+        for ell in (None, 0, stack):
+            b = ctx.bundle(ell)
+            u = rng.standard_normal((grid.n_steps, b.n_nodes))
+            k, t = 1, grid.times[1]
+            uq, zq = quad_values(b, u[k])
+            n_el, n_q = uq.shape
+            assert zq.shape == (n_el, 1, mesh.dim)
+            z_ref = np.einsum("el,eld->ed", u[k][b.conn], b.dphi)
+            z_ref = z_ref[:, None, :].repeat(n_q, axis=1)
+            flux = model.alpha(b.qp, t, z_ref)
+            reac = model.beta(b.qp, t, uq)
+            parts = [np.einsum("eq,eqd,eld->el", b.wa, flux, b.dphi),
+                     np.einsum("eq,eq,ql->el", b.wb, reac, b.phi)]
+            scale = sum(b.scatter(np.abs(c)) for c in parts)
+            ref = b.scatter(parts[0] + parts[1])
+            assert np.all(np.abs(apply_A(ctx, ell, k, u[k]) - ref) <= 1e-14 * scale)
 
-        jf = default_flux_jacobian(model)(b.qp, t, zq, 1e-8)
-        rp = default_reaction_derivative(model)(b.qp, t, uq, 1e-8)
-        parts = [np.einsum("eq,eqdk,eld,emk->elm", b.wa, jf, b.dphi, b.dphi),
-                 np.einsum("eq,eq,ql,qm->elm", b.wb, rp, b.phi, b.phi)]
-        ke = _element_matrices(ctx, b, t, u[k], 1e-8)
-        bound = 1e-14 * (np.abs(parts[0]) + np.abs(parts[1])).max(axis=(1, 2))
-        assert np.all(np.abs(ke - parts[0] - parts[1]).max(axis=(1, 2)) <= bound)
+            jf = default_flux_jacobian(model)(b.qp, t, z_ref, 1e-8)
+            rp = default_reaction_derivative(model)(b.qp, t, uq, 1e-8)
+            parts = [np.einsum("eq,eqdk,eld,emk->elm", b.wa, jf, b.dphi, b.dphi),
+                     np.einsum("eq,eq,ql,qm->elm", b.wb, rp, b.phi, b.phi)]
+            ke = _element_matrices(ctx, b, t, (uq, zq), 1e-8)
+            bound = 1e-14 * (np.abs(parts[0]) + np.abs(parts[1])).max(axis=(1, 2))
+            assert np.all(np.abs(ke - parts[0] - parts[1]).max(axis=(1, 2)) <= bound)
 
-        total = 0.0
-        for uk in u:  # level by level: v_norm_p keeps this summation order
-            uq, zq = quad_values(b, uk)
-            total += float(np.sum(b.wa * np.linalg.norm(zq, axis=-1) ** model.p))
-            total += float(np.sum(b.wb * np.abs(uq) ** model.p))
-        assert v_norm_p(ctx, ell, u) == (grid.dt * total) ** (1.0 / model.p)
+            total = 0.0
+            for uk in u:  # level by level: v_norm_p keeps this summation order
+                uq, zq = quad_values(b, uk)
+                total += float(np.sum(b.wa * np.linalg.norm(zq, axis=-1) ** model.p))
+                total += float(np.sum(b.wb * np.abs(uq) ** model.p))
+            assert v_norm_p(ctx, ell, u) == (grid.dt * total) ** (1.0 / model.p)

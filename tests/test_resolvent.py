@@ -101,6 +101,23 @@ def test_nonlinear_level_recovery():
     assert np.max(np.abs(res.values - u_star)) <= 1e-10
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e2, 1e4])
+def test_tolerance_does_not_depend_on_start(scale):
+    # restarting from a converged level must accept it as it is; a tolerance
+    # relative to the residual at the start would shrink to the converged
+    # residual and ask for more than rounding allows
+    _, grid, _, _, ctx = make_problem(cells=20, n_steps=3, p=3.0, lam=1.0,
+                                      source="cos")
+    bundle = ctx.bundle(0)
+    rng = np.random.default_rng(0)
+    u_prev = rng.standard_normal(bundle.n_nodes)
+    rhs = scale * rng.standard_normal(bundle.n_nodes)
+    res = newton_level_solve(ctx, 0, 2.0, 1, u_prev, rhs)
+    again = newton_level_solve(ctx, 0, 2.0, 1, u_prev, rhs, u0=res.values)
+    assert again.iterations == 0
+    assert np.array_equal(again.values, res.values)
+
+
 @pytest.mark.parametrize("s", [0.5, 2.0])
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_nonexpansiveness_sampled(s, p):
