@@ -24,6 +24,14 @@ How many applications run at once is bounded by the nodes of one stack,
 _STAGE_NODES; where one application's level takes more, the sweeps run one
 after the other.  A single resolvent application is a chain of one sweep
 with one phase, and its stages are its time levels.
+
+Successive sweeps approach the scheme's fixed point, so Newton starts each
+level of sweep n from the output of sweep n-1 at the same phase and level,
+which an earlier stage has solved.  The Newton tolerance is relative to the
+residual at the previous level whatever the start, and each block's start
+depends only on its own (sweep, phase, level), so the pipelined and the
+sweep-by-sweep order still give the same bits.  The first sweep, and so
+every single application, starts from the previous level.
 """
 
 import functools
@@ -137,7 +145,8 @@ def _block_sum(offsets):
     one size are gathered into the rows of one array and summed along them.
     A segmented np.add.reduceat adds in a different order.  Cached, since
     stages repeat their stack: on as1d_shifted_q3, building the index rows
-    afresh for each of a run's 352 Newton solves took 11 ms of 0.4 s.
+    afresh for each of a run's 320 Newton solves took 10 ms of 0.6 s (2 vCPU
+    Xeon).
     """
     if len(offsets) == 2:
         return lambda w: w.sum(keepdims=True)
@@ -285,10 +294,11 @@ class Sweep:
     to one input field and gives out[p], one output field per subdomain.  A
     subclass defines level_input(p, k), level k of that input, and keeps
     whatever of it it reads later.  It may read level k of this sweep's
-    earlier phases and of `prev`, the sweep before (None for the first);
-    the engine drops `prev` once the sweep's inputs are all built.  The
-    output fields, of shape (n_steps, n_nodes), are allocated when their
-    phase starts and filled level by level.
+    earlier phases and of `prev`, the sweep before (None for the first).
+    The engine starts each level's Newton from level k of prev's outputs at
+    the same phase, and drops `prev` once the sweep's inputs are all built
+    and its starts read.  The output fields, of shape (n_steps, n_nodes),
+    are allocated when their phase starts and filled level by level.
     """
 
     prev = None
@@ -312,7 +322,8 @@ def _stacker():
     """A function that stacks the bundles `parts` of a stage.
 
     A stage with the same blocks as the one before reuses its stack: on
-    as1d_shifted_q3 a run builds 13 stacks in 1.5 ms instead of 320 in 39 ms.
+    as1d_shifted_q3 a run builds 13 stacks for its 320 stages, about 3 ms,
+    where a stack per stage took 57 ms (2 vCPU Xeon).
     """
     last = [None, None]
 
@@ -331,30 +342,39 @@ def _solve_stage(ctx, phase_parts, stack, s, units):
     """Solve the units' level systems in one stacked Newton.
 
     phase_parts[p] holds the bundles of phase p, and a unit is (application,
-    sweep, phase, level, input level).  Writes each unit's output level and
-    returns None, or returns (application, SolverError) for the unit that
-    failed.
+    sweep, phase, level, input level, warm start).  The warm start is the
+    previous sweep's output rows at the same phase and level, one per block,
+    or None.  Newton starts each block from its warm row; a block without
+    one starts from its previous level, which gives the bits of no start at
+    all, and a stage with no warm start passes none.  Writes each unit's
+    output level and returns None, or returns (application, SolverError)
+    for the unit that failed.
     """
-    parts, ks, unit_of_block, prev, outs = [], [], [], [], []
-    for i, (_, sweep, p, k, _) in enumerate(units):
+    parts, ks, unit_of_block, prev, starts, outs = [], [], [], [], [], []
+    for i, (_, sweep, p, k, _, warm) in enumerate(units):
         n = len(phase_parts[p])
         parts += phase_parts[p]
         ks += [k] * n
         unit_of_block += [i] * n
         if k:
-            prev += [out[k - 1] for out in sweep.out[p]]
+            before = [out[k - 1] for out in sweep.out[p]]
         else:
-            prev += [np.zeros(ctx.mesh.n_nodes)] * n
+            before = [np.zeros(ctx.mesh.n_nodes)] * n
+        prev += before
+        starts += before if warm is None else warm
         outs += sweep.out[p]
     bundle = stack(tuple(parts))
-    # the inputs and previous levels as global rows, one per block, read at
-    # each stacked node's global id
+    # the inputs, previous levels and starts as global rows, one per block,
+    # read at each stacked node's global id
     at = (bundle.block_of_node, bundle.nodes)
     inputs = np.array([unit[4] for unit in units])[unit_of_block]
+    u0 = None
+    if any(unit[5] is not None for unit in units):
+        u0 = np.array(starts)[at]
     try:
         res = newton_level_solve(
             ctx, bundle, s, ks[0] if len(set(ks)) == 1 else ks,
-            np.array(prev)[at], bundle.m * inputs[at])
+            np.array(prev)[at], bundle.m * inputs[at], u0=u0)
     except SolverError as err:
         if err.block is not None or len(units) == 1:
             return units[unit_of_block[err.block or 0]][0], err
@@ -377,11 +397,13 @@ def _wavefront(ctx, phases, sweeps, s):
 
     Application a = n*P + p is phase p of sweep n.  It starts one stage or
     more after application a - 1 and then solves one level per stage, so
-    the levels it reads are done.  At most as many applications run at once
-    as fit in one stack of _STAGE_NODES nodes, and the next one starts when
-    there is room, so each stage is one stacked Newton.  When application a
-    fails, the applications after it are dropped, the ones before it go on,
-    and its error is raised once they are done.
+    the levels it reads are done, and so is its warm start: level k of
+    application a - P, read from `prev` before the sweep drops it.  At most
+    as many applications run at once as fit in one stack of _STAGE_NODES
+    nodes, and the next one starts when there is room, so each stage is one
+    stacked Newton.  When application a fails, the applications after it
+    are dropped, the ones before it go on, and its error is raised once
+    they are done.
     """
     n_steps = ctx.grid.n_steps
     n_phases = len(phases)
@@ -412,9 +434,13 @@ def _wavefront(ctx, phases, sweeps, s):
         units = []
         for app, sweep_k, p, k in running:
             g_k = sweep_k.level_input(p, k)
+            # level k of the sweep before is done: its application ran ahead
+            warm = None
+            if sweep_k.prev is not None:
+                warm = [f[k] for f in sweep_k.prev.out[p]]
             if k == n_steps - 1 and p == n_phases - 1:
                 sweep_k.prev = None
-            units.append((app, sweep_k, p, k, g_k))
+            units.append((app, sweep_k, p, k, g_k, warm))
         # by phase, so that a stage holds the same stack as the one before
         # whenever it runs as many applications of each phase
         units.sort(key=lambda unit: unit[2])

@@ -27,22 +27,46 @@ def _assert_matches_per_subdomain(ctx, g, cfg):
         assert np.array_equal(batched[ell], resolvent_solve(ctx, ell, g, cfg))
 
 
-def _assert_stack_matches_blocks(ctx, blocks, s, rng, scale):
-    """A stack of (subdomain, level) blocks against each block solved alone."""
+def _solve_alone(ctx, ell, s, k, u_prev, rhs, u0=None):
+    try:
+        return newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0)
+    except SolverError as err:
+        return err
+
+
+def _same_solve(a, b):
+    if isinstance(a, SolverError) or isinstance(b, SolverError):
+        return str(a) == str(b)
+    return np.array_equal(a.values, b.values) and a.iterations == b.iterations
+
+
+def _assert_stack_matches_blocks(ctx, blocks, s, rng, scale, starts=None):
+    """A stack of (subdomain, level) blocks against each block solved alone.
+
+    starts is None, for no start, or holds one entry per block: None starts
+    the block from its u_prev, a number from u_prev plus noise of that size.
+    """
     parts = [ctx.bundle(ell) for ell, _ in blocks]
     levels = [k for _, k in blocks]
     u_prev = [scale * rng.standard_normal(b.n_nodes) for b in parts]
     rhs = [scale * b.m * rng.standard_normal(b.n_nodes) for b in parts]
+    u0 = None
+    if starts is not None:
+        u0 = [up if size is None
+              else up + size * scale * rng.standard_normal(len(up))
+              for up, size in zip(u_prev, starts)]
     alone = []
-    for (ell, k), up, r in zip(blocks, u_prev, rhs):
-        try:
-            alone.append(newton_level_solve(ctx, ell, s, k, up, r))
-        except SolverError as err:
-            alone.append(err)
+    for i, ((ell, k), up, r) in enumerate(zip(blocks, u_prev, rhs)):
+        alone.append(_solve_alone(ctx, ell, s, k, up, r,
+                                  None if u0 is None else u0[i]))
+        if u0 is not None and starts[i] is None:
+            # starting from u_prev is no start at all
+            assert _same_solve(alone[i], _solve_alone(ctx, ell, s, k, up, r))
     stack = stack_bundles(parts)
     try:
         res = newton_level_solve(ctx, stack, s, levels, np.concatenate(u_prev),
-                                 np.concatenate(rhs))
+                                 np.concatenate(rhs),
+                                 None if u0 is None else np.concatenate(u0))
     except SolverError as err:
         # the stack fails for a block that fails alone, with its message
         assert isinstance(alone[err.block], SolverError)
@@ -70,6 +94,8 @@ def cases(draw):
         seed=draw(st.integers(0, 2**32 - 1)),
         shifted=draw(st.booleans()),
         blocks=draw(st.lists(block, min_size=2, max_size=8)),
+        starts=draw(st.lists(st.sampled_from([None, 1e-3, 1e-1, 1.0]),
+                             min_size=8, max_size=8)),
     )
 
 
@@ -102,6 +128,9 @@ def test_batched_equals_per_subdomain(case):
         # blocks of mixed subdomains and levels, repeats allowed
         _assert_stack_matches_blocks(ctx, case["blocks"], case["s"], rng,
                                      case["scale"])
+        # and each block started from its own u0
+        _assert_stack_matches_blocks(ctx, case["blocks"], case["s"], rng,
+                                     case["scale"], case["starts"])
     finally:
         stsplit.resolvent._MAX_HALVINGS = saved
 

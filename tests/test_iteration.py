@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ import stsplit.resolvent
 from conftest import make_problem, random_field
 from stsplit import (
     ConfigurationError,
+    ResolventConfig,
     SchemeConfig,
     SolverError,
     apply_A,
@@ -14,6 +17,7 @@ from stsplit import (
     build_mesh,
     h_norm,
     indicator_gamma,
+    resolvent_solve,
     run_scheme,
     shift_factors,
     shift_model,
@@ -147,7 +151,8 @@ def test_additive_fanout_is_order_independent(monkeypatch):
             return newton(c, ell, s, k, u_prev, rhs, u0)
         levels = np.broadcast_to(k, len(bundle.parts))
         cuts = list(zip(bundle.offsets, bundle.offsets[1:]))
-        alone = [newton(c, part.name, s, int(kb), u_prev[a:b], rhs[a:b])
+        alone = [newton(c, part.name, s, int(kb), u_prev[a:b], rhs[a:b],
+                        None if u0 is None else u0[a:b])
                  for part, kb, (a, b) in zip(bundle.parts, levels, cuts)]
         return NewtonResult(np.concatenate([r.values for r in alone]),
                             max(r.iterations for r in alone),
@@ -358,3 +363,85 @@ def test_completed_alternating_sweep_holds_no_phase0_inputs(monkeypatch,
     for sweep in completed:
         assert sweep.pending == {}
         assert len(sweep.rhs2) == grid.n_steps
+
+
+def _record_starts(monkeypatch):
+    """Record every stacked Newton as a list of its blocks' starts.
+
+    Each block is (subdomain, level, u_prev, u0) with its slices of the
+    stack's rows; u0 is None when the stage passed no start.
+    """
+    newton = stsplit.resolvent.newton_level_solve
+    stages = []
+
+    def recording(c, bundle, s, levels, u_prev, rhs, u0=None):
+        stacked = c.bundle(bundle)
+        blocks, offsets = stacked.blocks, stacked.offsets
+        stages.append([
+            (part.name, int(kb), u_prev[lo:hi].copy(),
+             None if u0 is None else u0[lo:hi].copy())
+            for part, kb, lo, hi in zip(blocks,
+                                        np.broadcast_to(levels, len(blocks)),
+                                        offsets, offsets[1:])])
+        return newton(c, bundle, s, levels, u_prev, rhs, u0)
+
+    monkeypatch.setattr(stsplit.resolvent, "newton_level_solve", recording)
+    return stages
+
+
+@pytest.mark.parametrize("order", ["pipelined", "sequential"])
+@pytest.mark.parametrize("scheme, q", [("AS", 3), ("PR", 2)])
+def test_each_level_starts_from_the_previous_sweep(monkeypatch, scheme, q,
+                                                   order):
+    _, grid, _, _, ctx = make_problem(cells=24, n_steps=3, p=3.0, lam=1.0,
+                                      q=q, source="cos")
+    if order == "sequential":
+        _sequential_order(monkeypatch)
+    chain = stsplit.iteration.resolvent_solve
+    completed = []
+
+    def recording(*args):
+        for sweep in chain(*args):
+            completed.append(sweep)
+            yield sweep
+
+    monkeypatch.setattr(stsplit.iteration, "resolvent_solve", recording)
+    stages = _record_starts(monkeypatch)
+    run_scheme(ctx, SchemeConfig(scheme=scheme, s=2.0, max_sweeps=3,
+                                 stop_tol=0.0))
+    assert len(completed) == 3
+    # (phase, output field) of each subdomain's blocks
+    field = ({ell: (0, ell) for ell in range(q)} if scheme == "AS"
+             else {0: (0, 0), 1: (1, 0)})
+    # every sweep solves each (subdomain, level) block once, in stage order
+    seen = Counter()
+    warm = 0
+    for stage in stages:
+        sweeps = []
+        for ell, k, u_prev, u0 in stage:
+            seen[ell, k] += 1
+            n = seen[ell, k]
+            sweeps.append(n)
+            if n == 1:
+                assert u0 is None or np.array_equal(u0, u_prev)
+                continue
+            p, i = field[ell]
+            before = completed[n - 2].out[p][i][k]
+            assert u0 is not None
+            assert np.array_equal(u0, before[ctx.bundle(ell).nodes])
+            warm += 1
+        if max(sweeps) == 1:
+            assert all(u0 is None for *_, u0 in stage)
+    # sweeps 2 and 3, at every level of every subdomain
+    assert warm == 2 * grid.n_steps * q
+
+
+def test_single_resolvent_passes_no_start(monkeypatch):
+    mesh, grid, _, _, ctx = make_problem(cells=24, n_steps=3, p=3.0, lam=1.0,
+                                         q=3, source="cos")
+    stages = _record_starts(monkeypatch)
+    g = random_field(np.random.default_rng(0), grid, mesh)
+    for ell in (0, (0, 1, 2)):
+        resolvent_solve(ctx, ell, g, ResolventConfig(s=2.0))
+    assert len(stages) == 2 * grid.n_steps
+    assert all(u0 is None for stage in stages for *_, u0 in stage)
