@@ -83,23 +83,31 @@ class Mesh:
         edges = verts[:, 1:, :] - v0[:, None, :]  # (n_el, dim, dim)
         if self.dim == 1:
             det = edges[:, 0, 0]
-            inv_t = (1.0 / det)[:, None, None]  # d(xi)/dx
             ref_grads = np.array([[-1.0], [1.0]])
         else:
             det = edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0]
-            inv = np.empty((self.n_elements, 2, 2))
-            inv[:, 0, 0] = edges[:, 1, 1]
-            inv[:, 0, 1] = -edges[:, 1, 0]
-            inv[:, 1, 0] = -edges[:, 0, 1]
-            inv[:, 1, 1] = edges[:, 0, 0]
-            inv_t = inv / det[:, None, None]
             ref_grads = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
         if np.any(det <= 0.0):
             raise ConfigurationError("element with non-positive volume")
+        # an element of subnormal size has gradients that overflow to inf
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            if self.dim == 1:
+                inv_t = (1.0 / det)[:, None, None]  # d(xi)/dx
+            else:
+                inv = np.empty((self.n_elements, 2, 2))
+                inv[:, 0, 0] = edges[:, 1, 1]
+                inv[:, 0, 1] = -edges[:, 1, 0]
+                inv[:, 1, 0] = -edges[:, 0, 1]
+                inv[:, 1, 1] = edges[:, 0, 0]
+                inv_t = inv / det[:, None, None]
+            # physical gradients are constant per element for P1
+            grads = np.einsum("ld,edk->elk", ref_grads, inv_t)
+        if not np.all(np.isfinite(grads)):
+            raise ConfigurationError(
+                "mesh cells too small: basis gradients overflow")
+        self.basis_gradients = grads
         self.element_volumes = np.abs(det) / (1.0 if self.dim == 1 else 2.0)
         self.basis_at_quad = _reference_basis(self.dim, rule.points)  # (n_q, n_loc)
-        # physical gradients are constant per element for P1
-        self.basis_gradients = np.einsum("ld,edk->elk", ref_grads, inv_t)
         # physical quadrature points and |J|-scaled weights
         self.quad_points = v0[:, None, :] + np.einsum(
             "qd,edk->eqk", rule.points, edges

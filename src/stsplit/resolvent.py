@@ -21,8 +21,11 @@ level per stage.  All level systems of a stage are stacked into one block-diagon
 system and solved by one Newton in which every block keeps its own
 bookkeeping, so every block's result is bit-identical to its solve alone.
 How many applications run at once is bounded by the nodes of one stack,
-_STAGE_NODES; where one application's level takes more, the sweeps run one
-after the other.  A single resolvent application is a chain of one sweep
+_STAGE_NODES.  A Newton pass has a fixed cost that dominates on small
+blocks, so a deeper stack solves the same levels in fewer passes, but
+every application under way holds its output fields; where one
+application's level takes more than the bound, the sweeps run one after
+the other.  A single resolvent application is a chain of one sweep
 with one phase, and its stages are its time levels.
 
 Successive sweeps approach the scheme's fixed point, so Newton starts each
@@ -65,20 +68,23 @@ _MAX_HALVINGS = 30
 # sweep-by-sweep order) where one level takes more.  Sized from probes on
 # the benchmark's subdomains (2 vCPU Xeon).  In 2D stacking does not pay:
 # on 726-node blocks a pass cost 3.06 ms per block at 2 blocks and 3.19 ms
-# at 8, and the peak RSS rose from 63.7 to 75.7 MB.  In 1D it pays, but
-# every application under way holds its fields and its blocks of the
-# stack, so the peak RSS grows with the depth.  perfbench run_s and
-# peak_rss_mb, 30 s runs (as1d_shifted_q3: 71 nodes per application, 32
-# levels; pr1d_degenerate: 49 nodes, 16 levels):
-#   _STAGE_NODES   as1d depth, run_s, RSS      pr1d depth, run_s, RSS
-#              1    1  1.90 s       59.2 MB
-#            500    7  0.56-0.60 s  59.5-60.0   10  0.54 s       59.2-59.3
-#            600    8  0.54 s       59.6-59.7   12  0.50-0.51 s  59.8-59.9
-#            800   11  0.50-0.53 s  59.8-60.0   16  0.47 s       59.9
-# At 500 the 1D runs are about 3x faster than at depth 1 and their peak
-# RSS stays within 2 % of it; 2D runs sweep by sweep (1,452 nodes per
-# application).
-_STAGE_NODES = 500
+# at 8, and the peak RSS rose from 63.7 to 75.7 MB.  In 1D a Newton pass
+# has a fixed cost that dominates: on stacks of as1d_shifted_q3 subdomains
+# one pass took about 350 us at 497 nodes, 520 us at 1,136 and 840 us at
+# 2,272.  But every application under way holds its output fields, so the
+# peak RSS grows with the depth.  perfbench run_s and peak_rss_mb, medians
+# of 3 runs of 8 s (as1d_shifted_q3: 71 nodes per application, 32 levels;
+# pr1d_degenerate: 49 nodes, 16 levels, so at most 16 applications are
+# ever under way):
+#   _STAGE_NODES   as1d depth, run_s, RSS     pr1d depth, run_s, RSS
+#            500    7  0.435 s  59.25 MB      10  0.492 s  58.85 MB
+#            800   11  0.366 s  59.61 MB      16  0.417 s  59.51 MB
+#           1136   16  0.353 s  60.14 MB      16  0.396 s  59.59 MB
+#           2272   32  0.349 s  62.03 MB      16  0.414 s  59.46 MB
+# 1136 runs 16 as1d applications at once and every pr1d application under
+# way.  Full as1d depth (2272) was no faster beyond the noise and held
+# 1.9 MB more.  2D runs sweep by sweep (1,452 nodes per application).
+_STAGE_NODES = 1136
 
 
 @dataclass(frozen=True)
@@ -145,8 +151,8 @@ def _block_sum(offsets):
     one size are gathered into the rows of one array and summed along them.
     A segmented np.add.reduceat adds in a different order.  Cached, since
     stages repeat their stack: on as1d_shifted_q3, building the index rows
-    afresh for each of a run's 320 Newton solves took 10 ms of 0.6 s (2 vCPU
-    Xeon).
+    afresh for each of a run's 143 Newton solves took 3.9 ms of 0.35 s, and
+    once per distinct stack 0.4 ms (2 vCPU Xeon).
     """
     if len(offsets) == 2:
         return lambda w: w.sum(keepdims=True)
@@ -322,8 +328,8 @@ def _stacker():
     """A function that stacks the bundles `parts` of a stage.
 
     A stage with the same blocks as the one before reuses its stack: on
-    as1d_shifted_q3 a run builds 13 stacks for its 320 stages, about 3 ms,
-    where a stack per stage took 57 ms (2 vCPU Xeon).
+    as1d_shifted_q3 a run builds 31 stacks for its 143 stages, about 4 ms,
+    where a stack per stage took 30 ms (2 vCPU Xeon).
     """
     last = [None, None]
 

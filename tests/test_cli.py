@@ -287,6 +287,19 @@ def test_bad_value_is_named(tmp_path, capsys, key, value):
         assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extent", [[2.225073858507203e-309],
+                                    [1.0, 2.225073858507203e-309]])
+def test_subnormal_extent_exits_2(tmp_path, capsys, extent):
+    # the basis gradients of such cells overflow to inf
+    cfg = base_config(tmp_path)
+    cfg["mesh"] = {"dim": len(extent), "extent": extent,
+                   "cells": [4] * len(extent)}
+    path = write_config(tmp_path, cfg)
+    for command in ("run", "verify"):
+        assert main([command, path]) == 2
+        assert "too small" in capsys.readouterr().err
+
+
 def test_readme_config_block_loads(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)

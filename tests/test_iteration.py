@@ -445,3 +445,43 @@ def test_single_resolvent_passes_no_start(monkeypatch):
         resolvent_solve(ctx, ell, g, ResolventConfig(s=2.0))
     assert len(stages) == 2 * grid.n_steps
     assert all(u0 is None for stage in stages for *_, u0 in stage)
+
+
+def _record_stack_sizes(monkeypatch):
+    """Record the number of blocks of every stacked Newton."""
+    newton = stsplit.resolvent.newton_level_solve
+    sizes = []
+
+    def recording(c, bundle, s, levels, u_prev, rhs, u0=None):
+        sizes.append(len(c.bundle(bundle).blocks))
+        return newton(c, bundle, s, levels, u_prev, rhs, u0)
+
+    monkeypatch.setattr(stsplit.resolvent, "newton_level_solve", recording)
+    return sizes
+
+
+def test_1d_stages_stack_applications_up_to_the_node_budget(monkeypatch):
+    # the as1d_shifted_q3 subdomains, with enough levels and sweeps for the
+    # wavefront to reach its depth
+    _, _, _, dec, ctx = make_problem(cells=48, n_steps=20, T=0.25, p=3.0,
+                                     lam=1.0, q=3, overlap=0.6, source="cos")
+    sizes = _record_stack_sizes(monkeypatch)
+    run_scheme(ctx, SchemeConfig(scheme="AS_shifted", s=8.0, max_sweeps=20,
+                                 stop_tol=0.0))
+    assert all(n % dec.q == 0 for n in sizes)
+    applications = [n // dec.q for n in sizes]
+    nodes = sum(ctx.bundle(ell).n_nodes for ell in range(dec.q))
+    depth = max(1, stsplit.resolvent._STAGE_NODES // nodes)
+    assert max(applications) <= depth
+    assert max(applications) >= 2
+
+
+def test_2d_runs_one_application_per_stage(monkeypatch):
+    # the as2d_q2 subdomains: stacking 2D blocks does not pay
+    _, _, _, _, ctx = make_problem(cells=(32, 32), n_steps=4, T=0.25, p=3.0,
+                                   lam=1.0, q=2, overlap=0.6, source="cos")
+    sizes = _record_stack_sizes(monkeypatch)
+    run_scheme(ctx, SchemeConfig(scheme="AS", s=2.0, max_sweeps=2,
+                                 stop_tol=0.0))
+    assert len(sizes) == 2 * 4
+    assert all(n == 2 for n in sizes)

@@ -55,6 +55,24 @@ def test_rejects_bad_specs():
         build_mesh((float("nan"),), (4,))
 
 
+SUBNORMAL = 2.225073858507203e-309
+
+
+@pytest.mark.parametrize("extent,cells", [((SUBNORMAL,), (4,)),
+                                          ((1.0, SUBNORMAL), (4, 4)),
+                                          ((SUBNORMAL, 1.0), (4, 4))])
+def test_rejects_cells_whose_gradients_overflow(extent, cells):
+    with pytest.raises(ConfigurationError, match="too small"):
+        build_mesh(extent, cells)
+
+
+@pytest.mark.parametrize("extent,cells", [((1e-300,), (4,)),
+                                          ((1.0, 1e-300), (4, 4))])
+def test_tiny_normal_extent_keeps_finite_tables(extent, cells):
+    mesh = build_mesh(extent, cells)
+    assert np.all(np.isfinite(mesh.basis_gradients))
+
+
 @pytest.mark.parametrize("extent,cells", [((1.0,), (7,)), ((2.0, 1.0), (5, 3))])
 def test_elements_tile_domain(extent, cells):
     mesh = build_mesh(extent, cells)
