@@ -21,12 +21,11 @@ from .errors import ConfigurationError
 
 
 class Subdomain:
-    """Index sets of one strip: nodes, elements, internal boundary nodes."""
+    """Index sets of one strip: its nodes and its elements."""
 
-    def __init__(self, nodes, elements, internal_boundary):
+    def __init__(self, nodes, elements):
         self.nodes = nodes
         self.elements = elements
-        self.internal_boundary = internal_boundary
 
 
 class WeightFamily:
@@ -141,13 +140,6 @@ def build_decomposition(mesh, q, overlap_fraction, c_min=0.1):
         elem_in = (elem_col >= lo[ell]) & (elem_col < hi[ell])
         nodes = np.flatnonzero(node_in)
         elements = np.flatnonzero(elem_in)
-        on_cut = np.zeros(mesh.n_nodes, dtype=bool)
-        if lo[ell] > 0:
-            on_cut |= node_col == lo[ell]
-        if hi[ell] < n0:
-            on_cut |= node_col == hi[ell]
-        on_cut[mesh.boundary_nodes] = False
-        internal_boundary = np.flatnonzero(on_cut)
 
         a = np.zeros(mesh.n_nodes)
         a[node_in] = a_cols[ell, node_col[node_in]]
@@ -164,7 +156,7 @@ def build_decomposition(mesh, q, overlap_fraction, c_min=0.1):
             span = elem_in & (elem_col >= starts[ell]) & (elem_col < ends[ell])
             b_elem[span, :] = 1.0 - ramp_b(elem_node_col[span], ell)
 
-        subdomains.append(Subdomain(nodes, elements, internal_boundary))
+        subdomains.append(Subdomain(nodes, elements))
         weights.append(WeightFamily(a, b_elem, g))
 
     return Decomposition(mesh, q, subdomains, weights)

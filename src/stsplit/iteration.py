@@ -22,6 +22,7 @@ whose inputs at level k are built from level k of the sweep before, and
 run_scheme takes the completed sweeps in order.
 """
 
+import math
 import time
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -65,6 +66,9 @@ class SchemeConfig:
                 raise ConfigurationError("s_rule_constant must be positive")
         if not self.stop_tol >= 0.0:
             raise ConfigurationError("stop_tol must be nonnegative")
+        s = float(self.resolve_s())
+        if not math.isfinite(1.0 / s):
+            raise ConfigurationError(f"s = {s!r} is too small: 1/s is not finite")
 
     def resolve_s(self):
         if self.s is not None:

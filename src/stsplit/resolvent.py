@@ -17,16 +17,17 @@ sweep n+1 can be solved as soon as level k of sweep n is done.
 `resolvent_solve` therefore runs a chain of sweeps, each applying P phases
 of resolvents in turn, as a wavefront: application a = n*P + p (phase p of
 sweep n) starts at least one stage after application a - 1 and solves one
-level per stage.  All level systems of a stage are stacked into one block-diagonal
-system and solved by one Newton in which every block keeps its own
-bookkeeping, so every block's result is bit-identical to its solve alone.
-How many applications run at once is bounded by the nodes of one stack,
-_STAGE_NODES.  A Newton pass has a fixed cost that dominates on small
-blocks, so a deeper stack solves the same levels in fewer passes, but
-every application under way holds its output fields; where one
+level per stage.  All level systems of a stage are stacked into one
+block-diagonal system, named by the tuple of their subdomains (see
+`OperatorContext.bundle`), and solved by one Newton in which every block
+keeps its own bookkeeping, so every block's result is bit-identical to its
+solve alone.  How many applications run at once is bounded by the nodes of
+one stack, _STAGE_NODES.  A Newton pass has a fixed cost that dominates on
+small blocks, so a deeper stack solves the same levels in fewer passes,
+but every application under way holds its output fields; where one
 application's level takes more than the bound, the sweeps run one after
-the other.  A single resolvent application is a chain of one sweep
-with one phase, and its stages are its time levels.
+the other.  A single resolvent application is a chain of one sweep with
+one phase, and its stages are its time levels.
 
 Successive sweeps approach the scheme's fixed point, so Newton starts each
 level of sweep n from the output of sweep n-1 at the same phase and level,
@@ -37,7 +38,6 @@ sweep-by-sweep order still give the same bits.  The first sweep, and so
 every single application, starts from the previous level.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -46,13 +46,7 @@ import scipy.linalg
 
 from .errors import ConfigurationError, SolverError
 from .models import default_flux_jacobian, default_reaction_derivative
-from .operators import (
-    apply_A,
-    level_loads,
-    level_times,
-    quad_values,
-    stack_bundles,
-)
+from .operators import apply_A, level_loads, level_times, quad_values
 
 # Newton controls, read at call time: iteration cap, absolute and relative
 # residual tolerances, Jacobian regularization, step halvings per pass.
@@ -94,6 +88,9 @@ class ResolventConfig:
     def __post_init__(self):
         if not self.s > 0.0:
             raise ConfigurationError("resolvent parameter s must be positive")
+        if not math.isfinite(1.0 / self.s):
+            raise ConfigurationError(f"resolvent parameter s = {self.s!r} is "
+                                     f"too small: 1/s is not finite")
 
 
 @dataclass(frozen=True)
@@ -103,9 +100,10 @@ class NewtonResult:
     residual_norm: float  # largest final residual norm over the blocks
 
 
-def _level_residual(ctx, bundle, s, k, u, u_prev, rhs, loads, values=None):
+def _level_residual(ctx, ell, s, k, u, u_prev, rhs, loads, values=None):
+    bundle = ctx.bundle(ell)
     r = s * bundle.m * u + bundle.cap * (u - u_prev) / ctx.grid.dt
-    r += apply_A(ctx, bundle, k, u, check=False, values=values) - rhs + loads
+    r += apply_A(ctx, ell, k, u, check=False, values=values) - rhs + loads
     return r
 
 
@@ -143,35 +141,6 @@ def _solve_linear(bundle, ke, diag_extra, rhs):
         raise SolverError(f"banded solve failed: {exc}") from exc
 
 
-@functools.lru_cache(maxsize=64)
-def _block_sum(offsets):
-    """A function that sums a nodal array over each block.
-
-    Each block is summed as a sum over its own slice would sum it: blocks of
-    one size are gathered into the rows of one array and summed along them.
-    A segmented np.add.reduceat adds in a different order.  Cached, since
-    stages repeat their stack: on as1d_shifted_q3, building the index rows
-    afresh for each of a run's 143 Newton solves took 3.9 ms of 0.35 s, and
-    once per distinct stack 0.4 ms (2 vCPU Xeon).
-    """
-    if len(offsets) == 2:
-        return lambda w: w.sum(keepdims=True)
-    offsets = np.asarray(offsets)
-    sizes = np.diff(offsets)
-    rows = []
-    for n in np.unique(sizes):
-        ids = np.flatnonzero(sizes == n)
-        rows.append((ids, offsets[ids][:, None] + np.arange(n)))
-
-    def block_sum(w):
-        out = np.empty(len(sizes))
-        for ids, idx in rows:
-            out[ids] = w[idx].sum(axis=1)
-        return out
-
-    return block_sum
-
-
 def newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0=None):
     """Damped Newton on one time level; returns a NewtonResult.
 
@@ -184,14 +153,15 @@ def newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0=None):
     quadrature values of each trial are evaluated once, for its residual,
     and those of the accepted iterate give the next Jacobian.
 
-    ell is None, a subdomain index or a stack (see `stack_bundles`); on a
-    stack k is one level for all blocks or holds one level per block.  Each
-    block has its own residual norm, tolerance and step halving.  A block
-    that has converged, or has accepted a trial step of the current pass,
-    is frozen by zeroing its slice of the Newton direction; a converged
-    block stays frozen, so every block still iterating has taken every
-    pass.  A SolverError names the first failing block in its message and
-    by its index, `block`.
+    ell names the system as `OperatorContext.bundle` does: None for the
+    whole domain, a subdomain index, or a tuple of subdomain indices for
+    their stack, on which k is one level for all blocks or holds one level
+    per block.  Each block has its own residual norm, tolerance and step
+    halving.  A block that has converged, or has accepted a trial step of
+    the current pass, is frozen by zeroing its slice of the Newton
+    direction; a converged block stays frozen, so every block still
+    iterating has taken every pass.  A SolverError names the first failing
+    block in its message and by its index, `block`.
     """
     bundle = ctx.bundle(ell)
     blocks = bundle.blocks
@@ -203,7 +173,6 @@ def newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0=None):
     diag_extra = s * bundle.m + bundle.cap / dt + shift * bundle.cap
     block_of_node = bundle.block_of_node
     block_of_element = bundle.block_of_element
-    block_sum = _block_sum(bundle.offsets)
 
     def where(b):
         name = blocks[b].name
@@ -218,9 +187,8 @@ def newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0=None):
         # overflows to inf or nan, which the line search rejects
         with np.errstate(over="ignore", invalid="ignore"):
             values = quad_values(bundle, u)
-            r = _level_residual(ctx, bundle, s, k, u, u_prev, rhs, loads,
-                                values)
-            return values, r, np.sqrt(block_sum(r * r / bundle.m))
+            r = _level_residual(ctx, ell, s, k, u, u_prev, rhs, loads, values)
+            return values, r, np.sqrt(bundle.block_sum(r * r / bundle.m))
 
     def first(mask):
         return int(np.flatnonzero(mask)[0])
@@ -324,30 +292,10 @@ class _FieldSweep(Sweep):
         return self.field[k]
 
 
-def _stacker():
-    """A function that stacks the bundles `parts` of a stage.
-
-    A stage with the same blocks as the one before reuses its stack: on
-    as1d_shifted_q3 a run builds 31 stacks for its 143 stages, about 4 ms,
-    where a stack per stage took 30 ms (2 vCPU Xeon).
-    """
-    last = [None, None]
-
-    def stack(parts):
-        if len(parts) == 1:
-            return parts[0]
-        key = tuple(b.name for b in parts)
-        if key != last[0]:
-            last[:] = key, stack_bundles(parts)
-        return last[1]
-
-    return stack
-
-
-def _solve_stage(ctx, phase_parts, stack, s, units):
+def _solve_stage(ctx, phases, s, units):
     """Solve the units' level systems in one stacked Newton.
 
-    phase_parts[p] holds the bundles of phase p, and a unit is (application,
+    phases[p] holds the subdomains of phase p, and a unit is (application,
     sweep, phase, level, input level, warm start).  The warm start is the
     previous sweep's output rows at the same phase and level, one per block,
     or None.  Newton starts each block from its warm row; a block without
@@ -356,10 +304,10 @@ def _solve_stage(ctx, phase_parts, stack, s, units):
     output level and returns None, or returns (application, SolverError)
     for the unit that failed.
     """
-    parts, ks, unit_of_block, prev, starts, outs = [], [], [], [], [], []
+    parts, ks, unit_of_block, prev, starts, outs = (), [], [], [], [], []
     for i, (_, sweep, p, k, _, warm) in enumerate(units):
-        n = len(phase_parts[p])
-        parts += phase_parts[p]
+        n = len(phases[p])
+        parts += phases[p]
         ks += [k] * n
         unit_of_block += [i] * n
         if k:
@@ -369,7 +317,7 @@ def _solve_stage(ctx, phase_parts, stack, s, units):
         prev += before
         starts += before if warm is None else warm
         outs += sweep.out[p]
-    bundle = stack(tuple(parts))
+    bundle = ctx.bundle(parts)
     # the inputs, previous levels and starts as global rows, one per block,
     # read at each stacked node's global id
     at = (bundle.block_of_node, bundle.nodes)
@@ -379,7 +327,7 @@ def _solve_stage(ctx, phase_parts, stack, s, units):
         u0 = np.array(starts)[at]
     try:
         res = newton_level_solve(
-            ctx, bundle, s, ks[0] if len(set(ks)) == 1 else ks,
+            ctx, parts, s, ks[0] if len(set(ks)) == 1 else ks,
             np.array(prev)[at], bundle.m * inputs[at], u0=u0)
     except SolverError as err:
         if err.block is not None or len(units) == 1:
@@ -387,7 +335,7 @@ def _solve_stage(ctx, phase_parts, stack, s, units):
         # a failure no block owns (a singular stacked solve): solve the units
         # alone to find the one it belongs to
         for unit in units:
-            found = _solve_stage(ctx, phase_parts, stack, s, [unit])
+            found = _solve_stage(ctx, phases, s, [unit])
             if found is not None:
                 return found
         return None
@@ -413,11 +361,9 @@ def _wavefront(ctx, phases, sweeps, s):
     """
     n_steps = ctx.grid.n_steps
     n_phases = len(phases)
-    phase_parts = [tuple(ctx.bundle(ell) for ell in ells) for ells in phases]
-    depth = max(1, _STAGE_NODES // max(sum(b.n_nodes for b in parts)
-                                       for parts in phase_parts))
+    depth = max(1, _STAGE_NODES // max(
+        sum(ctx.bundle(ell).n_nodes for ell in ells) for ells in phases))
     sweeps = iter(sweeps)
-    stack = _stacker()
     running = []  # [application, sweep, phase, level] under way, in order
     failed, error = math.inf, None  # first failed application and its error
     a = 0  # the next application to start
@@ -432,7 +378,7 @@ def _wavefront(ctx, phases, sweeps, s):
                     sweep.prev, prev = prev, sweep
             if sweep is not None:
                 sweep.out[p] = [np.empty((n_steps, ctx.mesh.n_nodes))
-                                for _ in phase_parts[p]]
+                                for _ in phases[p]]
                 running.append([a, sweep, p, 0])
                 a += 1
         if not running:
@@ -451,7 +397,7 @@ def _wavefront(ctx, phases, sweeps, s):
         # whenever it runs as many applications of each phase
         units.sort(key=lambda unit: unit[2])
         while units:
-            found = _solve_stage(ctx, phase_parts, stack, s, units)
+            found = _solve_stage(ctx, phases, s, units)
             if found is None:
                 break
             # the applications after the failed one depend on it
@@ -471,9 +417,7 @@ def _wavefront(ctx, phases, sweeps, s):
 def resolvent_solve(ctx, ell, g, cfg):
     """Apply (sI + F_ell)^{-1} to a global field g, or run a chain of sweeps.
 
-    ell is a subdomain index, or tuple(range(q)) to apply all q resolvents
-    to g in one solve; the q fields are then returned as a list in
-    subdomain order.
+    For a subdomain index ell, g is a global field and so is the result.
 
     For a chain, ell holds one tuple of subdomains per phase and g is an
     iterable of Sweep records; the call returns a generator that yields the
@@ -482,7 +426,7 @@ def resolvent_solve(ctx, ell, g, cfg):
     sweep-by-sweep run gives.  Closing the generator drops the sweeps still
     in flight.
     """
-    if isinstance(ell, tuple) and ell and isinstance(ell[0], tuple):
+    if isinstance(ell, tuple):
         return _wavefront(ctx, ell, g, cfg.s)
     g = np.asarray(g, dtype=float)
     if g.shape != (ctx.grid.n_steps, ctx.mesh.n_nodes):
@@ -492,15 +436,4 @@ def resolvent_solve(ctx, ell, g, cfg):
         )
     if not np.all(np.isfinite(g)):
         raise ValueError("resolvent input contains non-finite values")
-    if isinstance(ell, tuple):
-        q = 0 if ctx.dec is None else ctx.dec.q
-        if ell != tuple(range(q)):
-            raise ConfigurationError(
-                f"a batched solve takes every subdomain in order, "
-                f"{tuple(range(q))}, not {ell}"
-            )
-        phase = ell
-    else:
-        phase = (ell,)
-    sweep = next(_wavefront(ctx, (phase,), [_FieldSweep(g)], cfg.s))
-    return sweep.out[0] if isinstance(ell, tuple) else sweep.out[0][0]
+    return next(_wavefront(ctx, ((ell,),), [_FieldSweep(g)], cfg.s)).out[0][0]

@@ -11,7 +11,9 @@ from stsplit import (
     cosine_solution,
     manufactured_rhs,
     p_laplace_model,
+    resolvent_solve,
 )
+from stsplit.resolvent import _FieldSweep
 
 
 def make_problem(cells=16, n_steps=4, T=1.0, p=2.0, lam=0.0, gamma=None,
@@ -37,3 +39,12 @@ def make_problem(cells=16, n_steps=4, T=1.0, p=2.0, lam=0.0, gamma=None,
 
 def random_field(rng, grid, mesh, scale=1.0):
     return scale * rng.standard_normal((grid.n_steps, mesh.n_nodes))
+
+
+def one_sweep(ctx, phase, g, cfg):
+    """Outputs of the resolvents of the subdomains `phase` applied to g.
+
+    One sweep of a one-phase chain: a list of global fields, one per entry
+    of phase, solved as stacked level systems.
+    """
+    return next(resolvent_solve(ctx, (phase,), [_FieldSweep(g)], cfg)).out[0]

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import stsplit.resolvent
-from conftest import make_problem
+from conftest import make_problem, one_sweep
 from stsplit import (
     ConfigurationError,
     ResolventConfig,
@@ -15,13 +15,12 @@ from stsplit import (
     resolvent_solve,
     shift_model,
 )
-from stsplit.operators import stack_bundles
-from stsplit.resolvent import _stacker, newton_level_solve
+from stsplit.resolvent import newton_level_solve
 
 
 def _assert_matches_per_subdomain(ctx, g, cfg):
     q = ctx.dec.q
-    batched = resolvent_solve(ctx, tuple(range(q)), g, cfg)
+    batched = one_sweep(ctx, tuple(range(q)), g, cfg)
     assert len(batched) == q
     for ell in range(q):
         assert np.array_equal(batched[ell], resolvent_solve(ctx, ell, g, cfg))
@@ -46,7 +45,8 @@ def _assert_stack_matches_blocks(ctx, blocks, s, rng, scale, starts=None):
     starts is None, for no start, or holds one entry per block: None starts
     the block from its u_prev, a number from u_prev plus noise of that size.
     """
-    parts = [ctx.bundle(ell) for ell, _ in blocks]
+    ells = tuple(ell for ell, _ in blocks)
+    parts = [ctx.bundle(ell) for ell in ells]
     levels = [k for _, k in blocks]
     u_prev = [scale * rng.standard_normal(b.n_nodes) for b in parts]
     rhs = [scale * b.m * rng.standard_normal(b.n_nodes) for b in parts]
@@ -62,9 +62,8 @@ def _assert_stack_matches_blocks(ctx, blocks, s, rng, scale, starts=None):
         if u0 is not None and starts[i] is None:
             # starting from u_prev is no start at all
             assert _same_solve(alone[i], _solve_alone(ctx, ell, s, k, up, r))
-    stack = stack_bundles(parts)
     try:
-        res = newton_level_solve(ctx, stack, s, levels, np.concatenate(u_prev),
+        res = newton_level_solve(ctx, ells, s, levels, np.concatenate(u_prev),
                                  np.concatenate(rhs),
                                  None if u0 is None else np.concatenate(u0))
     except SolverError as err:
@@ -73,8 +72,9 @@ def _assert_stack_matches_blocks(ctx, blocks, s, rng, scale, starts=None):
         assert str(err) == str(alone[err.block])
         return
     assert not any(isinstance(a, SolverError) for a in alone)
+    offsets = ctx.bundle(ells).offsets
     for i, a in enumerate(alone):
-        lo, hi = stack.offsets[i], stack.offsets[i + 1]
+        lo, hi = offsets[i], offsets[i + 1]
         assert np.array_equal(res.values[lo:hi], a.values)
     assert res.iterations == max(a.iterations for a in alone)
 
@@ -181,34 +181,74 @@ def test_failing_block_names_its_subdomain(monkeypatch):
     monkeypatch.setattr(stsplit.resolvent, "_MAX_ITERS", 1)
     monkeypatch.setattr(stsplit.resolvent, "_MAX_HALVINGS", 0)
     with pytest.raises(SolverError, match="on subdomain 2") as err:
-        resolvent_solve(ctx, (0, 1, 2), g, cfg)
+        one_sweep(ctx, (0, 1, 2), g, cfg)
     assert err.value.worst_residual > 0.0
     for ell in (0, 1):  # the other blocks converge alone
         resolvent_solve(ctx, ell, g, cfg)
 
 
-def test_batch_must_list_every_subdomain_in_order():
-    mesh, grid, _, _, ctx = make_problem(q=3)
-    g = np.zeros((grid.n_steps, mesh.n_nodes))
-    for ell in ((0, 1), (2, 1, 0)):
-        with pytest.raises(ConfigurationError):
-            resolvent_solve(ctx, ell, g, ResolventConfig(s=1.0))
+@st.composite
+def stack_cases(draw):
+    q = draw(st.integers(2, 4))
+    nx = draw(st.integers(2 * q, 6 * q))
+    cells = nx if draw(st.booleans()) else (nx, draw(st.integers(2, 5)))
+    name = st.lists(st.integers(0, q - 1), min_size=2, max_size=6).map(tuple)
+    names = draw(st.lists(name, min_size=1, max_size=3))
+    order = draw(st.lists(st.integers(0, len(names) - 1), min_size=2,
+                          max_size=6))
+    return dict(cells=cells, q=q, overlap=draw(st.floats(0.2, 1.0)),
+                names=[names[i] for i in order],
+                seed=draw(st.integers(0, 2**32 - 1)))
 
 
-def test_stage_stack_is_reused_while_its_blocks_repeat():
-    _, _, _, _, ctx = make_problem(cells=(12, 4), q=3)
-    subs = [ctx.bundle(ell) for ell in range(3)]
-    stack = _stacker()
-    assert stack((subs[1],)) is subs[1]  # one block needs no stack
-    full = stack(tuple(subs))
-    assert stack(tuple(subs)) is full
-    repeat = stack(tuple(subs + subs[:1]))
-    assert repeat is not full and stack(tuple(subs)) is not full
-    names = ("conn", "qp", "dphi", "wa", "wb", "m", "cap", "band_index")
-    for name in names:
-        np.testing.assert_array_equal(getattr(repeat, name),
-                                      getattr(stack_bundles(subs + subs[:1]), name))
-        for sub in subs:  # a stack copies, so dropping it frees its tables
-            assert not np.shares_memory(getattr(repeat, name), getattr(sub, name))
-    assert repeat.offsets[-1] == repeat.n_nodes == sum(
-        b.n_nodes for b in subs + subs[:1])
+@settings(max_examples=40, deadline=None)
+@given(stack_cases())
+def test_stage_stack_is_reused_while_its_blocks_repeat(case):
+    try:
+        *_, ctx = make_problem(cells=case["cells"], q=case["q"],
+                               overlap=case["overlap"])
+    except ConfigurationError:
+        assume(False)
+    rng = np.random.default_rng(case["seed"])
+    built = []  # every stack seen, held so that no id is reused
+    for ells in case["names"]:
+        stack = ctx.bundle(tuple(list(ells)))  # an equal tuple, not this one
+        if built and ells == built[-1][0]:
+            assert stack is built[-1][1]
+        else:
+            assert all(stack is not b for _, b in built)
+        built.append((ells, stack))
+        # one block needs no stack, and naming one keeps the stack
+        assert ctx.bundle(ells[:1]) is ctx.bundle(ells[0])
+        assert ctx.bundle(ells) is stack
+
+        parts = [ctx.bundle(ell) for ell in ells]
+        assert stack.blocks == tuple(parts)
+        sizes = [b.n_nodes for b in parts]
+        offsets = stack.offsets
+        assert offsets == tuple(np.cumsum([0] + sizes).tolist())
+        assert offsets[-1] == stack.n_nodes
+        np.testing.assert_array_equal(stack.block_of_node,
+                                      np.repeat(range(len(parts)), sizes))
+        np.testing.assert_array_equal(
+            stack.block_of_element,
+            np.repeat(range(len(parts)), [len(b.conn) for b in parts]))
+        elements = np.cumsum([0] + [len(b.conn) for b in parts])
+        for b, lo, hi, e in zip(parts, offsets, offsets[1:], elements):
+            np.testing.assert_array_equal(stack.nodes[lo:hi], b.nodes)
+            np.testing.assert_array_equal(stack.m[lo:hi], b.m)
+            np.testing.assert_array_equal(stack.conn[e:e + len(b.conn)],
+                                          b.conn + lo)
+
+        # mixed magnitudes, so that another order of summation shows
+        w = rng.standard_normal(stack.n_nodes) * 10.0 ** rng.uniform(
+            -3.0, 3.0, stack.n_nodes)
+        expected = [w[lo:hi].sum() for lo, hi in zip(offsets, offsets[1:])]
+        assert np.array_equal(stack.block_sum(w), expected)
+
+        names = ("conn", "qp", "dphi", "wa", "wb", "m", "cap", "band_index",
+                 "nodes")
+        for name in names:
+            for b in parts:  # a stack copies, so dropping it frees its tables
+                assert not np.shares_memory(getattr(stack, name),
+                                            getattr(b, name))

@@ -8,6 +8,7 @@ import re
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -297,6 +298,22 @@ def test_subnormal_extent_exits_2(tmp_path, capsys, extent):
     path = write_config(tmp_path, cfg)
     for command in ("run", "verify"):
         assert main([command, path]) == 2
+        assert "too small" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("time", "T", 5e-324),  # T/N_t rounds to zero
+    ("scheme", "s", 2.225073858507203e-309),  # 1/s overflows
+])
+def test_too_small_time_step_or_s_exits_2(tmp_path, capsys, section, key,
+                                          value):
+    cfg = base_config(tmp_path)
+    cfg[section][key] = value
+    path = write_config(tmp_path, cfg)
+    for command in ("run", "verify"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([command, path]) == 2
         assert "too small" in capsys.readouterr().err
 
 

@@ -5,7 +5,7 @@ import pytest
 
 import stsplit.iteration
 import stsplit.resolvent
-from conftest import make_problem, random_field
+from conftest import make_problem, one_sweep, random_field
 from stsplit import (
     ConfigurationError,
     ResolventConfig,
@@ -36,7 +36,9 @@ def test_scheme_config_validation():
     with pytest.raises(ConfigurationError):
         SchemeConfig(scheme="AS", s_rule_constant=-1.0)
     for bad in ({"s": float("nan")}, {"s_rule_constant": float("nan")},
-                {"stop_tol": float("nan")}, {"stop_tol": -1e-10}):
+                {"stop_tol": float("nan")}, {"stop_tol": -1e-10},
+                # 1/s overflows, for s given or from the s rule
+                {"s": 2.225073858507203e-309}, {"s_rule_constant": 1e-310}):
         with pytest.raises(ConfigurationError):
             SchemeConfig(scheme="PR", **bad)
     SchemeConfig(scheme="PR", stop_tol=0.0)
@@ -291,15 +293,15 @@ def _inject_failure(monkeypatch, ell, k, sweep):
     newton = stsplit.resolvent.newton_level_solve
     seen = [0]
 
-    def failing(c, bundle, s, levels, u_prev, rhs, u0=None):
-        blocks = c.bundle(bundle).blocks
+    def failing(c, ells, s, levels, u_prev, rhs, u0=None):
+        blocks = c.bundle(ells).blocks
         for b, (part, kb) in enumerate(
                 zip(blocks, np.broadcast_to(levels, len(blocks)))):
             if (part.name, kb) == (ell, k):
                 seen[0] += 1
                 if seen[0] == sweep:
                     raise SolverError(f"injected at level {k}", block=b)
-        return newton(c, bundle, s, levels, u_prev, rhs, u0)
+        return newton(c, ells, s, levels, u_prev, rhs, u0)
 
     monkeypatch.setattr(stsplit.resolvent, "newton_level_solve", failing)
 
@@ -374,8 +376,8 @@ def _record_starts(monkeypatch):
     newton = stsplit.resolvent.newton_level_solve
     stages = []
 
-    def recording(c, bundle, s, levels, u_prev, rhs, u0=None):
-        stacked = c.bundle(bundle)
+    def recording(c, ells, s, levels, u_prev, rhs, u0=None):
+        stacked = c.bundle(ells)
         blocks, offsets = stacked.blocks, stacked.offsets
         stages.append([
             (part.name, int(kb), u_prev[lo:hi].copy(),
@@ -383,7 +385,7 @@ def _record_starts(monkeypatch):
             for part, kb, lo, hi in zip(blocks,
                                         np.broadcast_to(levels, len(blocks)),
                                         offsets, offsets[1:])])
-        return newton(c, bundle, s, levels, u_prev, rhs, u0)
+        return newton(c, ells, s, levels, u_prev, rhs, u0)
 
     monkeypatch.setattr(stsplit.resolvent, "newton_level_solve", recording)
     return stages
@@ -441,8 +443,9 @@ def test_single_resolvent_passes_no_start(monkeypatch):
                                          q=3, source="cos")
     stages = _record_starts(monkeypatch)
     g = random_field(np.random.default_rng(0), grid, mesh)
-    for ell in (0, (0, 1, 2)):
-        resolvent_solve(ctx, ell, g, ResolventConfig(s=2.0))
+    cfg = ResolventConfig(s=2.0)
+    resolvent_solve(ctx, 0, g, cfg)
+    one_sweep(ctx, (0, 1, 2), g, cfg)
     assert len(stages) == 2 * grid.n_steps
     assert all(u0 is None for stage in stages for *_, u0 in stage)
 
@@ -452,9 +455,9 @@ def _record_stack_sizes(monkeypatch):
     newton = stsplit.resolvent.newton_level_solve
     sizes = []
 
-    def recording(c, bundle, s, levels, u_prev, rhs, u0=None):
-        sizes.append(len(c.bundle(bundle).blocks))
-        return newton(c, bundle, s, levels, u_prev, rhs, u0)
+    def recording(c, ells, s, levels, u_prev, rhs, u0=None):
+        sizes.append(len(c.bundle(ells).blocks))
+        return newton(c, ells, s, levels, u_prev, rhs, u0)
 
     monkeypatch.setattr(stsplit.resolvent, "newton_level_solve", recording)
     return sizes

@@ -14,7 +14,6 @@ from stsplit import (
     build_mesh,
     p_laplace_model,
 )
-from stsplit.operators import stack_bundles
 from stsplit.resolvent import _solve_linear
 
 
@@ -27,9 +26,9 @@ def _context(cells, q, overlap):
 def _bundles(ctx):
     # the whole domain, each subdomain, a stack of them all, and a stack
     # that repeats them in reverse
-    subs = [ctx.bundle(ell) for ell in range(ctx.dec.q)]
-    repeat = stack_bundles(subs + subs[::-1])
-    return [ctx.bundle(None), stack_bundles(subs), repeat] + subs
+    ells = tuple(range(ctx.dec.q))
+    stacks = [ctx.bundle(ells), ctx.bundle(ells + ells[::-1])]
+    return [ctx.bundle(None)] + stacks + [ctx.bundle(ell) for ell in ells]
 
 
 def _dense(bundle, ke, diag_extra):

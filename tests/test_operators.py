@@ -5,7 +5,7 @@ import pytest
 
 from conftest import make_problem, random_field
 from stsplit.models import default_flux_jacobian, default_reaction_derivative
-from stsplit.operators import quad_values, stack_bundles
+from stsplit.operators import quad_values
 from stsplit.resolvent import _element_matrices
 from stsplit import (
     ConfigurationError,
@@ -38,6 +38,10 @@ def test_time_grid_consistency():
         TimeGrid(T=1.0, n_steps=0)
     with pytest.raises(ConfigurationError):
         TimeGrid(T=float("nan"), n_steps=4)
+    # dt rounds to zero, or 1/dt overflows
+    for T, n_steps in ((5e-324, 4), (2.225073858507203e-309, 1)):
+        with pytest.raises(ConfigurationError, match="too small"):
+            TimeGrid(T=T, n_steps=n_steps)
 
 
 def test_apply_A_zero_field_is_zero():
@@ -252,8 +256,7 @@ def test_quadrature_kernels_match_einsum_reference(cells):
     cases = [(model, ctx), (weighted, build_context(mesh, weighted, grid, dec))]
     rng = np.random.default_rng(4)
     for model, ctx in cases:
-        stack = stack_bundles([ctx.bundle(0), ctx.bundle(1)])
-        for ell in (None, 0, stack):
+        for ell in (None, 0, (0, 1)):
             b = ctx.bundle(ell)
             u = rng.standard_normal((grid.n_steps, b.n_nodes))
             k, t = 1, grid.times[1]

@@ -170,7 +170,7 @@ def test_purely_elliptic_corner_converges_or_raises(monkeypatch, p):
     def recording_newton(ctx, ell, s, k, u_prev, rhs, u0=None):
         u = u_prev if u0 is None else u0
         bundle = ctx.bundle(ell)
-        r = stsplit.resolvent._level_residual(ctx, bundle, s, k, u, u_prev,
+        r = stsplit.resolvent._level_residual(ctx, ell, s, k, u, u_prev,
                                               rhs, bundle.loads[k])
         starts.append(np.sqrt(np.sum(r * r / bundle.m)))
         return newton(ctx, ell, s, k, u_prev, rhs, u0=u0)

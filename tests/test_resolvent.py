@@ -23,6 +23,8 @@ def test_config_validation():
         ResolventConfig(s=-1.0)
     with pytest.raises(ConfigurationError):
         ResolventConfig(s=float("nan"))
+    with pytest.raises(ConfigurationError, match="too small"):
+        ResolventConfig(s=2.225073858507203e-309)  # 1/s overflows
 
 
 def test_zero_input_zero_output():

@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_problem
+from conftest import make_problem, one_sweep
 from stsplit import (
     ConfigurationError,
     ResolventConfig,
@@ -59,8 +59,8 @@ def test_resolvent_is_nonexpansive(case):
     cfg = ResolventConfig(s=s)
     if case["batched"]:
         ells = tuple(range(dec.q))
-        pairs = zip(resolvent_solve(ctx, ells, g1, cfg),
-                    resolvent_solve(ctx, ells, g2, cfg))
+        pairs = zip(one_sweep(ctx, ells, g1, cfg),
+                    one_sweep(ctx, ells, g2, cfg))
     else:
         ell = int(rng.integers(dec.q))
         pairs = [(resolvent_solve(ctx, ell, g1, cfg),
