@@ -66,7 +66,9 @@ class SchemeConfig:
                 raise ConfigurationError("s_rule_constant must be positive")
         if not self.stop_tol >= 0.0:
             raise ConfigurationError("stop_tol must be nonnegative")
-        s = float(self.resolve_s())
+        s = self.resolve_s()
+        if not math.isfinite(s):
+            raise ConfigurationError(f"s = {s!r} is too large: it is not finite")
         if not math.isfinite(1.0 / s):
             raise ConfigurationError(f"s = {s!r} is too small: 1/s is not finite")
 
@@ -74,7 +76,7 @@ class SchemeConfig:
         if self.s is not None:
             return float(self.s)
         c = 1.0 if self.s_rule_constant is None else float(self.s_rule_constant)
-        return c * np.sqrt(float(self.max_sweeps))
+        return c * math.sqrt(self.max_sweeps)
 
 
 class IterationTrace:
@@ -224,8 +226,6 @@ class _AlternatingSweep(Sweep):
         self.douglas = douglas
         self.start = start  # (u2, F2*u2) before the first sweep
         self.rhs2 = []  # the phase-1 inputs, level by level
-        # PR: the phase-0 inputs that phase 1 has still to read, by level
-        self.pending = {}
 
     def _previous(self, k):
         if self.prev is None:
@@ -234,16 +234,14 @@ class _AlternatingSweep(Sweep):
         return u2, self.prev.rhs2[k] - self.s * u2
 
     def level_input(self, phase, k):
+        u2, f2 = self._previous(k)
         if phase == 0:
-            u2, f2 = self._previous(k)
-            g = self.s * u2 - f2
-            if not self.douglas:
-                self.pending[k] = g
-            return g
+            return self.s * u2 - f2
         if self.douglas:
-            g = self.s * self.out[0][0][k] + self._previous(k)[1]
+            g = self.s * self.out[0][0][k] + f2
         else:
-            g = 2.0 * self.s * self.out[0][0][k] - self.pending.pop(k)
+            # PR reflects about phase 0's input, rebuilt from the sweep before
+            g = 2.0 * self.s * self.out[0][0][k] - (self.s * u2 - f2)
         self.rhs2.append(g)
         return g
 

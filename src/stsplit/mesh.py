@@ -52,7 +52,6 @@ class Mesh:
     dim : spatial dimension (1 or 2)
     nodes : (n_nodes, dim) coordinates
     elements : (n_elements, dim + 1) node indices per element
-    boundary_nodes : sorted indices of nodes on the outer boundary
     quadrature : reference QuadratureRule (degree >= 2)
     element_volumes : (n_elements,) measures, all positive
     lumped_mass : (n_nodes,) row-sum lumped mass weights
@@ -60,11 +59,10 @@ class Mesh:
         the domain into overlapping strips
     """
 
-    def __init__(self, dim, nodes, elements, boundary_nodes, extent, cells):
+    def __init__(self, dim, nodes, elements, extent, cells):
         self.dim = dim
         self.nodes = nodes
         self.elements = elements
-        self.boundary_nodes = boundary_nodes
         self.extent = tuple(extent)
         self.cells = tuple(cells)
         self.n_nodes = len(nodes)
@@ -143,8 +141,7 @@ def build_mesh(extent, cells):
         nx = cells[0]
         nodes = np.linspace(0.0, extent[0], nx + 1)[:, None]
         elements = np.stack([np.arange(nx), np.arange(1, nx + 1)], axis=1)
-        boundary = np.array([0, nx])
-        mesh = Mesh(1, nodes, elements, boundary, extent, cells)
+        mesh = Mesh(1, nodes, elements, extent, cells)
         mesh.node_column = np.arange(nx + 1)
         mesh.element_column = np.arange(nx)
         return mesh
@@ -166,17 +163,8 @@ def build_mesh(extent, cells):
     elements = np.empty((2 * nx * ny, 3), dtype=int)
     elements[0::2] = lower
     elements[1::2] = upper
-    col = np.arange(nx + 1)
-    node_col = np.tile(col, ny + 1)
-    on_boundary = (
-        (node_col == 0)
-        | (node_col == nx)
-        | (np.repeat(np.arange(ny + 1), nx + 1) == 0)
-        | (np.repeat(np.arange(ny + 1), nx + 1) == ny)
-    )
-    boundary = np.flatnonzero(on_boundary)
-    mesh = Mesh(2, nodes, elements, boundary, extent, cells)
-    mesh.node_column = node_col
+    mesh = Mesh(2, nodes, elements, extent, cells)
+    mesh.node_column = np.tile(np.arange(nx + 1), ny + 1)
     mesh.element_column = np.repeat(i_idx, 2)
     return mesh
 

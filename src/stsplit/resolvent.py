@@ -97,7 +97,6 @@ class ResolventConfig:
 class NewtonResult:
     values: np.ndarray
     iterations: int  # Newton passes; the most any block needed
-    residual_norm: float  # largest final residual norm over the blocks
 
 
 def _level_residual(ctx, ell, s, k, u, u_prev, rhs, loads, values=None):
@@ -157,11 +156,13 @@ def newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0=None):
     whole domain, a subdomain index, or a tuple of subdomain indices for
     their stack, on which k is one level for all blocks or holds one level
     per block.  Each block has its own residual norm, tolerance and step
-    halving.  A block that has converged, or has accepted a trial step of
-    the current pass, is frozen by zeroing its slice of the Newton
-    direction; a converged block stays frozen, so every block still
-    iterating has taken every pass.  A SolverError names the first failing
-    block in its message and by its index, `block`.
+    length: 1 on a block still iterating and 0 on a converged one, and only
+    the blocks whose trials have not yet lowered their residual halve it.
+    Each trial is u + steps[block] * du, so the last trial of a pass holds
+    every block at its accepted point and is taken whole.  A converged
+    block stays where it is, so every block still iterating has taken
+    every pass.  A SolverError names the first failing block in its message
+    and by its index, `block`.
     """
     bundle = ctx.bundle(ell)
     blocks = bundle.blocks
@@ -172,7 +173,6 @@ def newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0=None):
     shift = ctx.reaction_shift
     diag_extra = s * bundle.m + bundle.cap / dt + shift * bundle.cap
     block_of_node = bundle.block_of_node
-    block_of_element = bundle.block_of_element
 
     def where(b):
         name = blocks[b].name
@@ -203,19 +203,18 @@ def newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0=None):
         return values, r, rn
 
     u = np.array(u_prev, dtype=float)
-    (uq, zq), r, rn = start(u)
+    values, r, rn = start(u)
     tol = np.maximum(_ABS_TOL, _REL_TOL * rn)
     if u0 is not None:
         u = np.array(u0, dtype=float)
-        (uq, zq), r, rn = start(u)
+        values, r, rn = start(u)
     # every accepted step lowers its block's residual, so the worst residual
     # a block reaches is its starting one
-    rn0 = rn.copy()
+    rn0 = rn
     passes = 0
     while True:
         active = rn > tol
-        n_active = np.count_nonzero(active)
-        if not n_active:
+        if not np.count_nonzero(active):
             break
         if passes >= _MAX_ITERS:
             b = first(active)
@@ -225,30 +224,19 @@ def newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0=None):
                 f"(tolerance {tol[b]:.3e})",
                 worst_residual=float(rn0[b]), block=b,
             )
-        ke = _element_matrices(ctx, bundle, t, (uq, zq), eps)
+        ke = _element_matrices(ctx, bundle, t, values, eps)
         du = _solve_linear(bundle, ke, diag_extra, -r)
-        if n_active < len(blocks):
-            du[~active[block_of_node]] = 0.0
+        steps = np.where(active, 1.0, 0.0)
         pending = active
-        step = 1.0
         for _ in range(_MAX_HALVINGS + 1):
-            u_try = u + step * du
-            (uq_try, zq_try), r_try, rn_try = residual(u_try)
+            u_try = u + steps[block_of_node] * du
+            values_try, r_try, rn_try = residual(u_try)
             # a pending block is above its tolerance, so reaching the
             # tolerance lowers its residual too; nan and inf never do
-            accepted = pending & (rn_try < rn)
-            nodes = accepted[block_of_node]
-            elements = accepted[block_of_element][:, None]
-            np.copyto(u, u_try, where=nodes)
-            np.copyto(r, r_try, where=nodes)
-            np.copyto(rn, rn_try, where=accepted)
-            np.copyto(uq, uq_try, where=elements)
-            np.copyto(zq, zq_try, where=elements[:, :, None])
-            pending = pending ^ accepted
+            pending = pending & ~(rn_try < rn)
             if not np.count_nonzero(pending):
                 break
-            np.copyto(du, 0.0, where=nodes)
-            step *= 0.5
+            steps[pending] *= 0.5
         else:
             b = first(pending)
             raise SolverError(
@@ -256,9 +244,10 @@ def newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0=None):
                 f"residual {rn[b]:.3e} after {passes} iterations",
                 worst_residual=float(rn0[b]), block=b,
             )
+        # every block sits at its accepted point, a converged one where it was
+        u, values, r, rn = u_try, values_try, r_try, rn_try
         passes += 1
-    return NewtonResult(values=u, iterations=passes,
-                        residual_norm=float(rn.max()))
+    return NewtonResult(values=u, iterations=passes)
 
 
 class Sweep:
@@ -427,6 +416,9 @@ def resolvent_solve(ctx, ell, g, cfg):
     in flight.
     """
     if isinstance(ell, tuple):
+        if not all(isinstance(phase, tuple) for phase in ell):
+            raise ConfigurationError(
+                f"a chain names one tuple of subdomains per phase, not {ell!r}")
         return _wavefront(ctx, ell, g, cfg.s)
     g = np.asarray(g, dtype=float)
     if g.shape != (ctx.grid.n_steps, ctx.mesh.n_nodes):

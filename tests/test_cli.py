@@ -304,17 +304,23 @@ def test_subnormal_extent_exits_2(tmp_path, capsys, extent):
 @pytest.mark.parametrize("section, key, value", [
     ("time", "T", 5e-324),  # T/N_t rounds to zero
     ("scheme", "s", 2.225073858507203e-309),  # 1/s overflows
+    # s = C*sqrt(max_sweeps) overflows to inf
+    pytest.param("scheme", "s_rule_constant", 1e308,
+                 id="scheme-s_rule_constant-1e308"),
 ])
 def test_too_small_time_step_or_s_exits_2(tmp_path, capsys, section, key,
                                           value):
     cfg = base_config(tmp_path)
     cfg[section][key] = value
+    if key == "s_rule_constant":
+        del cfg["scheme"]["s"]  # the s rule applies only without s
     path = write_config(tmp_path, cfg)
+    message = "too large" if key == "s_rule_constant" else "too small"
     for command in ("run", "verify"):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main([command, path]) == 2
-        assert "too small" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 def test_readme_config_block_loads(tmp_path):

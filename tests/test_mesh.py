@@ -30,7 +30,6 @@ def test_uniform_interval():
     assert mesh.n_nodes == 5
     assert mesh.n_elements == 4
     np.testing.assert_allclose(mesh.nodes[:, 0], [0.0, 0.25, 0.5, 0.75, 1.0])
-    assert list(mesh.boundary_nodes) == [0, 4]
 
 
 def test_structured_triangulation_counts():
@@ -149,10 +148,3 @@ def test_lumped_mass_positive_sums_to_volume():
         vol = float(np.prod(mesh.extent))
         assert abs(mesh.lumped_mass.sum() - vol) <= 1e-12 * vol
         assert np.all(mesh.lumped_mass > 0.0)
-
-
-def test_2d_boundary_nodes():
-    mesh = build_mesh((1.0, 1.0), (8, 8))
-    assert len(mesh.boundary_nodes) == 4 * 8
-    coords = mesh.nodes[mesh.boundary_nodes]
-    assert (np.isclose(coords, 0.0) | np.isclose(coords, 1.0)).any(axis=1).all()

@@ -13,7 +13,8 @@ from stsplit import (
     resolvent_solve,
 )
 import stsplit.resolvent
-from stsplit.resolvent import newton_level_solve
+from stsplit.operators import level_loads
+from stsplit.resolvent import _level_residual, newton_level_solve
 
 
 def test_config_validation():
@@ -75,9 +76,12 @@ def test_linear_problem_single_newton_iteration():
     rng = np.random.default_rng(1)
     bundle = ctx.bundle(0)
     rhs = bundle.m * rng.standard_normal(bundle.n_nodes)
-    res = newton_level_solve(ctx, 0, 1.0, 0, np.zeros(bundle.n_nodes), rhs)
+    u_prev = np.zeros(bundle.n_nodes)
+    res = newton_level_solve(ctx, 0, 1.0, 0, u_prev, rhs)
     assert res.iterations <= 1
-    assert res.residual_norm <= 1e-9
+    r = _level_residual(ctx, 0, 1.0, 0, res.values, u_prev, rhs,
+                        level_loads(bundle, 0))
+    assert np.sqrt(np.sum(r * r / bundle.m)) <= 1e-9
 
 
 def test_zero_rhs_zero_start_immediate():
@@ -194,3 +198,6 @@ def test_resolvent_rejects_bad_input():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         resolvent_solve(ctx, 0, bad, ResolventConfig(s=1.0))
+    # a chain names a tuple of subdomains per phase, not the subdomains
+    with pytest.raises(ConfigurationError):
+        resolvent_solve(ctx, (0, 1), [], ResolventConfig(s=1.0))
