@@ -17,7 +17,7 @@ family sums to one across subdomains.
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, as_integer
 
 
 class Subdomain:
@@ -75,9 +75,7 @@ def build_decomposition(mesh, q, overlap_fraction, c_min=0.1):
             columns (>= 2).
         c_min: lower bound of the b weights on their subdomain, in (0, 0.5).
     """
-    if not float(q).is_integer():
-        raise ConfigurationError(f"q must be an integer, got {q!r}")
-    q = int(q)
+    q = as_integer(q, "q")
     if q < 2:
         raise ConfigurationError("need at least 2 subdomains")
     if not 0.0 < overlap_fraction < np.inf:

@@ -29,8 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .models import default_flux_jacobian, default_reaction_derivative
+from .errors import ConfigurationError, as_integer
 from .operators import build_context, h_norm, k_functional, primal_F
 from .resolvent import ResolventConfig, Sweep, resolvent_solve
 
@@ -57,6 +56,8 @@ class SchemeConfig:
             raise ConfigurationError(
                 f"unknown scheme '{self.scheme}'; expected one of {SCHEMES}"
             )
+        object.__setattr__(self, "max_sweeps",
+                           as_integer(self.max_sweeps, "max_sweeps"))
         if self.max_sweeps < 1:
             raise ConfigurationError("max_sweeps must be at least 1")
         if self.s is not None and not self.s > 0.0:
@@ -153,8 +154,7 @@ def shift_model(model, dec):
         )
     base_alpha, base_beta = model.alpha, model.beta
     base_eta0, base_eta = model.source.eta0, model.source.eta
-    base_fjac = default_flux_jacobian(model)
-    base_rder = default_reaction_derivative(model)
+    base_fjac, base_rder = model.flux_jacobian, model.reaction_derivative
 
     # t is a scalar or broadcasts against the points' leading axes (one time
     # per element of a stack); vector values take one more axis
@@ -213,6 +213,10 @@ class _AdditiveSweep(Sweep):
             return self.s * self.start[k]
         return self.s * _mean([f[k] for f in self.prev.out[0]])
 
+    def iterate(self):
+        """(compared iterate, subdomain fields, None): no (v, w) monitor."""
+        return _mean(self.out[0]), self.out[0], None
+
 
 class _AlternatingSweep(Sweep):
     """Peaceman-Rachford or Douglas-Rachford, level by level.
@@ -245,6 +249,13 @@ class _AlternatingSweep(Sweep):
         self.rhs2.append(g)
         return g
 
+    def iterate(self):
+        """(u2, [u1, u2], (v, w)) with v = (sI + F2)u2 and w = (sI - F2)u2."""
+        u1, u2 = self.out[0][0], self.out[1][0]
+        vn = np.array(self.rhs2)  # (sI + F2)u2 by construction
+        f2 = vn - self.s * u2
+        return u2, [u1, u2], (vn, self.s * u2 - f2)
+
 
 def _mean(fields):
     out = fields[0] / len(fields)
@@ -266,16 +277,18 @@ def run_scheme(ctx, cfg, u_ref=None, initial=None):
     The sweeps run as one wavefront along time (see resolvent_solve): the
     additive schemes apply their q subdomain resolvents to one input per
     sweep, the alternating ones apply R1 and then R2.  The completed sweeps
-    are taken in order; after each the monitors and the stop test run, and
-    once the test or max_sweeps ends the run the sweeps still in flight are
-    dropped.  wall_ms is the time between consecutive sweep completions.
+    are taken in order; after each the monitors and the stop test run on
+    the sweep's own iterate, and once the test or max_sweeps ends the run
+    the sweeps still in flight are dropped.  wall_ms is the time between
+    consecutive sweep completions.
 
     Returns a RunResult whose fields are unshifted for every scheme.
     """
     if ctx.dec is None:
         raise ConfigurationError("run_scheme needs a context with a decomposition")
     q = ctx.dec.q
-    if cfg.scheme in ("PR", "DR") and q != 2:
+    alternating = cfg.scheme in ("PR", "DR")
+    if alternating and q != 2:
         raise ConfigurationError(f"{cfg.scheme} requires exactly 2 subdomains")
     s = cfg.resolve_s()
     rcfg = ResolventConfig(s=s)
@@ -285,79 +298,53 @@ def run_scheme(ctx, cfg, u_ref=None, initial=None):
     if u0.shape != (n_steps, n_nodes):
         raise ConfigurationError("initial field does not match the discretization")
 
+    # the shifted scheme runs on u_hat = e^{-qt} u; the others unscaled
+    ctx_run, down = ctx, 1.0
     if cfg.scheme == "AS_shifted":
         ctx_run = build_context(
             ctx.mesh, shift_model(ctx.model, ctx.dec), ctx.grid, ctx.dec,
             reaction_shift=float(q),
         )
         down = shift_factors(ctx.grid, q)[:, None]
-        up = 1.0 / down
-    else:
-        ctx_run = ctx
-        down = up = None
-
-    def unshift(field_run):
-        return field_run if up is None else up * field_run
+    up = 1.0 / down
 
     trace = IterationTrace(q)
-    alternating = cfg.scheme in ("PR", "DR")
-
-    v_ref = w_ref = None
-    if u_ref is not None and alternating:
-        f2_ref = primal_F(ctx_run, 1, u_ref)
-        v_ref = s * u_ref + f2_ref
-        w_ref = s * u_ref - f2_ref
-
+    u_cmp_prev = down * u0
     if alternating:
-        u2 = u0.copy()
-        f2 = primal_F(ctx_run, 1, u2)
-        if v_ref is not None:
-            trace.v0_norm = h_norm(ctx, (s * u2 + f2) - v_ref)
-            trace.w0_norm = h_norm(ctx, (s * u2 - f2) - w_ref)
-        u_cmp_prev = u2
-        start = (u2, f2)
+        f2 = primal_F(ctx_run, 1, u_cmp_prev)
+        if u_ref is not None:
+            f2_ref = primal_F(ctx_run, 1, u_ref)
+            v_ref = s * u_ref + f2_ref
+            w_ref = s * u_ref - f2_ref
+            trace.v0_norm = h_norm(ctx, (s * u_cmp_prev + f2) - v_ref)
+            trace.w0_norm = h_norm(ctx, (s * u_cmp_prev - f2) - w_ref)
         phases = ((0,), (1,))
-        chain = (_AlternatingSweep(s, cfg.scheme == "DR", start)
+        chain = (_AlternatingSweep(s, cfg.scheme == "DR", (u_cmp_prev, f2))
                  for _ in range(cfg.max_sweeps))
     else:
-        u_cmp_prev = start = down * u0 if down is not None else u0.copy()
         phases = (tuple(range(q)),)
-        chain = (_AdditiveSweep(s, start) for _ in range(cfg.max_sweeps))
+        chain = (_AdditiveSweep(s, u_cmp_prev) for _ in range(cfg.max_sweeps))
 
     converged = False
-    sweeps = 0
     completed = resolvent_solve(ctx_run, phases, chain, rcfg)
     try:
         tic = time.perf_counter()
-        for n, sweep in enumerate(completed, start=1):
+        for sweeps, sweep in enumerate(completed, start=1):
             toc = time.perf_counter()
             wall_ms, tic = (toc - tic) * 1e3, toc
-            if alternating:
-                u1, u2 = sweep.out[0][0], sweep.out[1][0]
-                vn = np.array(sweep.rhs2)  # (sI + F2)u2 by construction
-                f2 = vn - s * u2
-                wn = s * u2 - f2
-                u_cmp = u2
-                subs = [u1, u2]
-            else:
-                subs = sweep.out[0]
-                u_cmp = _mean(subs)
-                vn = wn = None
-            sweeps = n
+            u_cmp, subs, vw = sweep.iterate()
 
             err_H = err_k = pr_v = pr_w = None
             if u_ref is not None:
-                err_H = h_norm(ctx, unshift(u_cmp) - u_ref)
-                err_k = [
-                    k_functional(ctx, ell, unshift(subs[ell]) - u_ref)
-                    for ell in range(q)
-                ]
-                if v_ref is not None:
-                    pr_v = h_norm(ctx, vn - v_ref)
-                    pr_w = h_norm(ctx, wn - w_ref)
-            trace.append(n, err_H, err_k, pr_v, pr_w, wall_ms)
+                err_H = h_norm(ctx, up * u_cmp - u_ref)
+                err_k = [k_functional(ctx, ell, up * subs[ell] - u_ref)
+                         for ell in range(q)]
+                if vw is not None:
+                    pr_v = h_norm(ctx, vw[0] - v_ref)
+                    pr_w = h_norm(ctx, vw[1] - w_ref)
+            trace.append(sweeps, err_H, err_k, pr_v, pr_w, wall_ms)
 
-            delta = h_norm(ctx, unshift(u_cmp - u_cmp_prev))
+            delta = h_norm(ctx, up * (u_cmp - u_cmp_prev))
             u_cmp_prev = u_cmp
             if delta <= cfg.stop_tol:
                 converged = True
@@ -365,15 +352,9 @@ def run_scheme(ctx, cfg, u_ref=None, initial=None):
     finally:
         completed.close()
 
-    if alternating:
-        final = u2
-        final_subs = [u1, u2]
-    else:
-        final = unshift(u_cmp_prev)
-        final_subs = [unshift(f) for f in subs]
     return RunResult(
-        u=final,
-        subdomain_fields=final_subs,
+        u=up * u_cmp_prev,
+        subdomain_fields=[up * f for f in subs],
         trace=trace,
         s_used=s,
         sweeps=sweeps,

@@ -9,7 +9,7 @@ residual and matrix assembly can run vectorized over all elements.
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, as_integer
 
 # 2-point Gauss on the reference interval [0, 1]: degree-3 exact.
 _GAUSS2_POINTS = np.array([[0.5 - 0.5 / np.sqrt(3.0)], [0.5 + 0.5 / np.sqrt(3.0)]])
@@ -126,7 +126,7 @@ def build_mesh(extent, cells):
         cells: sequence of cell counts per axis, each >= 2.
     """
     extent = [float(e) for e in np.atleast_1d(extent)]
-    cells = [int(c) for c in np.atleast_1d(cells)]
+    cells = [as_integer(c, "cells") for c in np.atleast_1d(cells).tolist()]
     if len(extent) != len(cells):
         raise ConfigurationError("extent and cells must have matching length")
     dim = len(extent)

@@ -1,8 +1,9 @@
 """Coefficient models with p-structure and source-term functionals.
 
-A model bundles the flux alpha(x, t, z), the reaction beta(x, t, y), the
-capacity coefficient gamma(x) >= 0, and a source given by a pair of
-densities (eta0, eta) that pair with test functions and their gradients.
+A model bundles the flux alpha(x, t, z), the reaction beta(x, t, y), their
+Newton linearization, the capacity coefficient gamma(x) >= 0, and a source
+given by a pair of densities (eta0, eta) that pair with test functions and
+their gradients.
 All callables are numpy-vectorized and must broadcast their arguments
 against each other.  At the quadrature points x has shape (n_el, n_q, dim)
 and y shape (n_el, n_q); the gradient z of a P1 field is constant on each
@@ -11,7 +12,7 @@ per element of shape (n_el, 1) on a stack of level systems.
 """
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -66,19 +67,20 @@ class PStructureModel:
     """
 
     p: float
-    lam: float
     alpha: Callable  # (x, t, z) -> (..., dim)
     beta: Callable  # (x, t, y) -> (...)
     gamma: Callable  # (x,) -> (...)
+    # Newton's linearization of alpha and beta, regularized by eps > 0; the
+    # residual is always evaluated exactly, so an approximate Jacobian only
+    # changes the iteration path, never the solution
+    flux_jacobian: Callable  # (x, t, z, eps) -> (..., dim, dim)
+    reaction_derivative: Callable  # (x, t, y, eps) -> (...)
     source: SourceTerm = field(default_factory=zero_source)
     growth_const: float = 1.0  # C in |alpha| <= C|z|^{p-1} + d1
     growth_offset: float = 0.0  # d1
     mono_const: float = None  # c in the monotonicity inequality
     coer_const: float = 1.0  # c in the coercivity inequality
     coer_offset: float = 0.0  # d2
-    # optional Newton linearization overrides; defaults use the power-law form
-    flux_jacobian: Optional[Callable] = None  # (x, t, z, eps) -> (..., d, d)
-    reaction_derivative: Optional[Callable] = None  # (x, t, y, eps) -> (...)
 
     def __post_init__(self):
         if not self.p >= 2.0:
@@ -109,7 +111,10 @@ def p_laplace_model(p, lam=0.0, gamma=None, source=None):
 
     Growth holds with C = 1, d1 = 0 for the flux.  For the reaction the pair
     (C, d1) = (1 + lam, lam) is declared when lam > 0, since lam*|y| cannot
-    be bounded by C|y|^{p-1} alone near y = 0 once p > 2.
+    be bounded by C|y|^{p-1} alone near y = 0 once p > 2.  Newton linearizes
+    with the regularized forms
+    (|z|^2 + eps^2)^{(p-2)/2} I + (p-2)(|z|^2 + eps^2)^{(p-4)/2} z z^T and
+    (p-1)(y^2 + eps^2)^{(p-2)/2} + lam.
     """
     p = float(p)
     lam = float(lam)
@@ -127,12 +132,27 @@ def p_laplace_model(p, lam=0.0, gamma=None, source=None):
         y = np.asarray(y, dtype=float)
         return _power(np.abs(y), p - 2.0) * y + lam * y
 
+    def flux_jacobian(x, t, z, eps):
+        z = np.asarray(z, dtype=float)
+        m2 = np.sum(z * z, axis=-1) + eps * eps
+        c1 = m2 ** ((p - 2.0) / 2.0)
+        c2 = (p - 2.0) * m2 ** ((p - 4.0) / 2.0)
+        eye = np.eye(z.shape[-1])
+        return c1[..., None, None] * eye + c2[..., None, None] * (
+            z[..., :, None] * z[..., None, :]
+        )
+
+    def reaction_derivative(x, t, y, eps):
+        y = np.asarray(y, dtype=float)
+        return (p - 1.0) * (y * y + eps * eps) ** ((p - 2.0) / 2.0) + lam
+
     model = PStructureModel(
         p=p,
-        lam=lam,
         alpha=alpha,
         beta=beta,
         gamma=gamma,
+        flux_jacobian=flux_jacobian,
+        reaction_derivative=reaction_derivative,
         source=source if source is not None else zero_source(),
         growth_const=1.0 + lam,
         growth_offset=lam,
@@ -180,45 +200,6 @@ def p_structure_margins(model, x, t, y1, y2, z1, z2):
         "monotonicity": monotonicity,
         "coercivity": coercivity,
     }
-
-
-def default_flux_jacobian(model):
-    """Regularized flux linearization used by Newton.
-
-    Returns the model's own flux_jacobian when present, otherwise the
-    power-law form (|z|^2 + eps^2)^{(p-2)/2} I + (p-2)(|z|^2 + eps^2)^{(p-4)/2} z z^T.
-    The residual is always evaluated exactly, so an approximate Jacobian
-    only changes the iteration path, never the solution.
-    """
-    if model.flux_jacobian is not None:
-        return model.flux_jacobian
-    p = model.p
-
-    def jac(x, t, z, eps):
-        z = np.asarray(z, dtype=float)
-        m2 = np.sum(z * z, axis=-1) + eps * eps
-        c1 = m2 ** ((p - 2.0) / 2.0)
-        c2 = (p - 2.0) * m2 ** ((p - 4.0) / 2.0)
-        d = z.shape[-1]
-        eye = np.eye(d)
-        return c1[..., None, None] * eye + c2[..., None, None] * (
-            z[..., :, None] * z[..., None, :]
-        )
-
-    return jac
-
-
-def default_reaction_derivative(model):
-    """Regularized reaction derivative: (p-1)(y^2 + eps^2)^{(p-2)/2} + lam."""
-    if model.reaction_derivative is not None:
-        return model.reaction_derivative
-    p, lam = model.p, model.lam
-
-    def deriv(x, t, y, eps):
-        y = np.asarray(y, dtype=float)
-        return (p - 1.0) * (y * y + eps * eps) ** ((p - 2.0) / 2.0) + lam
-
-    return deriv
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError, NumericError, as_integer
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,7 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n_steps", as_integer(self.n_steps, "n_steps"))
         if not self.T > 0.0 or self.n_steps < 1:
             raise ConfigurationError("need T > 0 and at least one time step")
         dt = self.dt
@@ -392,8 +393,6 @@ def primal_F(ctx, ell, u):
     """
     b = ctx.bundle(ell)
     u = np.asarray(u, dtype=float)
-    if ell is None:
-        return apply_F(ctx, None, u) / ctx.mesh.lumped_mass[None, :]
     dual = apply_F(ctx, ell, u[:, b.nodes])
     out = np.zeros_like(u)
     out[:, b.nodes] = dual / b.m[None, :]

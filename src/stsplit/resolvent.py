@@ -45,7 +45,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigurationError, SolverError
-from .models import default_flux_jacobian, default_reaction_derivative
 from .operators import apply_A, level_loads, level_times, quad_values
 
 # Newton controls, read at call time: iteration cap, absolute and relative
@@ -113,8 +112,8 @@ def _element_matrices(ctx, bundle, t, values, eps):
     """
     model = ctx.model
     uq, zq = values
-    jf = np.asarray(default_flux_jacobian(model)(bundle.qp, t, zq, eps))
-    rp = np.asarray(default_reaction_derivative(model)(bundle.qp, t, uq, eps))
+    jf = np.asarray(model.flux_jacobian(bundle.qp, t, zq, eps))
+    rp = np.asarray(model.reaction_derivative(bundle.qp, t, uq, eps))
     w = np.einsum("eq,eqdk->edk", bundle.wa, jf)
     ke = bundle.dphi @ w @ bundle.dphi.transpose(0, 2, 1)
     ke += ((bundle.wb * rp) @ bundle.pp).reshape(ke.shape)

@@ -43,6 +43,10 @@ def test_scheme_config_validation():
                 {"s_rule_constant": 1e308}):
         with pytest.raises(ConfigurationError):
             SchemeConfig(scheme="PR", **bad)
+    for max_sweeps in (2.5, float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError, match="max_sweeps must be an integer"):
+            SchemeConfig(scheme="AS", s=1.0, max_sweeps=max_sweeps)
+    assert SchemeConfig(scheme="AS", s=1.0, max_sweeps=2.0).max_sweeps == 2
     SchemeConfig(scheme="PR", stop_tol=0.0)
 
 
@@ -123,6 +127,35 @@ def test_pr_sandwich_and_monotone_decrease():
     for n in range(len(result.trace)):
         assert v[n + 1] ** 2 <= w[n] ** 2 + slack
         assert w[n] ** 2 <= v[n] ** 2 + slack
+
+
+@pytest.mark.parametrize("scheme", ["PR", "DR", "AS", "AS_shifted"])
+def test_result_reports_each_schemes_iterate(scheme):
+    alternating = scheme in ("PR", "DR")
+    _, _, _, _, ctx = make_problem(cells=24, n_steps=3, p=3.0, lam=1.0,
+                                   q=2 if alternating else 3, overlap=0.6,
+                                   source="cos")
+    cfg = SchemeConfig(scheme=scheme, s=2.0, max_sweeps=3, stop_tol=0.0)
+    result = run_scheme(ctx, cfg, u_ref=solve_monolithic(ctx))
+    fields = result.subdomain_fields
+    assert len(fields) == ctx.dec.q
+    if alternating:
+        # the alternating schemes report u2, the last subdomain solved
+        assert np.array_equal(result.u, fields[1])
+    else:
+        mean = fields[0] / len(fields)
+        for f in fields[1:]:
+            mean = mean + f / len(fields)
+        if scheme == "AS":
+            assert np.array_equal(result.u, mean)
+        else:
+            # the shifted scheme averages before it unshifts
+            np.testing.assert_allclose(result.u, mean, rtol=1e-13, atol=0.0)
+    assert len(result.trace) == result.sweeps
+    if alternating:
+        assert all(v is not None for v in result.trace.pr_v_norm)
+    else:
+        assert all(v is None for v in result.trace.pr_v_norm)
 
 
 def test_additive_average_uses_equal_weights(monkeypatch):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from conftest import make_problem, random_field
-from stsplit.models import default_flux_jacobian, default_reaction_derivative
 from stsplit.operators import quad_values
 from stsplit.resolvent import _element_matrices
 from stsplit import (
@@ -38,6 +37,10 @@ def test_time_grid_consistency():
         TimeGrid(T=1.0, n_steps=0)
     with pytest.raises(ConfigurationError):
         TimeGrid(T=float("nan"), n_steps=4)
+    for n_steps in (2.5, float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError, match="n_steps must be an integer"):
+            TimeGrid(T=1.0, n_steps=n_steps)
+    assert TimeGrid(T=1.0, n_steps=4.0).n_steps == 4
     # dt rounds to zero, or 1/dt overflows
     for T, n_steps in ((5e-324, 4), (2.225073858507203e-309, 1)):
         with pytest.raises(ConfigurationError, match="too small"):
@@ -233,7 +236,7 @@ def test_manufactured_residual_decays_under_refinement():
 
 def _x_weighted(model):
     """The model with its flux and flux Jacobian scaled by 1 + x_0."""
-    base_alpha, base_fjac = model.alpha, default_flux_jacobian(model)
+    base_alpha, base_fjac = model.alpha, model.flux_jacobian
 
     def alpha(x, t, z):
         return (1.0 + x[..., :1]) * base_alpha(x, t, z)
@@ -273,8 +276,8 @@ def test_quadrature_kernels_match_einsum_reference(cells):
             ref = b.scatter(parts[0] + parts[1])
             assert np.all(np.abs(apply_A(ctx, ell, k, u[k]) - ref) <= 1e-14 * scale)
 
-            jf = default_flux_jacobian(model)(b.qp, t, z_ref, 1e-8)
-            rp = default_reaction_derivative(model)(b.qp, t, uq, 1e-8)
+            jf = model.flux_jacobian(b.qp, t, z_ref, 1e-8)
+            rp = model.reaction_derivative(b.qp, t, uq, 1e-8)
             parts = [np.einsum("eq,eqdk,eld,emk->elm", b.wa, jf, b.dphi, b.dphi),
                      np.einsum("eq,eq,ql,qm->elm", b.wb, rp, b.phi, b.phi)]
             ke = _element_matrices(ctx, b, t, (uq, zq), 1e-8)
