@@ -38,8 +38,8 @@ def zero_source():
 def constant_gamma(value):
     """Spatially constant capacity coefficient."""
     value = float(value)
-    if not value >= 0.0:
-        raise ConfigurationError("gamma must be nonnegative")
+    if not 0.0 <= value < np.inf:
+        raise ConfigurationError("gamma must be finite and nonnegative")
     return lambda x: np.full(np.shape(x)[:-1], value)
 
 
@@ -47,8 +47,8 @@ def indicator_gamma(zero_lo, zero_hi, value=1.0, axis=0):
     """Capacity that vanishes for x[axis] in [zero_lo, zero_hi) and equals
     value elsewhere.  Models an elliptic region inside a parabolic problem."""
     zero_lo, zero_hi, value = float(zero_lo), float(zero_hi), float(value)
-    if not value >= 0.0:
-        raise ConfigurationError("gamma must be nonnegative")
+    if not 0.0 <= value < np.inf:
+        raise ConfigurationError("gamma must be finite and nonnegative")
 
     def gamma(x):
         coord = np.asarray(x)[..., axis]
@@ -83,8 +83,8 @@ class PStructureModel:
     coer_offset: float = 0.0  # d2
 
     def __post_init__(self):
-        if not self.p >= 2.0:
-            raise ConfigurationError("p must be >= 2")
+        if not 2.0 <= self.p < np.inf:
+            raise ConfigurationError("p must be finite and >= 2")
         if self.mono_const is None:
             object.__setattr__(self, "mono_const", monotonicity_constant(self.p))
 
@@ -118,8 +118,8 @@ def p_laplace_model(p, lam=0.0, gamma=None, source=None):
     """
     p = float(p)
     lam = float(lam)
-    if not lam >= 0.0:
-        raise ConfigurationError("lam must be nonnegative")
+    if not 0.0 <= lam < np.inf:
+        raise ConfigurationError("lam must be finite and nonnegative")
     if gamma is None:
         gamma = constant_gamma(1.0)
 

@@ -33,8 +33,8 @@ class TimeGrid:
 
     def __post_init__(self):
         object.__setattr__(self, "n_steps", as_integer(self.n_steps, "n_steps"))
-        if not self.T > 0.0 or self.n_steps < 1:
-            raise ConfigurationError("need T > 0 and at least one time step")
+        if not 0.0 < self.T < math.inf or self.n_steps < 1:
+            raise ConfigurationError("need a finite T > 0 and n_steps >= 1")
         dt = self.dt
         if not (dt > 0.0 and math.isfinite(1.0 / dt)):
             raise ConfigurationError(
@@ -241,8 +241,9 @@ class OperatorContext:
         self.dec = dec
         self.reaction_shift = float(reaction_shift)
         gamma_nodes = np.asarray(model.gamma(mesh.nodes), dtype=float)
-        if np.any(gamma_nodes < 0.0):
-            raise ConfigurationError("gamma must be nonnegative at mesh nodes")
+        if not np.all((gamma_nodes >= 0.0) & np.isfinite(gamma_nodes)):
+            raise ConfigurationError(
+                "gamma must be finite and nonnegative at mesh nodes")
 
         all_nodes = np.arange(mesh.n_nodes)
         all_elems = np.arange(mesh.n_elements)

@@ -39,6 +39,7 @@ every single application, starts from the previous level.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,8 +161,8 @@ def newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0=None):
     Each trial is u + steps[block] * du, so the last trial of a pass holds
     every block at its accepted point and is taken whole.  A converged
     block stays where it is, so every block still iterating has taken
-    every pass.  A SolverError names the first failing block in its message
-    and by its index, `block`.
+    every pass.  A SolverError names the first failing block and its level
+    in its message.
     """
     bundle = ctx.bundle(ell)
     blocks = bundle.blocks
@@ -197,8 +198,7 @@ def newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0=None):
         bad = ~np.isfinite(rn)
         if np.count_nonzero(bad):
             b = first(bad)
-            raise SolverError(f"non-finite residual at Newton start{where(b)}",
-                              worst_residual=float(rn[b]), block=b)
+            raise SolverError(f"non-finite residual at Newton start{where(b)}")
         return values, r, rn
 
     u = np.array(u_prev, dtype=float)
@@ -207,9 +207,6 @@ def newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0=None):
     if u0 is not None:
         u = np.array(u0, dtype=float)
         values, r, rn = start(u)
-    # every accepted step lowers its block's residual, so the worst residual
-    # a block reaches is its starting one
-    rn0 = rn
     passes = 0
     while True:
         active = rn > tol
@@ -220,9 +217,7 @@ def newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0=None):
             raise SolverError(
                 f"Newton did not converge at level {level(b)}{where(b)}: "
                 f"residual {rn[b]:.3e} after {passes} iterations "
-                f"(tolerance {tol[b]:.3e})",
-                worst_residual=float(rn0[b]), block=b,
-            )
+                f"(tolerance {tol[b]:.3e})")
         ke = _element_matrices(ctx, bundle, t, values, eps)
         du = _solve_linear(bundle, ke, diag_extra, -r)
         steps = np.where(active, 1.0, 0.0)
@@ -240,9 +235,7 @@ def newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0=None):
             b = first(pending)
             raise SolverError(
                 f"Newton line search failed at level {level(b)}{where(b)}: "
-                f"residual {rn[b]:.3e} after {passes} iterations",
-                worst_residual=float(rn0[b]), block=b,
-            )
+                f"residual {rn[b]:.3e} after {passes} iterations")
         # every block sits at its accepted point, a converged one where it was
         u, values, r, rn = u_try, values_try, r_try, rn_try
         passes += 1
@@ -289,8 +282,10 @@ def _solve_stage(ctx, phases, s, units):
     or None.  Newton starts each block from its warm row; a block without
     one starts from its previous level, which gives the bits of no start at
     all, and a stage with no warm start passes none.  Writes each unit's
-    output level and returns None, or returns (application, SolverError)
-    for the unit that failed.
+    output level and returns None.  If the stacked Newton raises
+    SolverError, a stage of one unit returns (application, error), and one
+    of more units solves them alone, in application order, and returns what
+    the first that fails returns, with the units before it done.
     """
     parts, ks, unit_of_block, prev, starts, outs = (), [], [], [], [], []
     for i, (_, sweep, p, k, _, warm) in enumerate(units):
@@ -318,11 +313,9 @@ def _solve_stage(ctx, phases, s, units):
             ctx, parts, s, ks[0] if len(set(ks)) == 1 else ks,
             np.array(prev)[at], bundle.m * inputs[at], u0=u0)
     except SolverError as err:
-        if err.block is not None or len(units) == 1:
-            return units[unit_of_block[err.block or 0]][0], err
-        # a failure no block owns (a singular stacked solve): solve the units
-        # alone to find the one it belongs to
-        for unit in units:
+        if len(units) == 1:
+            return units[0][0], err
+        for unit in sorted(units, key=lambda unit: unit[0]):
             found = _solve_stage(ctx, phases, s, [unit])
             if found is not None:
                 return found
@@ -343,9 +336,9 @@ def _wavefront(ctx, phases, sweeps, s):
     application a - P, read from `prev` before the sweep drops it.  At most
     as many applications run at once as fit in one stack of _STAGE_NODES
     nodes, and the next one starts when there is room, so each stage is one
-    stacked Newton.  When application a fails, the applications after it
-    are dropped, the ones before it go on, and its error is raised once
-    they are done.
+    stacked Newton.  When application a fails (the first of its stage to
+    fail alone, see `_solve_stage`), the applications after it are dropped,
+    the ones before it go on, and its error is raised once they are done.
     """
     n_steps = ctx.grid.n_steps
     n_phases = len(phases)
@@ -384,13 +377,10 @@ def _wavefront(ctx, phases, sweeps, s):
         # by phase, so that a stage holds the same stack as the one before
         # whenever it runs as many applications of each phase
         units.sort(key=lambda unit: unit[2])
-        while units:
-            found = _solve_stage(ctx, phases, s, units)
-            if found is None:
-                break
+        found = _solve_stage(ctx, phases, s, units)
+        if found is not None:
             # the applications after the failed one depend on it
             failed, error = found
-            units = [unit for unit in units if unit[0] < failed]
             running = [run for run in running if run[0] < failed]
         for run in running:
             run[3] += 1
@@ -413,12 +403,24 @@ def resolvent_solve(ctx, ell, g, cfg):
     raised only when the generator reaches sweep m, with the message a
     sweep-by-sweep run gives.  Closing the generator drops the sweeps still
     in flight.
+
+    A subdomain is None (the whole domain) or an integer in [0, q), not a
+    bool, and a chain has one phase or more, each a non-empty tuple of
+    subdomains.  Other names raise ConfigurationError at the call.
     """
-    if isinstance(ell, tuple):
-        if not all(isinstance(phase, tuple) for phase in ell):
-            raise ConfigurationError(
-                f"a chain names one tuple of subdomains per phase, not {ell!r}")
-        return _wavefront(ctx, ell, g, cfg.s)
+    chain = ell if isinstance(ell, tuple) else ((ell,),)
+    if not chain or not all(isinstance(phase, tuple) and phase
+                            for phase in chain):
+        raise ConfigurationError(f"a chain names one non-empty tuple of "
+                                 f"subdomains per phase, not {ell!r}")
+    q = 0 if ctx.dec is None else ctx.dec.q
+    for name in sum(chain, ()):
+        if not (name is None or isinstance(name, numbers.Integral)
+                and not isinstance(name, bool) and 0 <= name < q):
+            raise ConfigurationError(f"subdomain {name!r} is neither None "
+                                     f"nor an integer in [0, {q})")
+    if chain is ell:
+        return _wavefront(ctx, chain, g, cfg.s)
     g = np.asarray(g, dtype=float)
     if g.shape != (ctx.grid.n_steps, ctx.mesh.n_nodes):
         raise ValueError(
@@ -427,4 +429,4 @@ def resolvent_solve(ctx, ell, g, cfg):
         )
     if not np.all(np.isfinite(g)):
         raise ValueError("resolvent input contains non-finite values")
-    return next(_wavefront(ctx, ((ell,),), [_FieldSweep(g)], cfg.s)).out[0][0]
+    return next(_wavefront(ctx, chain, [_FieldSweep(g)], cfg.s)).out[0][0]

@@ -322,19 +322,24 @@ def _inject_failure(monkeypatch, ell, k, sweep):
     """Make the level-k solve of subdomain ell fail in the given sweep.
 
     Stages run in order and every sweep solves each (subdomain, level)
-    block once, so the sweep-th such block seen is the one of that sweep.
+    block with its own right-hand side, so the sweep-th such right-hand
+    side seen is the one of that sweep.  It fails wherever it comes again,
+    as when the engine solves the block alone, and so does a rerun.
     """
     newton = stsplit.resolvent.newton_level_solve
-    seen = [0]
+    seen = []  # the right-hand sides of the (ell, k) blocks, as bytes
 
     def failing(c, ells, s, levels, u_prev, rhs, u0=None):
-        blocks = c.bundle(ells).blocks
+        bundle = c.bundle(ells)
+        blocks, offsets = bundle.blocks, bundle.offsets
         for b, (part, kb) in enumerate(
                 zip(blocks, np.broadcast_to(levels, len(blocks)))):
             if (part.name, kb) == (ell, k):
-                seen[0] += 1
-                if seen[0] == sweep:
-                    raise SolverError(f"injected at level {k}", block=b)
+                key = rhs[offsets[b]:offsets[b + 1]].tobytes()
+                if key not in seen:
+                    seen.append(key)
+                if seen.index(key) == sweep - 1:
+                    raise SolverError(f"injected at level {k}")
         return newton(c, ells, s, levels, u_prev, rhs, u0)
 
     monkeypatch.setattr(stsplit.resolvent, "newton_level_solve", failing)
@@ -375,6 +380,60 @@ def test_failure_is_raised_when_the_run_reaches_its_sweep(monkeypatch,
                 run_scheme(ctx, cfg)
             # without a reference, the stop test is the one h_norm per sweep
             assert len(monitored) == m - 1
+
+
+def test_failing_stage_raises_the_first_application_to_fail(monkeypatch):
+    # DR applies subdomain 0 in phase 0 and subdomain 1 in phase 1, one
+    # application per stage after the other: in stage 3, sweep 0's phase-1
+    # application is at level 2 and sweep 1's phase-0 application at level
+    # 1.  Sorted by phase, the later one comes first in the stack.  Both
+    # fail, alone too, and the earlier one's error is raised.
+    *_, ctx = make_problem(cells=24, n_steps=6, p=3.0, lam=1.0, source="cos")
+    newton = stsplit.resolvent.newton_level_solve
+    marked = {}  # right-hand side bytes -> the message of its failure
+
+    def failing(c, ells, s, levels, u_prev, rhs, u0=None):
+        bundle = c.bundle(ells)
+        blocks, offsets = bundle.blocks, bundle.offsets
+        named = [(part.name, int(kb)) for part, kb in
+                 zip(blocks, np.broadcast_to(levels, len(blocks)))]
+        keys = [rhs[lo:hi].tobytes() for lo, hi in zip(offsets, offsets[1:])]
+        if not marked and (1, 2) in named and (0, 1) in named:
+            assert named.index((0, 1)) < named.index((1, 2))
+            for b in (named.index((0, 1)), named.index((1, 2))):
+                marked[keys[b]] = "injected on subdomain {} at level {}".format(
+                    *named[b])
+        for key in keys:
+            if key in marked:
+                raise SolverError(marked[key])
+        return newton(c, ells, s, levels, u_prev, rhs, u0)
+
+    monkeypatch.setattr(stsplit.resolvent, "newton_level_solve", failing)
+    cfg = SchemeConfig(scheme="DR", s=2.0, max_sweeps=4, stop_tol=0.0)
+    with pytest.raises(SolverError, match="on subdomain 1 at level 2$"):
+        run_scheme(ctx, cfg)
+    assert len(marked) == 2
+
+
+def test_stage_whose_stack_fails_is_solved_unit_by_unit(monkeypatch):
+    # a failure of the stacked system that no unit shows alone: each stage
+    # of more than one application falls back to one solve per application
+    *_, ctx = make_problem(cells=24, n_steps=6, p=3.0, lam=1.0, source="cos")
+    u_h = solve_monolithic(ctx)
+    cfg = SchemeConfig(scheme="PR", s=2.0, max_sweeps=8, stop_tol=0.0)
+    clean = run_scheme(ctx, cfg, u_ref=u_h)
+    solve_linear = stsplit.resolvent._solve_linear
+    stacked = []
+
+    def failing(bundle, ke, diag_extra, rhs):
+        if len(bundle.blocks) > 1:
+            stacked.append(1)
+            raise SolverError("injected: stacked system")
+        return solve_linear(bundle, ke, diag_extra, rhs)
+
+    monkeypatch.setattr(stsplit.resolvent, "_solve_linear", failing)
+    _runs_equal(clean, run_scheme(ctx, cfg, u_ref=u_h))
+    assert stacked
 
 
 @pytest.mark.parametrize("scheme", ["PR", "DR"])

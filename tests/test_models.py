@@ -3,7 +3,10 @@ import pytest
 
 from stsplit import (
     ConfigurationError,
+    TimeGrid,
     anti_monotone_model,
+    build_context,
+    build_mesh,
     check_p_structure,
     constant_gamma,
     indicator_gamma,
@@ -34,8 +37,9 @@ def test_reaction_point_values():
 def test_p_below_two_rejected():
     with pytest.raises(ConfigurationError):
         p_laplace_model(1.5)
-    with pytest.raises(ConfigurationError):
-        p_laplace_model(float("nan"))
+    for p in (float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError):
+            p_laplace_model(p)
 
 
 def test_negative_lambda_and_gamma_rejected():
@@ -45,12 +49,18 @@ def test_negative_lambda_and_gamma_rejected():
         constant_gamma(-0.5)
     with pytest.raises(ConfigurationError):
         indicator_gamma(0.0, 0.5, value=-1.0)
-    with pytest.raises(ConfigurationError):
-        p_laplace_model(3.0, lam=float("nan"))
-    with pytest.raises(ConfigurationError):
-        constant_gamma(float("nan"))
-    with pytest.raises(ConfigurationError):
-        indicator_gamma(0.0, 0.5, value=float("nan"))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError):
+            p_laplace_model(3.0, lam=bad)
+        with pytest.raises(ConfigurationError):
+            constant_gamma(bad)
+        with pytest.raises(ConfigurationError):
+            indicator_gamma(0.0, 0.5, value=bad)
+        # a user gamma is checked at the mesh nodes
+        model = p_laplace_model(2.0, gamma=lambda x: np.full(len(x), bad))
+        with pytest.raises(ConfigurationError, match="at mesh nodes"):
+            build_context(build_mesh((1.0,), (4,)), model,
+                          TimeGrid(T=1.0, n_steps=2))
 
 
 def test_indicator_gamma_values():

@@ -35,8 +35,9 @@ def test_time_grid_consistency():
         TimeGrid(T=0.0, n_steps=4)
     with pytest.raises(ConfigurationError):
         TimeGrid(T=1.0, n_steps=0)
-    with pytest.raises(ConfigurationError):
-        TimeGrid(T=float("nan"), n_steps=4)
+    for T in (float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError):
+            TimeGrid(T=T, n_steps=4)
     for n_steps in (2.5, float("nan"), float("inf")):
         with pytest.raises(ConfigurationError, match="n_steps must be an integer"):
             TimeGrid(T=1.0, n_steps=n_steps)

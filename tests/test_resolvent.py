@@ -177,17 +177,14 @@ def test_degenerate_capacity_supported():
     assert h_norm(ctx, u - u_star) <= 1e-8
 
 
-def test_newton_failure_reports_worst_residual(monkeypatch):
+def test_failed_line_search_raises(monkeypatch):
     _, grid, _, _, ctx = make_problem(cells=12, n_steps=2, p=4.0)
     bundle = ctx.bundle(0)
     rhs = 1e8 * bundle.m
     monkeypatch.setattr(stsplit.resolvent, "_MAX_ITERS", 1)
     monkeypatch.setattr(stsplit.resolvent, "_MAX_HALVINGS", 0)
-    with pytest.raises(SolverError, match="line search failed") as err:
+    with pytest.raises(SolverError, match="line search failed"):
         newton_level_solve(ctx, 0, 1.0, 0, np.zeros(bundle.n_nodes), rhs)
-    # no accepted step raises a residual, so the worst is the starting one
-    start = np.sqrt(np.sum(rhs**2 / bundle.m))
-    assert err.value.worst_residual == pytest.approx(start, rel=1e-12)
 
 
 def test_resolvent_rejects_bad_input():
@@ -201,3 +198,16 @@ def test_resolvent_rejects_bad_input():
     # a chain names a tuple of subdomains per phase, not the subdomains
     with pytest.raises(ConfigurationError):
         resolvent_solve(ctx, (0, 1), [], ResolventConfig(s=1.0))
+    # a subdomain is an integer in [0, q), not a bool, or None; a chain has
+    # a phase or more, each a non-empty tuple of subdomains; all checked at
+    # the call, before a generator is returned
+    q = ctx.dec.q
+    zero = np.zeros((grid.n_steps, ctx.mesh.n_nodes))
+    for ell in (-1, True, q, 1.0):
+        with pytest.raises(ConfigurationError, match="neither None nor"):
+            resolvent_solve(ctx, ell, zero, ResolventConfig(s=1.0))
+    for chain in ((), ((),), ((0, 5),), ((0,), (True,))):
+        with pytest.raises(ConfigurationError):
+            resolvent_solve(ctx, chain, [], ResolventConfig(s=1.0))
+    assert np.array_equal(resolvent_solve(ctx, None, zero,
+                                          ResolventConfig(s=1.0)), zero)
