@@ -19,8 +19,6 @@ from .iteration import (
     RunResult,
     SchemeConfig,
     run_scheme,
-    shift_factors,
-    shift_model,
 )
 from .mesh import Mesh, QuadratureRule, build_mesh
 from .models import (
@@ -73,6 +71,5 @@ __all__ = [
     "ManufacturedSolution", "cosine_solution", "interpolate_exact",
     "manufactured_rhs", "solve_monolithic",
     "IterationTrace", "RunResult", "SchemeConfig", "run_scheme",
-    "shift_factors", "shift_model",
     "__version__",
 ]

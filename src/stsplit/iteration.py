@@ -11,8 +11,8 @@ Scheme update rules per sweep (two subdomains for the alternating schemes):
   peaceman_rachford:  u1 <- R1((s - F2)u2),  u2 <- R2((s - F1)u1)
   douglas_rachford:   u1 <- R1((s - F2)u2),  u2 <- R2(s*u1 + F2*u2_old)
   additive:           u_ell <- R_ell(s*u), u <- mean of the u_ell
-  additive_shifted:   additive on the exponentially shifted system, with
-                      iterates mapped back by e^{q t} for reporting
+  additive_shifted:   additive on a context with the exponential shift q
+                      (see OperatorContext), in the original variables
 
 where R_ell = (sI + F_ell)^{-1}.
 
@@ -24,7 +24,7 @@ run_scheme takes the completed sweeps in order.
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -123,82 +123,12 @@ class IterationTrace:
 
 @dataclass(frozen=True)
 class RunResult:
-    u: np.ndarray  # final comparison iterate (unshifted)
-    subdomain_fields: list  # final subdomain iterates (unshifted)
+    u: np.ndarray  # final comparison iterate
+    subdomain_fields: list  # final subdomain iterates
     trace: IterationTrace
     s_used: float
     sweeps: int
     converged: bool
-
-
-def shift_model(model, dec):
-    """Exponentially shifted model for the decomposition's subdomain count.
-
-    With rate q = dec.q, substituting u = e^{q t} u_hat turns the equation
-    for u into one for u_hat with flux e^{-qt} alpha(t, e^{qt} .), reaction
-    e^{-qt} beta(t, e^{qt} .) plus an extra term q*gamma*u_hat, and source
-    densities scaled by e^{-qt}.  The extra reaction is carried separately
-    by the operator context (reaction_shift = q) weighted by the capacity
-    partition, which keeps the subdomain operators summing exactly to the
-    global one.  Requires gamma bounded away from zero.
-    """
-    rate = float(dec.q)
-    mesh = dec.mesh
-    gmin = min(
-        float(np.min(model.gamma(mesh.nodes))),
-        float(np.min(model.gamma(mesh.quad_points.reshape(-1, mesh.dim)))),
-    )
-    if gmin <= 0.0:
-        raise ConfigurationError(
-            "the shifted scheme needs gamma >= gamma_0 > 0 on the whole domain"
-        )
-    base_alpha, base_beta = model.alpha, model.beta
-    base_eta0, base_eta = model.source.eta0, model.source.eta
-    base_fjac, base_rder = model.flux_jacobian, model.reaction_derivative
-
-    # t is a scalar or broadcasts against the points' leading axes (one time
-    # per element of a stack); vector values take one more axis
-    def grow(t):
-        return np.exp(rate * np.asarray(t))
-
-    def decay(t):
-        return np.exp(-rate * np.asarray(t))
-
-    def alpha(x, t, z):
-        w = grow(t)[..., None]
-        return np.asarray(base_alpha(x, t, w * np.asarray(z))) / w
-
-    def beta(x, t, y):
-        w = grow(t)
-        return np.asarray(base_beta(x, t, w * np.asarray(y))) / w
-
-    def eta0(x, t):
-        return np.asarray(base_eta0(x, t)) * decay(t)
-
-    def eta(x, t):
-        return np.asarray(base_eta(x, t)) * decay(t)[..., None]
-
-    # chain rule: the shifted Jacobians are the base ones at the scaled state
-    def flux_jacobian(x, t, z, eps):
-        return np.asarray(base_fjac(x, t, grow(t)[..., None] * np.asarray(z), eps))
-
-    def reaction_derivative(x, t, y, eps):
-        return np.asarray(base_rder(x, t, grow(t) * np.asarray(y), eps))
-
-    shifted = replace(
-        model,
-        alpha=alpha,
-        beta=beta,
-        source=type(model.source)(eta0=eta0, eta=eta),
-        flux_jacobian=flux_jacobian,
-        reaction_derivative=reaction_derivative,
-    )
-    return shifted
-
-
-def shift_factors(grid, rate):
-    """e^{-rate * t_k} per time level; multiply to shift, divide to unshift."""
-    return np.exp(-float(rate) * grid.times)
 
 
 class _AdditiveSweep(Sweep):
@@ -282,7 +212,9 @@ def run_scheme(ctx, cfg, u_ref=None, initial=None):
     the sweeps still in flight are dropped.  wall_ms is the time between
     consecutive sweep completions.
 
-    Returns a RunResult whose fields are unshifted for every scheme.
+    AS_shifted runs on a context with the shift q, so it approaches the
+    shifted discretization's solution, solve_monolithic of that context,
+    which is O(dt) from u_h.
     """
     if ctx.dec is None:
         raise ConfigurationError("run_scheme needs a context with a decomposition")
@@ -298,18 +230,13 @@ def run_scheme(ctx, cfg, u_ref=None, initial=None):
     if u0.shape != (n_steps, n_nodes):
         raise ConfigurationError("initial field does not match the discretization")
 
-    # the shifted scheme runs on u_hat = e^{-qt} u; the others unscaled
-    ctx_run, down = ctx, 1.0
+    ctx_run = ctx
     if cfg.scheme == "AS_shifted":
-        ctx_run = build_context(
-            ctx.mesh, shift_model(ctx.model, ctx.dec), ctx.grid, ctx.dec,
-            reaction_shift=float(q),
-        )
-        down = shift_factors(ctx.grid, q)[:, None]
-    up = 1.0 / down
+        ctx_run = build_context(ctx.mesh, ctx.model, ctx.grid, ctx.dec,
+                                shift=float(q))
 
     trace = IterationTrace(q)
-    u_cmp_prev = down * u0
+    u_cmp_prev = u0
     if alternating:
         f2 = primal_F(ctx_run, 1, u_cmp_prev)
         if u_ref is not None:
@@ -336,15 +263,15 @@ def run_scheme(ctx, cfg, u_ref=None, initial=None):
 
             err_H = err_k = pr_v = pr_w = None
             if u_ref is not None:
-                err_H = h_norm(ctx, up * u_cmp - u_ref)
-                err_k = [k_functional(ctx, ell, up * subs[ell] - u_ref)
+                err_H = h_norm(ctx, u_cmp - u_ref)
+                err_k = [k_functional(ctx, ell, subs[ell] - u_ref)
                          for ell in range(q)]
                 if vw is not None:
                     pr_v = h_norm(ctx, vw[0] - v_ref)
                     pr_w = h_norm(ctx, vw[1] - w_ref)
             trace.append(sweeps, err_H, err_k, pr_v, pr_w, wall_ms)
 
-            delta = h_norm(ctx, up * (u_cmp - u_cmp_prev))
+            delta = h_norm(ctx, u_cmp - u_cmp_prev)
             u_cmp_prev = u_cmp
             if delta <= cfg.stop_tol:
                 converged = True
@@ -353,8 +280,8 @@ def run_scheme(ctx, cfg, u_ref=None, initial=None):
         completed.close()
 
     return RunResult(
-        u=up * u_cmp_prev,
-        subdomain_fields=[up * f for f in subs],
+        u=u_cmp_prev,
+        subdomain_fields=subs,
         trace=trace,
         s_used=s,
         sweeps=sweeps,

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, as_integer
 
 
 @dataclass(frozen=True)
@@ -45,13 +45,22 @@ def constant_gamma(value):
 
 def indicator_gamma(zero_lo, zero_hi, value=1.0, axis=0):
     """Capacity that vanishes for x[axis] in [zero_lo, zero_hi) and equals
-    value elsewhere.  Models an elliptic region inside a parabolic problem."""
+    value elsewhere.  Models an elliptic region inside a parabolic problem.
+    axis is an integer >= 0; gamma raises ConfigurationError at points
+    with axis coordinates or fewer."""
     zero_lo, zero_hi, value = float(zero_lo), float(zero_hi), float(value)
     if not 0.0 <= value < np.inf:
         raise ConfigurationError("gamma must be finite and nonnegative")
+    axis = as_integer(axis, "axis")
+    if axis < 0:
+        raise ConfigurationError(f"axis must be >= 0, got {axis}")
 
     def gamma(x):
-        coord = np.asarray(x)[..., axis]
+        x = np.asarray(x)
+        if x.shape[-1] <= axis:
+            raise ConfigurationError(
+                f"gamma axis {axis} needs points of dimension {axis + 1} or more")
+        coord = x[..., axis]
         return np.where((coord >= zero_lo) & (coord < zero_hi), 0.0, value)
 
     return gamma
@@ -78,15 +87,15 @@ class PStructureModel:
     source: SourceTerm = field(default_factory=zero_source)
     growth_const: float = 1.0  # C in |alpha| <= C|z|^{p-1} + d1
     growth_offset: float = 0.0  # d1
-    mono_const: float = None  # c in the monotonicity inequality
-    coer_const: float = 1.0  # c in the coercivity inequality
-    coer_offset: float = 0.0  # d2
 
     def __post_init__(self):
         if not 2.0 <= self.p < np.inf:
             raise ConfigurationError("p must be finite and >= 2")
-        if self.mono_const is None:
-            object.__setattr__(self, "mono_const", monotonicity_constant(self.p))
+
+    @property
+    def mono_const(self):
+        """c in the monotonicity inequality."""
+        return monotonicity_constant(self.p)
 
     def with_source(self, source):
         return replace(self, source=source)
@@ -172,14 +181,15 @@ def anti_monotone_model(p=2.0, gamma=None):
 def p_structure_margins(model, x, t, y1, y2, z1, z2):
     """Slack arrays of the four structural inequalities on given samples.
 
-    The constants are the model's declared ones.  Every returned margin is
-    >= 0 where the corresponding inequality holds.
+    Growth and monotonicity take the model's declared constants, and
+    coercivity (alpha(z).z + beta(y)y >= |z|^p + |y|^p) constant 1 and
+    offset 0.
+    Every returned margin is >= 0 where the corresponding inequality holds.
     Shapes: x (..., d); z1, z2 (..., d); y1, y2, t (...) or scalars.
     """
     p = model.p
     C, d1 = model.growth_const, model.growth_offset
     cm = model.mono_const
-    cc, d2 = model.coer_const, model.coer_offset
 
     a1 = model.alpha(x, t, z1)
     a2 = model.alpha(x, t, z2)
@@ -193,7 +203,7 @@ def p_structure_margins(model, x, t, y1, y2, z1, z2):
     pairing = np.sum((a1 - a2) * (z1 - z2), axis=-1) + (b1 - b2) * (y1 - y2)
     monotonicity = pairing - cm * (dzn**p + np.abs(y1 - y2) ** p)
     energy = np.sum(a1 * z1, axis=-1) + b1 * y1
-    coercivity = energy - cc * (z1n**p + np.abs(y1) ** p) + d2
+    coercivity = energy - (z1n**p + np.abs(y1) ** p)
     return {
         "growth_alpha": growth_alpha,
         "growth_beta": growth_beta,
@@ -214,16 +224,18 @@ def check_p_structure(model, num_samples=10_000, seed=0, dim=1):
 
     Args:
         model: PStructureModel to probe, with its declared constants.
-        num_samples: number of random (x, t, y, z) tuples (and pairs);
-            y and z are drawn uniformly from [-2, 2].
+        num_samples: number of random (x, t, y, z) tuples (and pairs), an
+            integer >= 1; y and z are drawn uniformly from [-2, 2].
         seed: RNG seed; the check is deterministic given the seed.
         dim: spatial dimension of the sampled gradients.
 
     A margin below -1e-12 (floating-point slack) counts as a failure.
     Returns a PStructureReport with the per-inequality worst margins.
     """
+    n = as_integer(num_samples, "num_samples")
+    if n < 1:
+        raise ConfigurationError(f"num_samples must be at least 1, got {n}")
     rng = np.random.default_rng(seed)
-    n = int(num_samples)
     x = rng.uniform(0.0, 1.0, size=(n, dim))
     t = rng.uniform(0.0, 1.0, size=n)
     y1, y2 = rng.uniform(-2.0, 2.0, size=(2, n))

@@ -17,6 +17,7 @@ time level or at different ones, are solved as one.
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,21 +230,39 @@ def _assemble_loads(bundle, source, grid):
 class OperatorContext:
     """Frozen discretization: mesh + model + time grid (+ decomposition).
 
+    shift is the rate q of the exponential shift u = e^{qt} u_hat, 0 for
+    none.  Level k of the implicit-Euler system for u_hat, multiplied by
+    e^{q t_k}, is in the original variables
+
+        cap*(u_k - e^{q dt} u_{k-1})/dt + q*cap*u_k + A(t_k)u_k + load_k,
+
+    so the context keeps step_growth = e^{q dt} (exactly 1.0 unshifted) for
+    the time difference, and apply_A adds q*cap*u.  A shift needs gamma >=
+    gamma_0 > 0 on the whole domain.
+
     Immutable but for the one stack it keeps, the last one `bundle` built.
     """
 
-    def __init__(self, mesh, model, grid, dec=None, reaction_shift=0.0):
+    def __init__(self, mesh, model, grid, dec=None, shift=0.0):
         if dec is not None and dec.mesh is not mesh:
             raise ConfigurationError("decomposition was built for a different mesh")
         self.mesh = mesh
         self.model = model
         self.grid = grid
         self.dec = dec
-        self.reaction_shift = float(reaction_shift)
+        self.shift = float(shift)
+        if not 0.0 <= self.shift * grid.dt <= math.log(sys.float_info.max):
+            raise ConfigurationError(f"shift must be finite and nonnegative, "
+                                     f"with e^(shift*dt) finite: {shift!r}")
+        self.step_growth = math.exp(self.shift * grid.dt)
         gamma_nodes = np.asarray(model.gamma(mesh.nodes), dtype=float)
         if not np.all((gamma_nodes >= 0.0) & np.isfinite(gamma_nodes)):
             raise ConfigurationError(
                 "gamma must be finite and nonnegative at mesh nodes")
+        if self.shift and not min(np.min(gamma_nodes), np.min(model.gamma(
+                mesh.quad_points.reshape(-1, mesh.dim)))) > 0.0:
+            raise ConfigurationError(
+                "the shifted scheme needs gamma >= gamma_0 > 0 on the whole domain")
 
         all_nodes = np.arange(mesh.n_nodes)
         all_elems = np.arange(mesh.n_elements)
@@ -286,8 +305,8 @@ class OperatorContext:
         return self._subs[ell]
 
 
-def build_context(mesh, model, grid, dec=None, reaction_shift=0.0):
-    return OperatorContext(mesh, model, grid, dec, reaction_shift)
+def build_context(mesh, model, grid, dec=None, shift=0.0):
+    return OperatorContext(mesh, model, grid, dec, shift)
 
 
 def _check_field(ctx, u, ell):
@@ -305,7 +324,7 @@ def apply_A(ctx, ell, k, u_k, check=True, values=None):
     """Dual action of the weighted spatial operator at time level k.
 
     r_i = int a*alpha(t_k, grad u) . grad(phi_i) + b*beta(t_k, u) phi_i,
-    plus the diagonal exponential-shift reaction when the context carries one.
+    plus the diagonal reaction shift*cap*u when the context carries a shift.
     k is the 0-based level index (physical time ctx.grid.times[k]); on a
     stack named by ell it may hold one level per block.  values, when given,
     is quad_values of u_k, which the caller has already evaluated.
@@ -322,8 +341,8 @@ def apply_A(ctx, ell, k, u_k, check=True, values=None):
     contrib = np.einsum("ed,eld->el", np.einsum("eq,eqd->ed", b.wa, flux), b.dphi)
     contrib += (b.wb * reac) @ b.phi
     r = b.scatter(contrib)
-    if ctx.reaction_shift != 0.0:
-        r = r + ctx.reaction_shift * b.cap * u_k
+    if ctx.shift != 0.0:
+        r = r + ctx.shift * b.cap * u_k
     if check and not np.all(np.isfinite(r)):
         raise NumericError("model functions produced non-finite values in apply_A")
     return r
@@ -333,15 +352,18 @@ def apply_F(ctx, ell, u):
     """Dual residual of the full operator: time derivative + apply_A + load.
 
     u lives on the (sub)mesh selected by ell; the implicit level at t = 0
-    is zero.  Returns an array of the same shape in the dual representation.
+    is zero, and the time difference grows the previous level by
+    ctx.step_growth.  Returns an array of the same shape in the dual
+    representation.
     """
     b = ctx.bundle(ell)
     u = _check_field(ctx, u, ell)
-    dt = ctx.grid.dt
+    dt, growth = ctx.grid.dt, ctx.step_growth
     out = np.empty_like(u)
     prev = np.zeros(b.n_nodes)
     for k in range(ctx.grid.n_steps):
-        out[k] = b.cap * (u[k] - prev) / dt + apply_A(ctx, ell, k, u[k]) + b.loads[k]
+        out[k] = (b.cap * (u[k] - growth * prev) / dt
+                  + apply_A(ctx, ell, k, u[k]) + b.loads[k])
         prev = u[k]
     return out
 

@@ -5,7 +5,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, as_integer
 from .models import SourceTerm
 from .resolvent import newton_level_solve
 
@@ -47,7 +47,10 @@ def cosine_solution(dim, amplitude=1.0):
 
     Vanishes at t = 0 and has zero normal flux on the boundary of the unit
     box, so it is compatible with the homogeneous Neumann condition.
+    dim is 1 or 2.
     """
+    if as_integer(dim, "dim") not in (1, 2):
+        raise ConfigurationError(f"cosine_solution needs dim 1 or 2, got {dim!r}")
     amp = float(amplitude)
     if dim == 1:
 

@@ -2,14 +2,17 @@
 
 Each time level solves the nodal system (dual representation)
 
-    s*m.u + cap*(u - u_prev)/dt + A_ell(t_k)u + load_k = rhs
+    s*m.u + cap*(u - growth*u_prev)/dt + A_ell(t_k)u + load_k = rhs
 
-with an exact residual and an epsilon-regularized Jacobian, globalized by
-step halving alone: a Newton step that no halving makes lower the residual
-raises SolverError.  Strips are cut along the first mesh axis, so every
-level system is banded and each Newton step ends in one banded direct
-solve.  Off the subdomain the resolvent acts as division by s, so the
-returned global field is u = extend(u_ell) + (g - extend(restrict(g)))/s.
+with growth = ctx.step_growth: e^{q dt} under an exponential shift q, whose
+q*cap*u term A_ell carries (see OperatorContext), and 1.0 without one.  It
+is solved with an exact residual and an epsilon-regularized Jacobian,
+globalized by step halving alone: a Newton step that no halving makes
+lower the residual raises SolverError.  Strips are cut along the first
+mesh axis, so every level system is banded and each Newton step ends in
+one banded direct solve.  Off the subdomain the resolvent acts as
+division by s, so the returned global field is
+u = extend(u_ell) + (g - extend(restrict(g)))/s.
 
 Every resolvent is causal in time: level k of its output needs only levels
 <= k of its input.  So is every sweep of a splitting scheme, and level k of
@@ -168,10 +171,12 @@ def newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0=None):
     blocks = bundle.blocks
     t = level_times(ctx, bundle, k)
     loads = level_loads(bundle, k)
+    # the time difference reads the previous level grown by step_growth;
+    # Newton still starts from u_prev itself
+    grown = ctx.step_growth * np.asarray(u_prev, dtype=float)
     dt = ctx.grid.dt
     eps = _EPSILON_REG
-    shift = ctx.reaction_shift
-    diag_extra = s * bundle.m + bundle.cap / dt + shift * bundle.cap
+    diag_extra = s * bundle.m + bundle.cap / dt + ctx.shift * bundle.cap
     block_of_node = bundle.block_of_node
 
     def where(b):
@@ -187,7 +192,7 @@ def newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0=None):
         # overflows to inf or nan, which the line search rejects
         with np.errstate(over="ignore", invalid="ignore"):
             values = quad_values(bundle, u)
-            r = _level_residual(ctx, ell, s, k, u, u_prev, rhs, loads, values)
+            r = _level_residual(ctx, ell, s, k, u, grown, rhs, loads, values)
             return values, r, np.sqrt(bundle.block_sum(r * r / bundle.m))
 
     def first(mask):

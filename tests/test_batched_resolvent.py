@@ -1,5 +1,7 @@
 """The batched additive resolvent against one solve per subdomain."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -13,7 +15,6 @@ from stsplit import (
     SolverError,
     build_context,
     resolvent_solve,
-    shift_model,
 )
 from stsplit.resolvent import newton_level_solve
 
@@ -79,6 +80,20 @@ def _assert_stack_matches_blocks(ctx, blocks, s, rng, scale, starts=None):
     assert res.iterations == max(a.iterations for a in alone)
 
 
+def _scaled_in_time(model):
+    """model with alpha, beta and their Jacobians scaled by 1 + t."""
+
+    def scaled(f, value_axes):
+        def g(x, t, *args):
+            w = 1.0 + np.asarray(t)
+            return np.asarray(f(x, t, *args)) * w.reshape(w.shape + (1,) * value_axes)
+        return g
+
+    return replace(model, alpha=scaled(model.alpha, 1), beta=scaled(model.beta, 0),
+                   flux_jacobian=scaled(model.flux_jacobian, 2),
+                   reaction_derivative=scaled(model.reaction_derivative, 0))
+
+
 @st.composite
 def cases(draw):
     q = draw(st.integers(2, 4))
@@ -109,8 +124,10 @@ def test_batched_equals_per_subdomain(case):
     except ConfigurationError:
         assume(False)
     if case["shifted"]:
-        ctx = build_context(mesh, shift_model(model, dec), grid, dec,
-                            reaction_shift=float(dec.q))
+        # coefficients that vary in time, so blocks at different levels of
+        # one stack see different ones
+        ctx = build_context(mesh, _scaled_in_time(model), grid, dec,
+                            shift=float(dec.q))
     rng = np.random.default_rng(case["seed"])
     g = case["scale"] * rng.standard_normal((grid.n_steps, mesh.n_nodes))
     cfg = ResolventConfig(s=case["s"])

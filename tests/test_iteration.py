@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,16 +12,16 @@ from stsplit import (
     ResolventConfig,
     SchemeConfig,
     SolverError,
+    SourceTerm,
     apply_A,
     build_context,
     build_decomposition,
     build_mesh,
     h_norm,
     indicator_gamma,
+    primal_F,
     resolvent_solve,
     run_scheme,
-    shift_factors,
-    shift_model,
     solve_monolithic,
 )
 from stsplit.resolvent import NewtonResult
@@ -43,7 +44,7 @@ def test_scheme_config_validation():
                 {"s_rule_constant": 1e308}):
         with pytest.raises(ConfigurationError):
             SchemeConfig(scheme="PR", **bad)
-    for max_sweeps in (2.5, float("nan"), float("inf")):
+    for max_sweeps in (2.5, float("nan"), float("inf"), True):
         with pytest.raises(ConfigurationError, match="max_sweeps must be an integer"):
             SchemeConfig(scheme="AS", s=1.0, max_sweeps=max_sweeps)
     assert SchemeConfig(scheme="AS", s=1.0, max_sweeps=2.0).max_sweeps == 2
@@ -146,11 +147,7 @@ def test_result_reports_each_schemes_iterate(scheme):
         mean = fields[0] / len(fields)
         for f in fields[1:]:
             mean = mean + f / len(fields)
-        if scheme == "AS":
-            assert np.array_equal(result.u, mean)
-        else:
-            # the shifted scheme averages before it unshifts
-            np.testing.assert_allclose(result.u, mean, rtol=1e-13, atol=0.0)
+        assert np.array_equal(result.u, mean)
     assert len(result.trace) == result.sweeps
     if alternating:
         assert all(v is not None for v in result.trace.pr_v_norm)
@@ -203,48 +200,85 @@ def test_additive_fanout_is_order_independent(monkeypatch):
             assert np.array_equal(a, b)
 
 
-def test_shift_factors_formula():
-    _, grid, _, _, _ = make_problem(n_steps=5, T=2.0)
-    np.testing.assert_allclose(shift_factors(grid, 3.0),
-                               np.exp(-3.0 * grid.times), rtol=1e-15)
+def test_shift_matches_the_wrapped_model():
+    # u_hat = e^{-qt} u solves the equation with flux e^{-qt} alpha(e^{qt} .),
+    # reaction e^{-qt} beta(e^{qt} .) plus q*cap, and sources e^{-qt} eta;
+    # the shifted context is that operator, read in the original variables
+    mesh, grid, model, dec, _ = make_problem(cells=24, n_steps=5, p=3.0,
+                                             lam=1.0, q=3, source="cos")
+    q = float(dec.q)
+
+    def grow(t):
+        return np.exp(q * np.asarray(t))
+
+    wrapped = replace(
+        model,
+        alpha=lambda x, t, z: (np.asarray(model.alpha(x, t, grow(t)[..., None] * z))
+                               / grow(t)[..., None]),
+        beta=lambda x, t, y: np.asarray(model.beta(x, t, grow(t) * y)) / grow(t),
+        source=SourceTerm(
+            eta0=lambda x, t: np.asarray(model.source.eta0(x, t)) / grow(t),
+            eta=lambda x, t: (np.asarray(model.source.eta(x, t))
+                              / grow(t)[..., None])),
+    )
+    ctx_hat = build_context(mesh, wrapped, grid, dec)
+    ctx_s = build_context(mesh, model, grid, dec, shift=q)
+    up = grow(grid.times)[:, None]
+    u_hat = random_field(np.random.default_rng(5), grid, mesh)
+    for ell in (None, 0, 1, 2):
+        b = ctx_s.bundle(ell)
+        expected = primal_F(ctx_hat, ell, u_hat)
+        expected[:, b.nodes] += q * b.cap / b.m * u_hat[:, b.nodes]
+        got = primal_F(ctx_s, ell, up * u_hat) / up
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
-def test_shift_model_wraps_coefficients():
-    mesh, grid, model, dec, _ = make_problem(p=3.0, lam=1.0, source="cos")
-    hat = shift_model(model, dec)
-    x = np.array([[0.3]])
-    z = np.array([[0.7]])
-    # t = 0: factors are 1
-    np.testing.assert_allclose(hat.alpha(x, 0.0, z), model.alpha(x, 0.0, z))
-    np.testing.assert_allclose(hat.beta(x, 0.0, 0.4), model.beta(x, 0.0, 0.4))
-    # t > 0: e^{-qt} alpha(e^{qt} z) with q = 2
-    t = 0.65
-    w = np.exp(2.0 * t)
-    np.testing.assert_allclose(hat.alpha(x, t, z),
-                               np.asarray(model.alpha(x, t, w * z)) / w,
-                               rtol=1e-13)
-    np.testing.assert_allclose(hat.source.eta0(x, t),
-                               np.asarray(model.source.eta0(x, t)) * np.exp(-2.0 * t),
-                               rtol=1e-13)
-
-
-def test_shift_model_requires_positive_gamma():
+def test_shift_requires_positive_gamma_and_a_finite_rate():
     mesh, grid, model, dec, _ = make_problem(gamma=indicator_gamma(0.0, 0.5))
-    with pytest.raises(ConfigurationError):
-        shift_model(model, dec)
+    build_context(mesh, model, grid, dec)
+    with pytest.raises(ConfigurationError, match="gamma >= gamma_0 > 0"):
+        build_context(mesh, model, grid, dec, shift=2.0)
+    # positive at every node, zero at one quadrature point
+    x0 = mesh.quad_points[3, 0, 0]
+    model = replace(model, gamma=lambda x: np.abs(np.asarray(x)[..., 0] - x0))
+    build_context(mesh, model, grid, dec)
+    with pytest.raises(ConfigurationError, match="gamma >= gamma_0 > 0"):
+        build_context(mesh, model, grid, dec, shift=2.0)
+    mesh, grid, model, dec, _ = make_problem()
+    for shift in (-1.0, float("nan"), float("inf"), 1e308):
+        with pytest.raises(ConfigurationError, match="shift must be"):
+            build_context(mesh, model, grid, dec, shift=shift)
 
 
 def test_shifted_reaction_is_three_y_for_linear_case():
     # p = 2, lam = 0, gamma = 1, q = 2: the shifted operator acts on a
-    # constant field as (1 + 2) * mass, i.e. beta_hat + shift = 3 y
+    # constant field as (1 + 2) * mass, i.e. beta + shift = 3 y
     mesh, grid, model, dec, _ = make_problem(p=2.0)
-    ctx_hat = build_context(mesh, shift_model(model, dec), grid, dec,
-                            reaction_shift=2.0)
+    ctx_hat = build_context(mesh, model, grid, dec, shift=2.0)
     ones = np.ones(mesh.n_nodes)
     m = ctx_hat.bundle(None).m
     for k in (0, grid.n_steps - 1):
         np.testing.assert_allclose(apply_A(ctx_hat, None, k, ones), 3.0 * m,
                                    rtol=1e-13)
+
+
+def test_shifted_scheme_converges_to_the_shifted_solution():
+    # the additive fixed point is O(1/s) from the solution of the system it
+    # splits, here the shifted one, which is O(dt) from u_h
+    mesh, grid, model, dec, ctx = make_problem(cells=12, n_steps=4, T=1.0,
+                                               p=2.0, lam=1.0, source="cos")
+    u_s = solve_monolithic(build_context(mesh, model, grid, dec, shift=2.0))
+    u_h = solve_monolithic(ctx)
+    gap = h_norm(ctx, u_s - u_h)
+    to_s = []
+    for s in (64.0, 256.0):
+        result = run_scheme(ctx, SchemeConfig(scheme="AS_shifted", s=s,
+                                              max_sweeps=5000, stop_tol=1e-12))
+        assert result.converged
+        to_s.append(h_norm(ctx, result.u - u_s))
+    assert to_s[1] < to_s[0] / 3.0
+    assert to_s[1] < 0.05 * gap
+    assert h_norm(ctx, result.u - u_h) > 0.95 * gap
 
 
 def test_shifted_scheme_returns_unshifted_iterates():

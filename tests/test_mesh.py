@@ -53,7 +53,7 @@ def test_rejects_bad_specs():
     with pytest.raises(ConfigurationError):
         build_mesh((float("nan"),), (4,))
     # cell counts must be integers; integral floats are accepted
-    for cells in ((16.7,), (float("nan"),), (float("inf"),), (4, 2.5)):
+    for cells in ((16.7,), (float("nan"),), (float("inf"),), (4, 2.5), (True,)):
         with pytest.raises(ConfigurationError, match="cells must be an integer"):
             build_mesh((1.0,) * len(cells), cells)
     assert build_mesh((1.0,), (16.0,)).cells == (16,)

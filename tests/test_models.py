@@ -67,6 +67,19 @@ def test_indicator_gamma_values():
     gamma = indicator_gamma(0.0, 0.5, value=2.0)
     x = np.array([[0.0], [0.25], [0.49], [0.5], [0.9]])
     np.testing.assert_allclose(gamma(x), [0.0, 0.0, 0.0, 2.0, 2.0])
+    assert indicator_gamma(0.0, 0.5, axis=1.0)(np.array([[0.9, 0.2]])) == 0.0
+
+
+def test_indicator_gamma_axis_rejected():
+    for axis in (1.5, -1, True, float("nan")):
+        with pytest.raises(ConfigurationError, match="axis"):
+            indicator_gamma(0.0, 0.5, axis=axis)
+    # an axis the mesh does not have fails when the context evaluates gamma
+    for axis, extent in ((1, (1.0,)), (3, (1.0, 1.0))):
+        mesh = build_mesh(extent, (4,) * len(extent))
+        model = p_laplace_model(2.0, gamma=indicator_gamma(0.0, 0.5, axis=axis))
+        with pytest.raises(ConfigurationError, match=f"gamma axis {axis}"):
+            build_context(mesh, model, TimeGrid(T=1.0, n_steps=2))
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
@@ -125,6 +138,13 @@ def test_equal_arguments_give_zero_monotonicity_margin():
     z = np.array([0.7])
     margins = p_structure_margins(model, X, 0.0, 1.3, 1.3, z, z)
     assert margins["monotonicity"] == 0.0
+
+
+def test_check_p_structure_rejects_bad_sample_counts():
+    for n in (0, -3, 2.5, True, float("nan")):
+        with pytest.raises(ConfigurationError, match="num_samples"):
+            check_p_structure(p_laplace_model(3.0), num_samples=n)
+    assert check_p_structure(p_laplace_model(3.0), num_samples=1.0).num_samples == 1
 
 
 def test_anti_monotone_model_fails():

@@ -105,6 +105,14 @@ def test_interpolate_exact_nodal_values():
     assert vals[1, 0] == pytest.approx(2.0 * grid.times[1])  # cos(0) = 1
 
 
+def test_cosine_solution_needs_dim_one_or_two():
+    for dim in (0, 3, 1.5, True):
+        with pytest.raises(ConfigurationError, match="dim"):
+            cosine_solution(dim)
+    x = np.array([[0.0, 0.0]])
+    assert cosine_solution(2.0).u(x, 1.0) == cosine_solution(2).u(x, 1.0)
+
+
 def test_monolithic_residual_consistency():
     _, grid, _, _, ctx = make_problem(cells=24, n_steps=6, p=3.0, lam=1.0,
                                       source="cos")
