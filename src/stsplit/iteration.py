@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, as_integer
-from .operators import build_context, h_norm, k_functional, primal_F
+from .operators import _check_field, build_context, h_norm, k_functional, primal_F
 from .resolvent import ResolventConfig, Sweep, resolvent_solve
 
 SCHEMES = ("PR", "DR", "AS", "AS_shifted")
@@ -60,18 +60,12 @@ class SchemeConfig:
                            as_integer(self.max_sweeps, "max_sweeps"))
         if self.max_sweeps < 1:
             raise ConfigurationError("max_sweeps must be at least 1")
-        if self.s is not None and not self.s > 0.0:
-            raise ConfigurationError("s must be positive")
         if self.s is None and self.s_rule_constant is not None:
             if not self.s_rule_constant > 0.0:
                 raise ConfigurationError("s_rule_constant must be positive")
         if not self.stop_tol >= 0.0:
             raise ConfigurationError("stop_tol must be nonnegative")
-        s = self.resolve_s()
-        if not math.isfinite(s):
-            raise ConfigurationError(f"s = {s!r} is too large: it is not finite")
-        if not math.isfinite(1.0 / s):
-            raise ConfigurationError(f"s = {s!r} is too small: 1/s is not finite")
+        ResolventConfig(s=self.resolve_s())
 
     def resolve_s(self):
         if self.s is not None:
@@ -224,11 +218,10 @@ def run_scheme(ctx, cfg, u_ref=None, initial=None):
         raise ConfigurationError(f"{cfg.scheme} requires exactly 2 subdomains")
     s = cfg.resolve_s()
     rcfg = ResolventConfig(s=s)
-    n_steps, n_nodes = ctx.grid.n_steps, ctx.mesh.n_nodes
-
-    u0 = np.zeros((n_steps, n_nodes)) if initial is None else np.array(initial, float)
-    if u0.shape != (n_steps, n_nodes):
-        raise ConfigurationError("initial field does not match the discretization")
+    if u_ref is not None:
+        u_ref = _check_field(ctx, u_ref, None)
+    u0 = (np.zeros((ctx.grid.n_steps, ctx.mesh.n_nodes)) if initial is None
+          else _check_field(ctx, initial, None))  # read, never written
 
     ctx_run = ctx
     if cfg.scheme == "AS_shifted":

@@ -79,19 +79,17 @@ class Mesh:
         verts = self.nodes[self.elements]  # (n_el, n_loc, dim)
         v0 = verts[:, 0, :]
         edges = verts[:, 1:, :] - v0[:, None, :]  # (n_el, dim, dim)
-        if self.dim == 1:
-            det = edges[:, 0, 0]
-            ref_grads = np.array([[-1.0], [1.0]])
-        else:
-            det = edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0]
-            ref_grads = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-        if np.any(det <= 0.0):
-            raise ConfigurationError("element with non-positive volume")
-        # an element of subnormal size has gradients that overflow to inf
+        # an element of huge size has a measure that overflows to inf, and
+        # one of subnormal size gradients that do
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             if self.dim == 1:
+                det = edges[:, 0, 0]
+                ref_grads = np.array([[-1.0], [1.0]])
                 inv_t = (1.0 / det)[:, None, None]  # d(xi)/dx
             else:
+                det = (edges[:, 0, 0] * edges[:, 1, 1]
+                       - edges[:, 0, 1] * edges[:, 1, 0])
+                ref_grads = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
                 inv = np.empty((self.n_elements, 2, 2))
                 inv[:, 0, 0] = edges[:, 1, 1]
                 inv[:, 0, 1] = -edges[:, 1, 0]
@@ -100,6 +98,11 @@ class Mesh:
                 inv_t = inv / det[:, None, None]
             # physical gradients are constant per element for P1
             grads = np.einsum("ld,edk->elk", ref_grads, inv_t)
+        if not np.all(np.isfinite(det)):
+            raise ConfigurationError(
+                "mesh cells too large: element measures overflow")
+        if np.any(det <= 0.0):
+            raise ConfigurationError("element with non-positive volume")
         if not np.all(np.isfinite(grads)):
             raise ConfigurationError(
                 "mesh cells too small: basis gradients overflow")
@@ -122,7 +125,7 @@ def build_mesh(extent, cells):
     """Build a uniform mesh of the box (0, extent[0]) x ... with cells per axis.
 
     Args:
-        extent: sequence of positive side lengths, one per axis (1 or 2 axes).
+        extent: sequence of finite positive side lengths, one per axis (1 or 2).
         cells: sequence of cell counts per axis, each >= 2.
     """
     extent = [float(e) for e in np.atleast_1d(extent)]
@@ -132,8 +135,8 @@ def build_mesh(extent, cells):
     dim = len(extent)
     if dim not in (1, 2):
         raise ConfigurationError(f"unsupported dimension {dim}; expected 1 or 2")
-    if not all(e > 0.0 for e in extent):
-        raise ConfigurationError("extent entries must be positive")
+    if not all(0.0 < e < np.inf for e in extent):
+        raise ConfigurationError("extent entries must be finite and positive")
     if any(c < 2 for c in cells):
         raise ConfigurationError("need at least 2 cells per axis")
 

@@ -17,6 +17,7 @@ time level or at different ones, are solved as one.
 
 import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -121,6 +122,7 @@ class _AssemblyBundle:
         Each block is summed as w[lo:hi].sum() sums it; a segmented
         np.add.reduceat adds in a different order.
         """
+        # kept: as one-block stacks, plain bundles made resolvent_pairs 6-17 % slower
         if self.parts is None:
             return w.sum(keepdims=True)
         out = np.empty(len(self.parts))
@@ -290,19 +292,31 @@ class OperatorContext:
         kept while the same tuple is asked for, since the stages of a
         wavefront repeat theirs: on as1d_shifted_q3 a run builds 31 stacks
         for its 143 stages, about 4 ms, where a stack per stage took 30 ms
-        (2 vCPU Xeon).
+        (2 vCPU Xeon).  Every function that takes ell resolves it here, so
+        names are checked here: a bool, an index outside [0, q) or an
+        empty tuple raises ConfigurationError.
         """
         if isinstance(ell, tuple):
             if len(ell) == 1:
-                return self.bundle(ell[0])
-            if ell != self._stack[0]:
-                self._stack = ell, _stack_bundles([self.bundle(i) for i in ell])
-            return self._stack[1]
+                (ell,) = ell
+            elif ell == self._stack[0]:
+                return self._stack[1]
+            elif not ell:
+                raise ConfigurationError("a stack names one subdomain or more")
+            else:
+                # each part as a 1-tuple, so that no part is itself a stack
+                self._stack = ell, _stack_bundles([self.bundle((i,)) for i in ell])
+                return self._stack[1]
         if ell is None:
             return self._global
         if self.dec is None:
             raise ConfigurationError("context has no decomposition")
-        return self._subs[ell]
+        # the type test first: a fifth of the cost of isinstance on the hot path
+        if ((type(ell) is int or isinstance(ell, numbers.Integral)
+             and not isinstance(ell, bool)) and 0 <= ell < self.dec.q):
+            return self._subs[ell]
+        raise ConfigurationError(f"subdomain {ell!r} is neither None nor an "
+                                 f"integer in [0, {self.dec.q})")
 
 
 def build_context(mesh, model, grid, dec=None, shift=0.0):
@@ -310,13 +324,16 @@ def build_context(mesh, model, grid, dec=None, shift=0.0):
 
 
 def _check_field(ctx, u, ell):
+    """u as a float array if it is a finite field on ell, else ConfigurationError."""
     u = np.asarray(u, dtype=float)
     n = ctx.bundle(ell).n_nodes
-    if u.ndim != 2 or u.shape[0] != ctx.grid.n_steps or u.shape[1] != n:
-        raise ValueError(
+    if u.shape != (ctx.grid.n_steps, n):
+        raise ConfigurationError(
             f"field shape {u.shape} does not match grid "
             f"({ctx.grid.n_steps} levels, {n} nodes)"
         )
+    if not np.all(np.isfinite(u)):
+        raise ConfigurationError("field contains non-finite values")
     return u
 
 
@@ -403,7 +420,7 @@ def k_functional(ctx, ell, u):
     u is a global field; restriction onto the subdomain happens internally.
     c is the model's declared monotonicity constant.
     """
-    u_loc = np.asarray(u)[:, ctx.bundle(ell).nodes]
+    u_loc = _check_field(ctx, u, None)[:, ctx.bundle(ell).nodes]
     return ctx.model.mono_const * v_norm_p(ctx, ell, u_loc) ** ctx.model.p
 
 
@@ -415,7 +432,7 @@ def primal_F(ctx, ell, u):
     right-hand sides.
     """
     b = ctx.bundle(ell)
-    u = np.asarray(u, dtype=float)
+    u = _check_field(ctx, u, None)
     dual = apply_F(ctx, ell, u[:, b.nodes])
     out = np.zeros_like(u)
     out[:, b.nodes] = dual / b.m[None, :]

@@ -7,6 +7,7 @@ import numpy as np
 
 from .errors import ConfigurationError, as_integer
 from .models import SourceTerm
+from .operators import _check_field
 from .resolvent import newton_level_solve
 
 
@@ -19,11 +20,13 @@ def solve_monolithic(ctx, initial=None):
     uniqueness of the discrete solution.
     """
     n = ctx.mesh.n_nodes
+    if initial is not None:
+        initial = _check_field(ctx, initial, None)
     u = np.empty((ctx.grid.n_steps, n))
     u_prev = np.zeros(n)
     zero_rhs = np.zeros(n)
     for k in range(ctx.grid.n_steps):
-        u0 = None if initial is None else np.asarray(initial[k], dtype=float)
+        u0 = None if initial is None else initial[k]
         res = newton_level_solve(ctx, None, 0.0, k, u_prev, zero_rhs, u0=u0)
         u[k] = res.values
         u_prev = res.values
@@ -49,43 +52,32 @@ def cosine_solution(dim, amplitude=1.0):
     box, so it is compatible with the homogeneous Neumann condition.
     dim is 1 or 2.
     """
-    if as_integer(dim, "dim") not in (1, 2):
+    dim = as_integer(dim, "dim")
+    if dim not in (1, 2):
         raise ConfigurationError(f"cosine_solution needs dim 1 or 2, got {dim!r}")
     amp = float(amplitude)
-    if dim == 1:
 
-        def u(x, t):
-            return amp * t * np.cos(np.pi * np.asarray(x)[..., 0])
-
-        def du_dt(x, t):
-            return amp * np.cos(np.pi * np.asarray(x)[..., 0])
-
-        def grad(x, t):
-            x = np.asarray(x)
-            out = np.empty(x.shape)
-            out[..., 0] = -amp * t * np.pi * np.sin(np.pi * x[..., 0])
-            return out
-
-        return ManufacturedSolution(u, du_dt, grad)
-
-    def u2(x, t):
+    def product(x, first, sine_axis=None):
+        # first * cos(pi x_1) * cos(pi x_2), left to right, sin on sine_axis
         x = np.asarray(x)
-        return amp * t * np.cos(np.pi * x[..., 0]) * np.cos(np.pi * x[..., 1])
+        for i in range(dim):
+            first = first * (np.sin if i == sine_axis else np.cos)(np.pi * x[..., i])
+        return first
 
-    def du_dt2(x, t):
-        x = np.asarray(x)
-        return amp * np.cos(np.pi * x[..., 0]) * np.cos(np.pi * x[..., 1])
+    def u(x, t):
+        return product(x, amp * t)
 
-    def grad2(x, t):
+    def du_dt(x, t):
+        return product(x, amp)
+
+    def grad(x, t):
         x = np.asarray(x)
-        cx, cy = np.cos(np.pi * x[..., 0]), np.cos(np.pi * x[..., 1])
-        sx, sy = np.sin(np.pi * x[..., 0]), np.sin(np.pi * x[..., 1])
         out = np.empty(x.shape)
-        out[..., 0] = -amp * t * np.pi * sx * cy
-        out[..., 1] = -amp * t * np.pi * cx * sy
+        for d in range(dim):
+            out[..., d] = product(x, -amp * t * np.pi, d)
         return out
 
-    return ManufacturedSolution(u2, du_dt2, grad2)
+    return ManufacturedSolution(u, du_dt, grad)
 
 
 def _boundary_checkpoints(mesh):

@@ -42,14 +42,13 @@ every single application, starts from the previous level.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .errors import ConfigurationError, SolverError
-from .operators import apply_A, level_loads, level_times, quad_values
+from .operators import _check_field, apply_A, level_loads, level_times, quad_values
 
 # Newton controls, read at call time: iteration cap, absolute and relative
 # residual tolerances, Jacobian regularization, step halvings per pass.
@@ -91,6 +90,9 @@ class ResolventConfig:
     def __post_init__(self):
         if not self.s > 0.0:
             raise ConfigurationError("resolvent parameter s must be positive")
+        if not math.isfinite(self.s):
+            raise ConfigurationError(f"resolvent parameter s = {self.s!r} is "
+                                     f"too large: it is not finite")
         if not math.isfinite(1.0 / self.s):
             raise ConfigurationError(f"resolvent parameter s = {self.s!r} is "
                                      f"too small: 1/s is not finite")
@@ -100,13 +102,6 @@ class ResolventConfig:
 class NewtonResult:
     values: np.ndarray
     iterations: int  # Newton passes; the most any block needed
-
-
-def _level_residual(ctx, ell, s, k, u, u_prev, rhs, loads, values=None):
-    bundle = ctx.bundle(ell)
-    r = s * bundle.m * u + bundle.cap * (u - u_prev) / ctx.grid.dt
-    r += apply_A(ctx, ell, k, u, check=False, values=values) - rhs + loads
-    return r
 
 
 def _element_matrices(ctx, bundle, t, values, eps):
@@ -192,7 +187,8 @@ def newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0=None):
         # overflows to inf or nan, which the line search rejects
         with np.errstate(over="ignore", invalid="ignore"):
             values = quad_values(bundle, u)
-            r = _level_residual(ctx, ell, s, k, u, grown, rhs, loads, values)
+            r = s * bundle.m * u + bundle.cap * (u - grown) / dt
+            r += apply_A(ctx, ell, k, u, check=False, values=values) - rhs + loads
             return values, r, np.sqrt(bundle.block_sum(r * r / bundle.m))
 
     def first(mask):
@@ -409,29 +405,18 @@ def resolvent_solve(ctx, ell, g, cfg):
     sweep-by-sweep run gives.  Closing the generator drops the sweeps still
     in flight.
 
-    A subdomain is None (the whole domain) or an integer in [0, q), not a
-    bool, and a chain has one phase or more, each a non-empty tuple of
-    subdomains.  Other names raise ConfigurationError at the call.
+    A chain has one phase or more, each a non-empty tuple of subdomains,
+    and its names are checked by `OperatorContext.bundle`, at the call.
+    Other chains and names raise ConfigurationError.
     """
     chain = ell if isinstance(ell, tuple) else ((ell,),)
     if not chain or not all(isinstance(phase, tuple) and phase
                             for phase in chain):
         raise ConfigurationError(f"a chain names one non-empty tuple of "
                                  f"subdomains per phase, not {ell!r}")
-    q = 0 if ctx.dec is None else ctx.dec.q
     for name in sum(chain, ()):
-        if not (name is None or isinstance(name, numbers.Integral)
-                and not isinstance(name, bool) and 0 <= name < q):
-            raise ConfigurationError(f"subdomain {name!r} is neither None "
-                                     f"nor an integer in [0, {q})")
+        ctx.bundle((name,))  # as a 1-tuple, so that a tuple name is refused
     if chain is ell:
         return _wavefront(ctx, chain, g, cfg.s)
-    g = np.asarray(g, dtype=float)
-    if g.shape != (ctx.grid.n_steps, ctx.mesh.n_nodes):
-        raise ValueError(
-            f"field shape {g.shape} does not match grid/mesh "
-            f"({ctx.grid.n_steps}, {ctx.mesh.n_nodes})"
-        )
-    if not np.all(np.isfinite(g)):
-        raise ValueError("resolvent input contains non-finite values")
+    g = _check_field(ctx, g, None)
     return next(_wavefront(ctx, chain, [_FieldSweep(g)], cfg.s)).out[0][0]

@@ -301,6 +301,16 @@ def test_subnormal_extent_exits_2(tmp_path, capsys, extent):
         assert "too small" in capsys.readouterr().err
 
 
+def test_huge_extent_exits_2(tmp_path, capsys):
+    # the element measures of such cells overflow to inf
+    cfg = base_config(tmp_path)
+    cfg["mesh"] = {"dim": 2, "extent": [1e200, 1e200], "cells": [8, 8]}
+    path = write_config(tmp_path, cfg)
+    for command in ("run", "verify"):
+        assert main([command, path]) == 2
+        assert "too large" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("time", "T", 5e-324),  # T/N_t rounds to zero
     ("scheme", "s", 2.225073858507203e-309),  # 1/s overflows

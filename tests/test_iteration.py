@@ -79,6 +79,16 @@ def test_bad_initial_shape_rejected():
                    initial=np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("field", ["initial", "u_ref"])
+def test_non_finite_initial_or_reference_rejected(field):
+    _, grid, _, _, ctx = make_problem()
+    bad = np.zeros((grid.n_steps, ctx.mesh.n_nodes))
+    bad[0, 3] = np.nan
+    with pytest.raises(ConfigurationError, match="non-finite"):
+        run_scheme(ctx, SchemeConfig(scheme="AS", s=1.0, max_sweeps=1),
+                   **{field: bad})
+
+
 @pytest.mark.parametrize("scheme", ["PR", "DR", "AS", "AS_shifted"])
 def test_zero_problem_has_zero_fixed_point(scheme):
     _, grid, _, _, ctx = make_problem(cells=12, n_steps=3, p=3.0)

@@ -50,8 +50,9 @@ def test_rejects_bad_specs():
         build_mesh((1.0, 1.0, 1.0), (2, 2, 2))
     with pytest.raises(ConfigurationError):
         build_mesh((1.0, 1.0), (2,))
-    with pytest.raises(ConfigurationError):
-        build_mesh((float("nan"),), (4,))
+    for extent in ((float("nan"),), (float("inf"),), (1.0, float("inf"))):
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            build_mesh(extent, (4,) * len(extent))
     # cell counts must be integers; integral floats are accepted
     for cells in ((16.7,), (float("nan"),), (float("inf"),), (4, 2.5), (True,)):
         with pytest.raises(ConfigurationError, match="cells must be an integer"):
@@ -68,6 +69,11 @@ SUBNORMAL = 2.225073858507203e-309
 def test_rejects_cells_whose_gradients_overflow(extent, cells):
     with pytest.raises(ConfigurationError, match="too small"):
         build_mesh(extent, cells)
+
+
+def test_rejects_cells_whose_measures_overflow():
+    with pytest.raises(ConfigurationError, match="too large"):
+        build_mesh((1e200, 1e200), (8, 8))
 
 
 @pytest.mark.parametrize("extent,cells", [((1e-300,), (4,)),

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import make_problem, random_field
 from stsplit.operators import quad_values
-from stsplit.resolvent import _element_matrices
+from stsplit.resolvent import _element_matrices, newton_level_solve
 from stsplit import (
     ConfigurationError,
     TimeGrid,
@@ -101,6 +101,70 @@ def test_apply_F_rejects_mismatched_fields():
         apply_F(ctx, None, np.zeros((grid.n_steps + 1, ctx.mesh.n_nodes)))
     with pytest.raises(ValueError):
         h_inner(ctx, np.zeros((grid.n_steps, 3)), np.zeros((grid.n_steps, 3)))
+
+
+# every public function that takes a subdomain name, called on subdomain ell
+# with a global field u and its restriction loc to subdomain 1
+NAMED_CALLS = {
+    "apply_A": lambda ctx, ell, u, loc: apply_A(ctx, ell, 1, loc[1]),
+    "apply_F": lambda ctx, ell, u, loc: apply_F(ctx, ell, loc),
+    "primal_F": lambda ctx, ell, u, loc: primal_F(ctx, ell, u),
+    "h_inner": lambda ctx, ell, u, loc: h_inner(ctx, loc, 2.0 * loc, ell=ell),
+    "h_norm": lambda ctx, ell, u, loc: h_norm(ctx, loc, ell=ell),
+    "v_norm_p": lambda ctx, ell, u, loc: v_norm_p(ctx, ell, loc),
+    "k_functional": lambda ctx, ell, u, loc: k_functional(ctx, ell, u),
+    "newton_level_solve": lambda ctx, ell, u, loc: newton_level_solve(
+        ctx, ell, 1.0, 1, loc[0], ctx.bundle(1).m * loc[1]).values,
+    "bundle": lambda ctx, ell, u, loc: ctx.bundle(ell),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_CALLS))
+def test_every_subdomain_name_is_checked(name):
+    # a subdomain is an integer in [0, q), not a bool; numpy integers count
+    _, grid, _, dec, ctx = make_problem(p=3.0, lam=1.0)
+    call = NAMED_CALLS[name]
+    u = 0.5 * random_field(np.random.default_rng(3), grid, ctx.mesh)
+    loc = u[:, ctx.bundle(1).nodes]
+    for ell in (-1, True, dec.q, 1.0):
+        with pytest.raises(ConfigurationError, match="neither None nor"):
+            call(ctx, ell, u, loc)
+    got, want = call(ctx, np.int64(1), u, loc), call(ctx, 1, u, loc)
+    assert got is want if name == "bundle" else np.array_equal(got, want)
+
+
+def test_stack_names_are_checked_part_by_part():
+    _, _, _, dec, ctx = make_problem()
+    for ell in ((), (0, dec.q), (0, True), (0, 1.0), (0, (1,))):
+        with pytest.raises(ConfigurationError):
+            ctx.bundle(ell)
+    stack = ctx.bundle((np.int64(1), 0))
+    assert [b.name for b in stack.blocks] == [1, 0]
+
+
+def test_global_fields_are_checked_before_restriction():
+    # a global field too narrow or too wide for the mesh, and a NaN off the
+    # subdomain, are all rejected
+    _, grid, _, dec, ctx = make_problem()
+    outside = np.setdiff1d(np.arange(ctx.mesh.n_nodes), dec.subdomains[0].nodes)
+    nan_outside = np.zeros((grid.n_steps, ctx.mesh.n_nodes))
+    nan_outside[0, outside[0]] = np.nan
+    for u in (np.zeros((grid.n_steps, 3)),
+              np.zeros((grid.n_steps, ctx.mesh.n_nodes + 1)), nan_outside):
+        for f in (primal_F, k_functional):
+            with pytest.raises(ConfigurationError):
+                f(ctx, 0, u)
+
+
+def test_fields_must_be_finite():
+    _, grid, _, _, ctx = make_problem()
+    u = np.zeros((grid.n_steps, ctx.mesh.n_nodes))
+    u[1, 2] = np.nan
+    for call in (lambda: apply_F(ctx, None, u), lambda: h_norm(ctx, u),
+                 lambda: h_inner(ctx, np.zeros_like(u), u),
+                 lambda: v_norm_p(ctx, None, u)):
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            call()
 
 
 def test_decomposition_identity_small():

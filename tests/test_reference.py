@@ -136,6 +136,12 @@ def test_uniqueness_probe_different_initial_guesses(monkeypatch):
     assert h_norm(ctx, u_a - u_b) <= 1e-9
 
 
+def test_monolithic_initial_must_be_a_field():
+    _, grid, _, _, ctx = make_problem()
+    with pytest.raises(ConfigurationError, match="shape"):
+        solve_monolithic(ctx, initial=np.zeros((grid.n_steps, 3)))
+
+
 def test_monolithic_2d_matches_cosine_solution():
     # the cosine solution is linear in t, so the distance to its interpolant
     # is the O(h^2) spatial error: 0.6e-2 on 8x8 against ||u|| = 0.34
