@@ -49,7 +49,7 @@ def main():
         cfg = SchemeConfig(scheme=scheme, s=1.0, max_sweeps=100, stop_tol=0.0)
         result = run_scheme(ctx, cfg, u_ref=u_h)
         trace = result.trace
-        print(f"\n{scheme}, s = {result.s_used:g}, "
+        print(f"\n{scheme}, s = {cfg.s:g}, "
               f"{result.sweeps} sweeps")
         print(f"{'sweep':>6s} {'err_H':>12s} {'sum k_l':>12s} {'|v-v*|':>12s}")
         for n in (0, 1, 4, 9, 24, 49, 99):

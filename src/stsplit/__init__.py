@@ -20,7 +20,7 @@ from .iteration import (
     SchemeConfig,
     run_scheme,
 )
-from .mesh import Mesh, QuadratureRule, build_mesh
+from .mesh import Mesh, build_mesh
 from .models import (
     PStructureModel,
     PStructureReport,
@@ -59,7 +59,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigurationError", "NumericError", "SolverError",
-    "Mesh", "QuadratureRule", "build_mesh",
+    "Mesh", "build_mesh",
     "PStructureModel", "PStructureReport", "SourceTerm",
     "anti_monotone_model", "check_p_structure", "constant_gamma",
     "indicator_gamma", "monotonicity_constant", "p_laplace_model",

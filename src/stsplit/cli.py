@@ -85,8 +85,7 @@ _SCHEMA = {
                       "overlap_fraction": (float, _REQUIRED),
                       "c_min": (float, 0.1)},
     "scheme": {"scheme": (SCHEMES, _REQUIRED), "s": (float, None),
-               "s_rule_constant": (float, None), "max_sweeps": (int, 100),
-               "stop_tol": (float, 1e-10),
+               "max_sweeps": (int, 100), "stop_tol": (float, 1e-10),
                "initial": (("zero", "random"), "zero")},
     "output": {"csv_path": (str, _REQUIRED),
                "json_summary_path": (str, _REQUIRED)},
@@ -248,8 +247,6 @@ def count_monotone_violations(trace, scheme):
 def _cmd_run(args):
     pieces = load_config(args.config, require_output=True)
     mesh, grid, model, dec, scheme_cfg, initial, output, seed = pieces
-    if args.seed is not None:
-        seed = args.seed
 
     ctx = build_context(mesh, model, grid, dec)
     u_ref = solve_monolithic(ctx)
@@ -267,7 +264,7 @@ def _cmd_run(args):
         "final_err_H": result.trace.err_H[-1],
         "sweeps": result.sweeps,
         "converged": result.converged,
-        "s_used": result.s_used,
+        "s_used": scheme_cfg.s,
         "monotone_violations": count_monotone_violations(
             result.trace, scheme_cfg.scheme),
     }
@@ -292,8 +289,6 @@ def _report(lines, name, margin, passed, skipped=False):
 def _cmd_verify(args):
     pieces = load_config(args.config, require_output=False)
     mesh, grid, model, dec, scheme_cfg, _initial, _output, seed = pieces
-    if args.seed is not None:
-        seed = args.seed
 
     ctx = build_context(mesh, model, grid, dec)
     rng = np.random.default_rng(seed)
@@ -301,8 +296,7 @@ def _cmd_verify(args):
     all_ok = True
 
     # pointwise structure sampling (growth / monotonicity / coercivity)
-    report = check_p_structure(model, num_samples=10_000, seed=seed,
-                               dim=mesh.dim)
+    report = check_p_structure(model, seed=seed, dim=mesh.dim)
     for key in sorted(report.worst_margins):
         all_ok &= _report(lines, f"p_structure.{key}",
                           report.worst_margins[key],
@@ -344,7 +338,7 @@ def _cmd_verify(args):
 
     # scaled nonexpansiveness of the subdomain resolvents
     if model_monotone:
-        s = scheme_cfg.resolve_s()
+        s = scheme_cfg.s
         rcfg = ResolventConfig(s=s)
         bound = (1.0 + 1e-8) / s
         worst_ratio = 0.0
@@ -380,8 +374,6 @@ def main(argv=None):
     for name, fn in (("run", _cmd_run), ("verify", _cmd_verify)):
         p = sub.add_parser(name)
         p.add_argument("config", help="path to the JSON experiment config")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config's rng_seed")
         p.set_defaults(handler=fn)
     args = parser.parse_args(argv)
     try:

@@ -40,14 +40,13 @@ SCHEMES = ("PR", "DR", "AS", "AS_shifted")
 class SchemeConfig:
     """Sweep controls for run_scheme.
 
-    Either fix s directly or leave it None to use s = C*sqrt(max_sweeps)
-    with C = s_rule_constant (the scaling under which the additive scheme
-    carries an a-priori error envelope).
+    Either fix s directly or leave it None to use s = sqrt(max_sweeps) (the
+    scaling under which the additive scheme carries an a-priori error
+    envelope); the resolved s is stored in the field.
     """
 
     scheme: str
     s: Optional[float] = None
-    s_rule_constant: Optional[float] = None
     max_sweeps: int = 100
     stop_tol: float = 1e-10
 
@@ -60,18 +59,11 @@ class SchemeConfig:
                            as_integer(self.max_sweeps, "max_sweeps"))
         if self.max_sweeps < 1:
             raise ConfigurationError("max_sweeps must be at least 1")
-        if self.s is None and self.s_rule_constant is not None:
-            if not self.s_rule_constant > 0.0:
-                raise ConfigurationError("s_rule_constant must be positive")
         if not self.stop_tol >= 0.0:
             raise ConfigurationError("stop_tol must be nonnegative")
-        ResolventConfig(s=self.resolve_s())
-
-    def resolve_s(self):
-        if self.s is not None:
-            return float(self.s)
-        c = 1.0 if self.s_rule_constant is None else float(self.s_rule_constant)
-        return c * math.sqrt(self.max_sweeps)
+        s = math.sqrt(self.max_sweeps) if self.s is None else float(self.s)
+        ResolventConfig(s=s)
+        object.__setattr__(self, "s", s)
 
 
 class IterationTrace:
@@ -120,7 +112,6 @@ class RunResult:
     u: np.ndarray  # final comparison iterate
     subdomain_fields: list  # final subdomain iterates
     trace: IterationTrace
-    s_used: float
     sweeps: int
     converged: bool
 
@@ -216,7 +207,7 @@ def run_scheme(ctx, cfg, u_ref=None, initial=None):
     alternating = cfg.scheme in ("PR", "DR")
     if alternating and q != 2:
         raise ConfigurationError(f"{cfg.scheme} requires exactly 2 subdomains")
-    s = cfg.resolve_s()
+    s = cfg.s
     rcfg = ResolventConfig(s=s)
     if u_ref is not None:
         u_ref = _check_field(ctx, u_ref, None)
@@ -276,7 +267,6 @@ def run_scheme(ctx, cfg, u_ref=None, initial=None):
         u=u_cmp_prev,
         subdomain_fields=subs,
         trace=trace,
-        s_used=s,
         sweeps=sweeps,
         converged=converged,
     )

@@ -20,21 +20,6 @@ _TRI3_POINTS = np.array([[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])
 _TRI3_WEIGHTS = np.array([1.0 / 6.0, 1.0 / 6.0, 1.0 / 6.0])
 
 
-class QuadratureRule:
-    """Reference-element quadrature rule with strictly positive weights."""
-
-    def __init__(self, points, weights):
-        self.points = np.atleast_2d(np.asarray(points, dtype=float))
-        self.weights = np.asarray(weights, dtype=float)
-        if self.weights.ndim != 1 or len(self.weights) != len(self.points):
-            raise ConfigurationError("quadrature points and weights disagree in length")
-        if np.any(self.weights <= 0.0):
-            raise ConfigurationError("quadrature weights must be strictly positive")
-
-    def __len__(self):
-        return len(self.weights)
-
-
 def _reference_basis(dim, points):
     """P1 basis values at reference points; returns (n_q, n_loc)."""
     if dim == 1:
@@ -52,8 +37,10 @@ class Mesh:
     dim : spatial dimension (1 or 2)
     nodes : (n_nodes, dim) coordinates
     elements : (n_elements, dim + 1) node indices per element
-    quadrature : reference QuadratureRule (degree >= 2)
     element_volumes : (n_elements,) measures, all positive
+    quad_points / quad_weights : (n_elements, n_q, dim) physical points of
+        the reference rule (degree >= 2) and their (n_elements, n_q)
+        |J|-scaled weights, all positive
     lumped_mass : (n_nodes,) row-sum lumped mass weights
     node_column / element_column : index along the first axis, used to carve
         the domain into overlapping strips
@@ -68,14 +55,13 @@ class Mesh:
         self.n_nodes = len(nodes)
         self.n_elements = len(elements)
         self.n_local = dim + 1
-        if dim == 1:
-            self.quadrature = QuadratureRule(_GAUSS2_POINTS, _GAUSS2_WEIGHTS)
-        else:
-            self.quadrature = QuadratureRule(_TRI3_POINTS, _TRI3_WEIGHTS)
         self._build_tables()
 
     def _build_tables(self):
-        rule = self.quadrature
+        if self.dim == 1:
+            ref_points, ref_weights = _GAUSS2_POINTS, _GAUSS2_WEIGHTS
+        else:
+            ref_points, ref_weights = _TRI3_POINTS, _TRI3_WEIGHTS
         verts = self.nodes[self.elements]  # (n_el, n_loc, dim)
         v0 = verts[:, 0, :]
         edges = verts[:, 1:, :] - v0[:, None, :]  # (n_el, dim, dim)
@@ -108,12 +94,12 @@ class Mesh:
                 "mesh cells too small: basis gradients overflow")
         self.basis_gradients = grads
         self.element_volumes = np.abs(det) / (1.0 if self.dim == 1 else 2.0)
-        self.basis_at_quad = _reference_basis(self.dim, rule.points)  # (n_q, n_loc)
+        self.basis_at_quad = _reference_basis(self.dim, ref_points)  # (n_q, n_loc)
         # physical quadrature points and |J|-scaled weights
         self.quad_points = v0[:, None, :] + np.einsum(
-            "qd,edk->eqk", rule.points, edges
+            "qd,edk->eqk", ref_points, edges
         )
-        self.quad_weights = rule.weights[None, :] * np.abs(det)[:, None]
+        self.quad_weights = ref_weights[None, :] * np.abs(det)[:, None]
         self.lumped_mass = np.bincount(
             self.elements.ravel(),
             weights=np.repeat(self.element_volumes / self.n_local, self.n_local),

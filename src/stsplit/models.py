@@ -110,12 +110,7 @@ def monotonicity_constant(p):
     return 2.0 ** (2.0 - float(p))
 
 
-def _power(mag, expo):
-    # 0**0 == 1 covers p == 2 exactly; expo >= 0 always holds here
-    return mag**expo
-
-
-def p_laplace_model(p, lam=0.0, gamma=None, source=None):
+def p_laplace_model(p, lam=0.0, gamma=None):
     """Power-law model: alpha(z) = |z|^{p-2} z, beta(y) = |y|^{p-2} y + lam*y.
 
     Growth holds with C = 1, d1 = 0 for the flux.  For the reaction the pair
@@ -135,11 +130,12 @@ def p_laplace_model(p, lam=0.0, gamma=None, source=None):
     def alpha(x, t, z):
         z = np.asarray(z, dtype=float)
         mag = np.linalg.norm(z, axis=-1, keepdims=True)
-        return _power(mag, p - 2.0) * z
+        # 0**0 == 1 covers p == 2 exactly; p - 2 >= 0 always holds here
+        return mag ** (p - 2.0) * z
 
     def beta(x, t, y):
         y = np.asarray(y, dtype=float)
-        return _power(np.abs(y), p - 2.0) * y + lam * y
+        return np.abs(y) ** (p - 2.0) * y + lam * y
 
     def flux_jacobian(x, t, z, eps):
         z = np.asarray(z, dtype=float)
@@ -162,7 +158,6 @@ def p_laplace_model(p, lam=0.0, gamma=None, source=None):
         gamma=gamma,
         flux_jacobian=flux_jacobian,
         reaction_derivative=reaction_derivative,
-        source=source if source is not None else zero_source(),
         growth_const=1.0 + lam,
         growth_offset=lam,
     )
@@ -212,29 +207,29 @@ def p_structure_margins(model, x, t, y1, y2, z1, z2):
     }
 
 
+# random (x, t, y, z) tuples, and pairs, that check_p_structure samples
+_P_STRUCTURE_SAMPLES = 10_000
+
+
 @dataclass(frozen=True)
 class PStructureReport:
     passed: bool
     worst_margins: dict
-    num_samples: int
 
 
-def check_p_structure(model, num_samples=10_000, seed=0, dim=1):
+def check_p_structure(model, seed=0, dim=1):
     """Sample the structural inequalities on random arguments.
 
     Args:
         model: PStructureModel to probe, with its declared constants.
-        num_samples: number of random (x, t, y, z) tuples (and pairs), an
-            integer >= 1; y and z are drawn uniformly from [-2, 2].
         seed: RNG seed; the check is deterministic given the seed.
         dim: spatial dimension of the sampled gradients.
 
-    A margin below -1e-12 (floating-point slack) counts as a failure.
+    Draws _P_STRUCTURE_SAMPLES tuples, y and z uniformly from [-2, 2].  A
+    margin below -1e-12 (floating-point slack) counts as a failure.
     Returns a PStructureReport with the per-inequality worst margins.
     """
-    n = as_integer(num_samples, "num_samples")
-    if n < 1:
-        raise ConfigurationError(f"num_samples must be at least 1, got {n}")
+    n = _P_STRUCTURE_SAMPLES
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 1.0, size=(n, dim))
     t = rng.uniform(0.0, 1.0, size=n)
@@ -243,4 +238,4 @@ def check_p_structure(model, num_samples=10_000, seed=0, dim=1):
     margins = p_structure_margins(model, x, t, y1, y2, z1, z2)
     worst = {name: float(np.min(vals)) for name, vals in margins.items()}
     passed = all(np.isfinite(v) and v >= -1e-12 for v in worst.values())
-    return PStructureReport(passed=passed, worst_margins=worst, num_samples=n)
+    return PStructureReport(passed=passed, worst_margins=worst)

@@ -337,19 +337,30 @@ def _check_field(ctx, u, ell):
     return u
 
 
-def apply_A(ctx, ell, k, u_k, check=True, values=None):
+def _check_level(bundle, u):
+    """u as a float array if it is one level on bundle, else ConfigurationError.
+
+    A shape compare only: apply_A runs it on every Newton trial.
+    """
+    u = np.asarray(u, dtype=float)
+    if u.shape != (bundle.n_nodes,):
+        raise ConfigurationError(f"level vector shape {u.shape} does not match "
+                                 f"the {bundle.n_nodes} nodes")
+    return u
+
+
+def apply_A(ctx, ell, k, u_k, values=None):
     """Dual action of the weighted spatial operator at time level k.
 
     r_i = int a*alpha(t_k, grad u) . grad(phi_i) + b*beta(t_k, u) phi_i,
     plus the diagonal reaction shift*cap*u when the context carries a shift.
     k is the 0-based level index (physical time ctx.grid.times[k]); on a
     stack named by ell it may hold one level per block.  values, when given,
-    is quad_values of u_k, which the caller has already evaluated.
-    Non-finite values raise NumericError unless check is False, in which
-    case the caller tests each block itself.
+    is quad_values of u_k, which the caller has already evaluated.  The
+    result is returned as computed, non-finite entries included.
     """
     b = ctx.bundle(ell)
-    u_k = np.asarray(u_k, dtype=float)
+    u_k = _check_level(b, u_k)
     t = level_times(ctx, b, k)
     uq, zq = quad_values(b, u_k) if values is None else values
     flux = np.asarray(ctx.model.alpha(b.qp, t, zq))
@@ -360,8 +371,6 @@ def apply_A(ctx, ell, k, u_k, check=True, values=None):
     r = b.scatter(contrib)
     if ctx.shift != 0.0:
         r = r + ctx.shift * b.cap * u_k
-    if check and not np.all(np.isfinite(r)):
-        raise NumericError("model functions produced non-finite values in apply_A")
     return r
 
 
@@ -371,7 +380,7 @@ def apply_F(ctx, ell, u):
     u lives on the (sub)mesh selected by ell; the implicit level at t = 0
     is zero, and the time difference grows the previous level by
     ctx.step_growth.  Returns an array of the same shape in the dual
-    representation.
+    representation; non-finite entries raise NumericError.
     """
     b = ctx.bundle(ell)
     u = _check_field(ctx, u, ell)
@@ -382,6 +391,8 @@ def apply_F(ctx, ell, u):
         out[k] = (b.cap * (u[k] - growth * prev) / dt
                   + apply_A(ctx, ell, k, u[k]) + b.loads[k])
         prev = u[k]
+    if not np.all(np.isfinite(out)):
+        raise NumericError("model functions produced non-finite values in apply_F")
     return out
 
 

@@ -7,27 +7,25 @@ import numpy as np
 
 from .errors import ConfigurationError, as_integer
 from .models import SourceTerm
-from .operators import _check_field
 from .resolvent import newton_level_solve
 
+# the largest |gamma*u(., 0)| and |normal flux| manufactured_rhs takes as zero
+_COMPATIBILITY_TOL = 1e-10
 
-def solve_monolithic(ctx, initial=None):
+
+def solve_monolithic(ctx):
     """Solve the undecomposed space-time system by implicit Euler marching.
 
     Each level solves cap*(u_k - u_{k-1})/dt + A(t_k)u_k + f_k = 0 with the
-    same damped Newton used by the subdomain resolvents (s = 0).  `initial`
-    optionally supplies per-level Newton starting guesses, e.g. to probe
-    uniqueness of the discrete solution.
+    same damped Newton used by the subdomain resolvents (s = 0), started
+    from the previous level.
     """
     n = ctx.mesh.n_nodes
-    if initial is not None:
-        initial = _check_field(ctx, initial, None)
     u = np.empty((ctx.grid.n_steps, n))
     u_prev = np.zeros(n)
     zero_rhs = np.zeros(n)
     for k in range(ctx.grid.n_steps):
-        u0 = None if initial is None else initial[k]
-        res = newton_level_solve(ctx, None, 0.0, k, u_prev, zero_rhs, u0=u0)
+        res = newton_level_solve(ctx, None, 0.0, k, u_prev, zero_rhs)
         u[k] = res.values
         u_prev = res.values
     return u
@@ -103,7 +101,7 @@ def _boundary_checkpoints(mesh):
     return np.array(points), np.array(normals)
 
 
-def manufactured_rhs(model, exact, mesh, grid, tol=1e-10):
+def manufactured_rhs(model, exact, mesh, grid):
     """Source densities that make `exact` solve the model equation.
 
     eta0 = -(gamma * du/dt + beta(u)) and eta = -alpha(grad u), so that the
@@ -113,7 +111,7 @@ def manufactured_rhs(model, exact, mesh, grid, tol=1e-10):
     """
     gamma0 = np.asarray(model.gamma(mesh.nodes))
     u0 = np.asarray(exact.u(mesh.nodes, 0.0))
-    bad = np.abs(gamma0 * u0) > tol
+    bad = np.abs(gamma0 * u0) > _COMPATIBILITY_TOL
     if np.any(bad):
         i = int(np.argmax(np.abs(gamma0 * u0)))
         raise ConfigurationError(
@@ -124,7 +122,7 @@ def manufactured_rhs(model, exact, mesh, grid, tol=1e-10):
     for t in grid.times:
         flux = np.asarray(model.alpha(points, t, exact.grad(points, t)))
         fn = np.sum(flux * normals, axis=-1)
-        if np.any(np.abs(fn) > tol):
+        if np.any(np.abs(fn) > _COMPATIBILITY_TOL):
             i = int(np.argmax(np.abs(fn)))
             raise ConfigurationError(
                 f"normal flux {fn[i]:.3e} at x={points[i]}, t={t:.6g}; the "

@@ -48,7 +48,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigurationError, SolverError
-from .operators import _check_field, apply_A, level_loads, level_times, quad_values
+from .operators import (_check_field, _check_level, apply_A, level_loads,
+                        level_times, quad_values)
 
 # Newton controls, read at call time: iteration cap, absolute and relative
 # residual tolerances, Jacobian regularization, step halvings per pass.
@@ -163,12 +164,16 @@ def newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0=None):
     in its message.
     """
     bundle = ctx.bundle(ell)
+    u_prev = _check_level(bundle, u_prev)
+    rhs = _check_level(bundle, rhs)
+    if u0 is not None:
+        u0 = _check_level(bundle, u0)
     blocks = bundle.blocks
     t = level_times(ctx, bundle, k)
     loads = level_loads(bundle, k)
     # the time difference reads the previous level grown by step_growth;
     # Newton still starts from u_prev itself
-    grown = ctx.step_growth * np.asarray(u_prev, dtype=float)
+    grown = ctx.step_growth * u_prev
     dt = ctx.grid.dt
     eps = _EPSILON_REG
     diag_extra = s * bundle.m + bundle.cap / dt + ctx.shift * bundle.cap
@@ -188,7 +193,7 @@ def newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0=None):
         with np.errstate(over="ignore", invalid="ignore"):
             values = quad_values(bundle, u)
             r = s * bundle.m * u + bundle.cap * (u - grown) / dt
-            r += apply_A(ctx, ell, k, u, check=False, values=values) - rhs + loads
+            r += apply_A(ctx, ell, k, u, values=values) - rhs + loads
             return values, r, np.sqrt(bundle.block_sum(r * r / bundle.m))
 
     def first(mask):
@@ -202,11 +207,11 @@ def newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0=None):
             raise SolverError(f"non-finite residual at Newton start{where(b)}")
         return values, r, rn
 
-    u = np.array(u_prev, dtype=float)
+    u = u_prev.copy()
     values, r, rn = start(u)
     tol = np.maximum(_ABS_TOL, _REL_TOL * rn)
     if u0 is not None:
-        u = np.array(u0, dtype=float)
+        u = u0.copy()
         values, r, rn = start(u)
     passes = 0
     while True:

@@ -34,14 +34,10 @@ def test_scheme_config_validation():
         SchemeConfig(scheme="PR", max_sweeps=0)
     with pytest.raises(ConfigurationError):
         SchemeConfig(scheme="PR", s=0.0)
-    with pytest.raises(ConfigurationError):
-        SchemeConfig(scheme="AS", s_rule_constant=-1.0)
-    for bad in ({"s": float("nan")}, {"s_rule_constant": float("nan")},
+    for bad in ({"s": float("nan")}, {"s": float("inf")},
                 {"stop_tol": float("nan")}, {"stop_tol": -1e-10},
-                # 1/s overflows, for s given or from the s rule
-                {"s": 2.225073858507203e-309}, {"s_rule_constant": 1e-310},
-                # s from the s rule overflows to inf
-                {"s_rule_constant": 1e308}):
+                # 1/s overflows
+                {"s": 2.225073858507203e-309}):
         with pytest.raises(ConfigurationError):
             SchemeConfig(scheme="PR", **bad)
     for max_sweeps in (2.5, float("nan"), float("inf"), True):
@@ -52,10 +48,11 @@ def test_scheme_config_validation():
 
 
 def test_s_rule():
-    assert SchemeConfig(scheme="AS", s=4.0).resolve_s() == 4.0
-    assert SchemeConfig(scheme="AS", max_sweeps=16).resolve_s() == pytest.approx(4.0)
-    assert SchemeConfig(scheme="AS", max_sweeps=16,
-                        s_rule_constant=2.0).resolve_s() == pytest.approx(8.0)
+    # a given s is kept as a float, an omitted one is sqrt(max_sweeps)
+    assert SchemeConfig(scheme="AS", s=4).s == 4.0
+    assert type(SchemeConfig(scheme="AS", s=4).s) is float
+    assert SchemeConfig(scheme="AS", max_sweeps=16).s == 4.0
+    assert SchemeConfig(scheme="AS").s == 10.0
 
 
 def test_alternating_schemes_need_two_subdomains():

@@ -118,17 +118,15 @@ def test_monotonicity_constant_vector_samples():
 @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_p_structure_sampling_passes(p, dim):
-    report = check_p_structure(p_laplace_model(p, lam=1.0), num_samples=10_000,
-                               seed=0, dim=dim)
+    report = check_p_structure(p_laplace_model(p, lam=1.0), seed=0, dim=dim)
     assert report.passed
-    assert report.num_samples == 10_000
     for margin in report.worst_margins.values():
         assert margin >= -1e-12
 
 
 def test_p_structure_exact_equality_cases():
     # lam = 0: growth and coercivity hold with equality for the power law
-    report = check_p_structure(p_laplace_model(3.0), num_samples=2000, seed=1)
+    report = check_p_structure(p_laplace_model(3.0), seed=1)
     assert report.passed
     assert abs(report.worst_margins["growth_alpha"]) <= 1e-12
 
@@ -140,15 +138,8 @@ def test_equal_arguments_give_zero_monotonicity_margin():
     assert margins["monotonicity"] == 0.0
 
 
-def test_check_p_structure_rejects_bad_sample_counts():
-    for n in (0, -3, 2.5, True, float("nan")):
-        with pytest.raises(ConfigurationError, match="num_samples"):
-            check_p_structure(p_laplace_model(3.0), num_samples=n)
-    assert check_p_structure(p_laplace_model(3.0), num_samples=1.0).num_samples == 1
-
-
 def test_anti_monotone_model_fails():
-    report = check_p_structure(anti_monotone_model(p=2.0), num_samples=2000, seed=0)
+    report = check_p_structure(anti_monotone_model(p=2.0), seed=0)
     assert not report.passed
     assert report.worst_margins["monotonicity"] < 0.0
 

@@ -8,6 +8,7 @@ from stsplit.operators import quad_values
 from stsplit.resolvent import _element_matrices, newton_level_solve
 from stsplit import (
     ConfigurationError,
+    NumericError,
     TimeGrid,
     apply_A,
     apply_F,
@@ -165,6 +166,31 @@ def test_fields_must_be_finite():
                  lambda: v_norm_p(ctx, None, u)):
         with pytest.raises(ConfigurationError, match="non-finite"):
             call()
+
+
+def test_level_vectors_must_match_the_nodes():
+    # a level vector of the wrong length is named, not cut to the subdomain
+    # or left to a numpy broadcast or index error
+    _, _, _, _, ctx = make_problem(p=3.0)
+    n = ctx.bundle(0).n_nodes
+    good = np.zeros(n)
+    for bad in (np.ones(n + 4), np.ones(n - 2), np.ones(n + 1), np.ones((2, n))):
+        with pytest.raises(ConfigurationError, match=f"the {n} nodes"):
+            apply_A(ctx, 0, 0, bad)
+        for u_prev, rhs, u0 in ((bad, good, None), (good, bad, None),
+                                (good, good, bad)):
+            with pytest.raises(ConfigurationError, match=f"the {n} nodes"):
+                newton_level_solve(ctx, 0, 1.0, 0, u_prev, rhs, u0=u0)
+
+
+def test_non_finite_model_values_raise_numeric_error():
+    _, grid, model, dec, ctx = make_problem()
+    nan_beta = replace(model, beta=lambda x, t, y: np.full(np.shape(y), np.nan))
+    ctx = build_context(ctx.mesh, nan_beta, grid, dec)
+    u = np.zeros((grid.n_steps, ctx.mesh.n_nodes))
+    for ell in (None, 0):
+        with pytest.raises(NumericError, match="non-finite"):
+            primal_F(ctx, ell, u)
 
 
 def test_decomposition_identity_small():

@@ -131,15 +131,15 @@ def test_uniqueness_probe_different_initial_guesses(monkeypatch):
     monkeypatch.setattr(stsplit.resolvent, "_ABS_TOL", 1e-13)
     monkeypatch.setattr(stsplit.resolvent, "_REL_TOL", 1e-12)
     u_a = solve_monolithic(ctx)
-    rng = np.random.default_rng(8)
-    u_b = solve_monolithic(ctx, initial=random_field(rng, grid, mesh))
+    # the reference's level solves, each Newton started from a random level
+    start = random_field(np.random.default_rng(8), grid, mesh)
+    u_b = np.empty_like(u_a)
+    u_prev = zero = np.zeros(mesh.n_nodes)
+    for k in range(grid.n_steps):
+        u_prev = stsplit.resolvent.newton_level_solve(
+            ctx, None, 0.0, k, u_prev, zero, u0=start[k]).values
+        u_b[k] = u_prev
     assert h_norm(ctx, u_a - u_b) <= 1e-9
-
-
-def test_monolithic_initial_must_be_a_field():
-    _, grid, _, _, ctx = make_problem()
-    with pytest.raises(ConfigurationError, match="shape"):
-        solve_monolithic(ctx, initial=np.zeros((grid.n_steps, 3)))
 
 
 def test_monolithic_2d_matches_cosine_solution():
