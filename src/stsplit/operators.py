@@ -17,7 +17,6 @@ time level or at different ones, are solved as one.
 
 import functools
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 
@@ -293,8 +292,9 @@ class OperatorContext:
         wavefront repeat theirs: on as1d_shifted_q3 a run builds 31 stacks
         for its 143 stages, about 4 ms, where a stack per stage took 30 ms
         (2 vCPU Xeon).  Every function that takes ell resolves it here, so
-        names are checked here: a bool, an index outside [0, q) or an
-        empty tuple raises ConfigurationError.
+        names are checked here, by `Decomposition.names` for an index: a
+        bool, an index outside [0, q) or an empty tuple raises
+        ConfigurationError.
         """
         if isinstance(ell, tuple):
             if len(ell) == 1:
@@ -311,9 +311,7 @@ class OperatorContext:
             return self._global
         if self.dec is None:
             raise ConfigurationError("context has no decomposition")
-        # the type test first: a fifth of the cost of isinstance on the hot path
-        if ((type(ell) is int or isinstance(ell, numbers.Integral)
-             and not isinstance(ell, bool)) and 0 <= ell < self.dec.q):
+        if self.dec.names(ell):
             return self._subs[ell]
         raise ConfigurationError(f"subdomain {ell!r} is neither None nor an "
                                  f"integer in [0, {self.dec.q})")
@@ -363,8 +361,8 @@ def apply_A(ctx, ell, k, u_k, values=None):
     u_k = _check_level(b, u_k)
     t = level_times(ctx, b, k)
     uq, zq = quad_values(b, u_k) if values is None else values
-    flux = np.asarray(ctx.model.alpha(b.qp, t, zq))
-    reac = np.asarray(ctx.model.beta(b.qp, t, uq))
+    flux = ctx.model.alpha(b.qp, t, zq)
+    reac = ctx.model.beta(b.qp, t, uq)
     # P1 gradients are constant per element: sum the flux over quadrature first
     contrib = np.einsum("ed,eld->el", np.einsum("eq,eqd->ed", b.wa, flux), b.dphi)
     contrib += (b.wb * reac) @ b.phi

@@ -26,8 +26,9 @@ block-diagonal system, named by the tuple of their subdomains (see
 keeps its own bookkeeping, so every block's result is bit-identical to its
 solve alone.  How many applications run at once is bounded by the nodes of
 one stack, _STAGE_NODES.  A Newton pass has a fixed cost that dominates on
-small blocks, so a deeper stack solves the same levels in fewer passes,
-but every application under way holds its output fields; where one
+small blocks (about 90 us on a 31-node subdomain against 310 us on a
+1,136-node stack), so a deeper stack solves the same levels in fewer
+passes, but every application under way holds its output fields; where one
 application's level takes more than the bound, the sweeps run one after
 the other.  A single resolvent application is a chain of one sweep with
 one phase, and its stages are its time levels.
@@ -67,12 +68,13 @@ _MAX_HALVINGS = 30
 # on 726-node blocks a pass cost 3.06 ms per block at 2 blocks and 3.19 ms
 # at 8, and the peak RSS rose from 63.7 to 75.7 MB.  In 1D a Newton pass
 # has a fixed cost that dominates: on stacks of as1d_shifted_q3 subdomains
-# one pass took about 350 us at 497 nodes, 520 us at 1,136 and 840 us at
-# 2,272.  But every application under way holds its output fields, so the
-# peak RSS grows with the depth.  perfbench run_s and peak_rss_mb, medians
-# of 3 runs of 8 s (as1d_shifted_q3: 71 nodes per application, 32 levels;
-# pr1d_degenerate: 49 nodes, 16 levels, so at most 16 applications are
-# ever under way):
+# one pass took about 200 us at 497 nodes, 310 us at 1,136 and 590 us at
+# 2,272, and 90 us on one 31-node subdomain (a level solve's time over its
+# 12-13 passes).  But every application under way holds its output fields,
+# so the peak RSS grows with the depth.  perfbench run_s and peak_rss_mb,
+# medians of 3 runs of 8 s (as1d_shifted_q3: 71 nodes per application, 32
+# levels; pr1d_degenerate: 49 nodes, 16 levels, so at most 16 applications
+# are ever under way):
 #   _STAGE_NODES   as1d depth, run_s, RSS     pr1d depth, run_s, RSS
 #            500    7  0.435 s  59.25 MB      10  0.492 s  58.85 MB
 #            800   11  0.366 s  59.61 MB      16  0.417 s  59.51 MB
@@ -112,8 +114,8 @@ def _element_matrices(ctx, bundle, t, values, eps):
     """
     model = ctx.model
     uq, zq = values
-    jf = np.asarray(model.flux_jacobian(bundle.qp, t, zq, eps))
-    rp = np.asarray(model.reaction_derivative(bundle.qp, t, uq, eps))
+    jf = model.flux_jacobian(bundle.qp, t, zq, eps)
+    rp = model.reaction_derivative(bundle.qp, t, uq, eps)
     w = np.einsum("eq,eqdk->edk", bundle.wa, jf)
     ke = bundle.dphi @ w @ bundle.dphi.transpose(0, 2, 1)
     ke += ((bundle.wb * rp) @ bundle.pp).reshape(ke.shape)
@@ -130,7 +132,7 @@ def _solve_linear(bundle, ke, diag_extra, rhs):
     ab = np.bincount(bundle.band_index, weights=ke.ravel(),
                      minlength=(2 * bw + 1) * n).reshape(2 * bw + 1, n)
     ab[bw] += diag_extra
-    if not np.all(np.isfinite(ab)):
+    if not np.isfinite(ab).all():
         raise SolverError("banded system has non-finite entries")
     try:
         return scipy.linalg.solve_banded((bw, bw), ab, rhs, overwrite_ab=True,
@@ -139,6 +141,10 @@ def _solve_linear(bundle, ke, diag_extra, rhs):
         raise SolverError(f"banded solve failed: {exc}") from exc
 
 
+# one error state for the whole solve: a floating-point fault leaves an inf
+# or nan, which the line search rejects in a trial and which raises
+# SolverError in a start residual or a banded system, so none warns
+@np.errstate(all="ignore")
 def newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0=None):
     """Damped Newton on one time level; returns a NewtonResult.
 
@@ -176,7 +182,8 @@ def newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0=None):
     grown = ctx.step_growth * u_prev
     dt = ctx.grid.dt
     eps = _EPSILON_REG
-    diag_extra = s * bundle.m + bundle.cap / dt + ctx.shift * bundle.cap
+    sm = s * bundle.m
+    diag_extra = sm + bundle.cap / dt + ctx.shift * bundle.cap
     block_of_node = bundle.block_of_node
 
     def where(b):
@@ -190,11 +197,10 @@ def newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0=None):
         # the quadrature values of u, the residual and, per block, the H-norm
         # of the mass-divided residual, sqrt(sum r_i^2 / m_i); a huge trial
         # overflows to inf or nan, which the line search rejects
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = quad_values(bundle, u)
-            r = s * bundle.m * u + bundle.cap * (u - grown) / dt
-            r += apply_A(ctx, ell, k, u, values=values) - rhs + loads
-            return values, r, np.sqrt(bundle.block_sum(r * r / bundle.m))
+        values = quad_values(bundle, u)
+        r = sm * u + bundle.cap * (u - grown) / dt
+        r += apply_A(ctx, ell, k, u, values=values) - rhs + loads
+        return values, r, np.sqrt(bundle.block_sum(r * r / bundle.m))
 
     def first(mask):
         return int(np.flatnonzero(mask)[0])

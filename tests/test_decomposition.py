@@ -131,6 +131,30 @@ def test_extend_restrict_identity_for_interior_support():
     np.testing.assert_array_equal(dec.extend(0, dec.restrict(0, u)), u)
 
 
+def test_restrict_extend_reject_bad_names_and_lengths():
+    # a subdomain is an integer in [0, q), not a bool, as in ctx.bundle, and
+    # the last axis holds the mesh's or the subdomain's nodes; -1 and True
+    # must not name the last subdomain
+    mesh = build_mesh((1.0,), (16,))
+    dec = build_decomposition(mesh, 2, 0.5)
+    u = np.ones((3, mesh.n_nodes))
+    local = np.ones(dec.subdomains[0].nodes.size)
+    for ell in (-1, 2, True, False, 1.0, None, (0,)):
+        with pytest.raises(ConfigurationError, match="not an integer in"):
+            dec.restrict(ell, u)
+        with pytest.raises(ConfigurationError, match="not an integer in"):
+            dec.extend(ell, local)
+    for bad in (np.ones(5), np.ones((3, mesh.n_nodes + 1)), 1.0):
+        with pytest.raises(ConfigurationError, match="nodes on its last axis"):
+            dec.restrict(0, bad)
+        with pytest.raises(ConfigurationError, match="nodes on its last axis"):
+            dec.extend(0, bad)
+    with pytest.raises(ConfigurationError, match="nodes on its last axis"):
+        dec.extend(0, u)
+    np.testing.assert_array_equal(dec.restrict(np.int64(1), u), dec.restrict(1, u))
+    np.testing.assert_array_equal(dec.extend(np.int64(0), local), dec.extend(0, local))
+
+
 def test_restriction_adjointness_lumped_mass():
     mesh = build_mesh((1.0,), (20,))
     dec = build_decomposition(mesh, 2, 0.4)

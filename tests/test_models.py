@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stsplit import (
     ConfigurationError,
@@ -166,3 +169,29 @@ def test_zero_source_default():
     assert np.all(model.source.eta0(x, 0.3) == 0.0)
     assert np.all(model.source.eta(x, 0.3) == 0.0)
     assert model.source.eta(x, 0.3).shape == x.shape
+
+
+@st.composite
+def _gradients(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    n_el = draw(st.integers(1, 30))
+    return draw(arrays(np.float64, (n_el, 1, dim),
+                       elements=st.floats(-1e3, 1e3, allow_nan=False)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.floats(2.0, 8.0), z=_gradients(), eps=st.floats(1e-8, 1.0))
+def test_flux_and_jacobian_match_textbook_forms(p, z, eps):
+    # alpha and flux_jacobian skip np.linalg.norm and the identity product
+    # for speed; they must still give the textbook forms bit for bit
+    model = p_laplace_model(p)
+    dim = z.shape[-1]
+    x = np.zeros(z.shape[:-2] + (2, dim))
+    alpha = np.linalg.norm(z, axis=-1, keepdims=True) ** (p - 2.0) * z
+    assert np.array_equal(model.alpha(x, 0.0, z), alpha)
+    m2 = np.sum(z * z, axis=-1) + eps * eps
+    c1 = m2 ** ((p - 2.0) / 2.0)
+    c2 = (p - 2.0) * m2 ** ((p - 4.0) / 2.0)
+    jf = (c1[..., None, None] * np.eye(dim)
+          + c2[..., None, None] * (z[..., :, None] * z[..., None, :]))
+    assert np.array_equal(model.flux_jacobian(x, 0.0, z, eps), jf)

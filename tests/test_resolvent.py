@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from stsplit import (
     ResolventConfig,
     SolverError,
     apply_A,
+    build_context,
     h_norm,
     indicator_gamma,
     primal_F,
@@ -187,6 +191,24 @@ def test_failed_line_search_raises(monkeypatch):
     monkeypatch.setattr(stsplit.resolvent, "_MAX_HALVINGS", 0)
     with pytest.raises(SolverError, match="line search failed"):
         newton_level_solve(ctx, 0, 1.0, 0, np.zeros(bundle.n_nodes), rhs)
+
+
+def test_overflowing_jacobian_raises_without_a_warning():
+    # one error state covers the whole level solve, so a floating-point
+    # fault in the model surfaces as SolverError, never as a RuntimeWarning
+    mesh, grid, model, dec, _ = make_problem(cells=12, n_steps=2, p=3.0)
+
+    def flux_jacobian(x, t, z, eps):
+        return np.full(np.shape(z) + np.shape(z)[-1:], 1e308) * 10
+
+    ctx = build_context(mesh, replace(model, flux_jacobian=flux_jacobian),
+                        grid, dec)
+    bundle = ctx.bundle(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="banded system has non-finite"):
+            newton_level_solve(ctx, 0, 1.0, 0, np.zeros(bundle.n_nodes),
+                               bundle.m)
 
 
 def test_resolvent_rejects_bad_input():
