@@ -11,8 +11,10 @@ Each subdomain carries three weight profiles:
        Stored per element so the jump at the overlap seam is representable.
   g  - nodal variant of b used for the diagonal capacity weighting.
 
-Within every overlap the left and right profiles are complements, so each
-family sums to one across subdomains.
+a and g are built as profiles over the node columns.  Each overlap's ramp
+is built once: the right strip takes it and the left strip its complement,
+so each family sums to one across subdomains by construction.  b on an
+overlap element is g's profile at the element's corners.
 """
 
 import numbers
@@ -131,56 +133,38 @@ def build_decomposition(mesh, q, overlap_fraction, c_min=0.1):
 
     lo = [0] + starts
     hi = ends + [n0]
-    cols = np.arange(n0 + 1)
     node_col = mesh.node_column
     elem_col = mesh.element_column
+    corner_col = node_col[mesh.elements]  # (n_el, n_local)
 
-    # per-overlap ramps, shared by the two adjacent subdomains as complements
-    def ramp_a(c, j):
-        return (c - starts[j]) / (2.0 * half)
-
-    def ramp_b(c, j):
-        return c_min + (1.0 - 2.0 * c_min) * (c - starts[j]) / (2.0 * half)
-
+    # column profiles, 1 on each strip and 0 off it; every overlap spans
+    # 2*half + 1 node columns, where the right strip takes the ramp and the
+    # left strip its complement
+    steps = np.arange(2 * half + 1)
+    ramp_a = steps / (2.0 * half)
+    ramp_g = c_min + (1.0 - 2.0 * c_min) * steps / (2.0 * half)
     a_cols = np.zeros((q, n0 + 1))
-    g_cols = np.zeros((q, n0 + 1))
     for ell in range(q):
-        inside = (cols >= lo[ell]) & (cols <= hi[ell])
-        a_cols[ell, inside] = 1.0
-        g_cols[ell, inside] = 1.0
-        if ell > 0:
-            span = (cols >= starts[ell - 1]) & (cols <= ends[ell - 1])
-            a_cols[ell, span] = ramp_a(cols[span], ell - 1)
-            g_cols[ell, span] = ramp_b(cols[span], ell - 1)
-        if ell < q - 1:
-            span = (cols >= starts[ell]) & (cols <= ends[ell])
-            a_cols[ell, span] = 1.0 - ramp_a(cols[span], ell)
-            g_cols[ell, span] = 1.0 - ramp_b(cols[span], ell)
+        a_cols[ell, lo[ell]:hi[ell] + 1] = 1.0
+    g_cols = a_cols.copy()
+    shared_col = np.zeros(n0, dtype=bool)  # element columns of an overlap
+    for j in range(q - 1):
+        span = slice(starts[j], ends[j] + 1)
+        a_cols[j + 1, span], a_cols[j, span] = ramp_a, 1.0 - ramp_a
+        g_cols[j + 1, span], g_cols[j, span] = ramp_g, 1.0 - ramp_g
+        shared_col[starts[j]:ends[j]] = True
+    shared = shared_col[elem_col][:, None]
 
     subdomains = []
     weights = []
     for ell in range(q):
         node_in = (node_col >= lo[ell]) & (node_col <= hi[ell])
         elem_in = (elem_col >= lo[ell]) & (elem_col < hi[ell])
-        nodes = np.flatnonzero(node_in)
-        elements = np.flatnonzero(elem_in)
-
-        a = np.zeros(mesh.n_nodes)
-        a[node_in] = a_cols[ell, node_col[node_in]]
-        g = np.zeros(mesh.n_nodes)
-        g[node_in] = g_cols[ell, node_col[node_in]]
-
-        b_elem = np.zeros((mesh.n_elements, mesh.n_local))
-        b_elem[elem_in, :] = 1.0
-        elem_node_col = node_col[mesh.elements]  # (n_el, n_local)
-        if ell > 0:
-            span = elem_in & (elem_col >= starts[ell - 1]) & (elem_col < ends[ell - 1])
-            b_elem[span, :] = ramp_b(elem_node_col[span], ell - 1)
-        if ell < q - 1:
-            span = elem_in & (elem_col >= starts[ell]) & (elem_col < ends[ell])
-            b_elem[span, :] = 1.0 - ramp_b(elem_node_col[span], ell)
-
-        subdomains.append(Subdomain(nodes, elements))
-        weights.append(WeightFamily(a, b_elem, g))
+        subdomains.append(Subdomain(np.flatnonzero(node_in), np.flatnonzero(elem_in)))
+        # b is g's profile at the corners of an overlap element (0 unless the
+        # overlap is this strip's), else 1 on the strip and 0 off it
+        b_elem = np.where(shared, g_cols[ell, corner_col], elem_in[:, None])
+        weights.append(WeightFamily(a_cols[ell, node_col], b_elem,
+                                    g_cols[ell, node_col]))
 
     return Decomposition(mesh, q, subdomains, weights)

@@ -218,14 +218,23 @@ def _assemble_loads(bundle, source, grid):
     n_steps = grid.n_steps
     loads = np.empty((n_steps, bundle.n_nodes))
     for k, t in enumerate(grid.times):
-        e0 = np.asarray(source.eta0(bundle.qp, t))
-        ev = np.asarray(source.eta(bundle.qp, t))
+        e0 = _with_shape(source.eta0(bundle.qp, t), bundle.qp.shape[:-1], "eta0")
+        ev = _with_shape(source.eta(bundle.qp, t), bundle.qp.shape, "eta")
         contrib = np.einsum("eq,eq,ql->el", bundle.wb, e0, bundle.phi)
         contrib += np.einsum("eq,eqd,eld->el", bundle.wa, ev, bundle.dphi)
         loads[k] = bundle.scatter(contrib)
     if not np.all(np.isfinite(loads)):
         raise NumericError("source densities produced non-finite load values")
     return loads
+
+
+def _with_shape(values, shape, name):
+    """values as an array of the given shape, else ConfigurationError."""
+    values = np.asarray(values)
+    if values.shape != shape:
+        raise ConfigurationError(
+            f"{name} returned an array of shape {values.shape}, expected {shape}")
+    return values
 
 
 class OperatorContext:
@@ -256,7 +265,8 @@ class OperatorContext:
             raise ConfigurationError(f"shift must be finite and nonnegative, "
                                      f"with e^(shift*dt) finite: {shift!r}")
         self.step_growth = math.exp(self.shift * grid.dt)
-        gamma_nodes = np.asarray(model.gamma(mesh.nodes), dtype=float)
+        gamma_nodes = _with_shape(np.asarray(model.gamma(mesh.nodes), dtype=float),
+                                  (mesh.n_nodes,), "gamma")
         if not np.all((gamma_nodes >= 0.0) & np.isfinite(gamma_nodes)):
             raise ConfigurationError(
                 "gamma must be finite and nonnegative at mesh nodes")

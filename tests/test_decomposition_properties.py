@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_problem
-from stsplit import ConfigurationError, apply_F
+from stsplit import ConfigurationError, apply_F, build_decomposition, build_mesh
 
 
 @st.composite
@@ -36,6 +36,33 @@ def test_weight_families_partition_unity(case):
     for family in ("a", "b_elem", "g_node"):
         total = sum(getattr(w, family) for w in dec.weights)
         assert np.max(np.abs(total - 1.0)) <= 1e-12, family
+
+
+@settings(max_examples=40, deadline=None)
+@given(decompositions())
+def test_weights_are_one_ramp_per_overlap_and_its_complement(case):
+    cells = tuple(np.atleast_1d(case["cells"]))
+    try:
+        mesh = build_mesh((1.0,) * len(cells), cells)
+        dec = build_decomposition(mesh, case["q"], case["overlap"], case["c_min"])
+    except ConfigurationError:
+        assume(False)
+    subs, ws = dec.subdomains, dec.weights
+    for left, right, sl, sr in zip(ws, ws[1:], subs, subs[1:]):
+        both = np.intersect1d(sl.nodes, sr.nodes)
+        assert np.array_equal(left.a[both], 1.0 - right.a[both])
+        assert np.array_equal(left.g_node[both], 1.0 - right.g_node[both])
+    profile = np.zeros(cells[0] + 1)
+    for sub, w in zip(subs, ws):
+        for values in (w.a, w.g_node):  # one value per node column
+            profile[mesh.node_column] = values
+            assert np.array_equal(values, profile[mesh.node_column])
+        shared = np.intersect1d(sub.elements, np.concatenate(
+            [s.elements for s in subs if s is not sub]))
+        own = np.setdiff1d(sub.elements, shared)
+        off = np.setdiff1d(np.arange(mesh.n_elements), sub.elements)
+        assert np.array_equal(w.b_elem[shared], w.g_node[mesh.elements[shared]])
+        assert np.all(w.b_elem[own] == 1.0) and np.all(w.b_elem[off] == 0.0)
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,6 +9,7 @@ from stsplit.resolvent import _element_matrices, newton_level_solve
 from stsplit import (
     ConfigurationError,
     NumericError,
+    SourceTerm,
     TimeGrid,
     apply_A,
     apply_F,
@@ -191,6 +192,26 @@ def test_non_finite_model_values_raise_numeric_error():
     for ell in (None, 0):
         with pytest.raises(NumericError, match="non-finite"):
             primal_F(ctx, ell, u)
+
+
+@pytest.mark.parametrize("gamma, source, message", [
+    (lambda x: 1.0, None, r"gamma returned an array of shape \(\), expected \(13,\)"),
+    (lambda x: np.ones_like(x), None,
+     r"gamma returned an array of shape \(13, 1\), expected \(13,\)"),
+    (None, SourceTerm(eta0=lambda x, t: 0.0, eta=lambda x, t: np.zeros(np.shape(x))),
+     r"eta0 returned an array of shape \(\), expected \(12, \d+\)"),
+    (None, SourceTerm(eta0=lambda x, t: np.zeros(np.shape(x)[:-1]),
+                      eta=lambda x, t: np.zeros(np.shape(x)[:-1])),
+     r"eta returned an array of shape \(12, \d+\), expected \(12, \d+, 1\)"),
+], ids=["gamma-scalar", "gamma-column", "eta0-scalar", "eta-without-axis"])
+def test_callables_of_the_wrong_output_shape_are_refused(gamma, source, message):
+    mesh = build_mesh((1.0,), (12,))
+    grid = TimeGrid(T=1.0, n_steps=2)
+    model = p_laplace_model(3.0, gamma=gamma)
+    if source is not None:
+        model = model.with_source(source)
+    with pytest.raises(ConfigurationError, match=message):
+        build_context(mesh, model, grid)
 
 
 def test_decomposition_identity_small():
