@@ -418,12 +418,16 @@ def h_norm(ctx, u, ell=None):
 
 def v_norm_p(ctx, ell, u):
     """Weighted space-time norm: (sum_k dt [ int a|grad u|^p + b|u|^p ])^(1/p)."""
-    b = ctx.bundle(ell)
-    u = _check_field(ctx, u, ell)
+    return _v_norm_p(ctx, ctx.bundle(ell), _check_field(ctx, u, ell))
+
+
+def _v_norm_p(ctx, b, u):
+    """v_norm_p of a field u on bundle b that is already checked."""
     p = ctx.model.p
     # all levels at once; the per-level sums are then added level by level
     uq, zq = quad_values(b, u)
-    gmag = np.linalg.norm(zq, axis=-1)
+    # np.linalg.norm's own formula, without its dispatch
+    gmag = np.sqrt(np.add.reduce(zq * zq, axis=-1))
     flux = (b.wa * gmag ** p).reshape(len(u), -1).sum(axis=1)
     reac = (b.wb * np.abs(uq) ** p).reshape(len(u), -1).sum(axis=1)
     total = 0.0
@@ -439,8 +443,10 @@ def k_functional(ctx, ell, u):
     u is a global field; restriction onto the subdomain happens internally.
     c is the model's declared monotonicity constant.
     """
-    u_loc = _check_field(ctx, u, None)[:, ctx.bundle(ell).nodes]
-    return ctx.model.mono_const * v_norm_p(ctx, ell, u_loc) ** ctx.model.p
+    u = _check_field(ctx, u, None)
+    b = ctx.bundle(ell)
+    norm = _v_norm_p(ctx, b, u[:, b.nodes])
+    return ctx.model.mono_const * norm ** ctx.model.p
 
 
 def primal_F(ctx, ell, u):

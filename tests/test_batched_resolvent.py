@@ -27,9 +27,9 @@ def _assert_matches_per_subdomain(ctx, g, cfg):
         assert np.array_equal(batched[ell], resolvent_solve(ctx, ell, g, cfg))
 
 
-def _solve_alone(ctx, ell, s, k, u_prev, rhs, u0=None):
+def _solve_alone(ctx, ell, s, k, u_prev, rhs, u0=None, warm=None):
     try:
-        return newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0)
+        return newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0, warm)
     except SolverError as err:
         return err
 
@@ -40,33 +40,41 @@ def _same_solve(a, b):
     return np.array_equal(a.values, b.values) and a.iterations == b.iterations
 
 
-def _assert_stack_matches_blocks(ctx, blocks, s, rng, scale, starts=None):
+def _assert_stack_matches_blocks(ctx, blocks, s, rng, scale, starts=None,
+                                 warm=False):
     """A stack of (subdomain, level) blocks against each block solved alone.
 
     starts is None, for no start, or holds one entry per block: None starts
     the block from its u_prev, a number from u_prev plus noise of that size.
+    With warm, the blocks with a number are warm blocks, as a sweep's are,
+    and the others keep the exact tolerance.
     """
     ells = tuple(ell for ell, _ in blocks)
     parts = [ctx.bundle(ell) for ell in ells]
     levels = [k for _, k in blocks]
     u_prev = [scale * rng.standard_normal(b.n_nodes) for b in parts]
     rhs = [scale * b.m * rng.standard_normal(b.n_nodes) for b in parts]
-    u0 = None
+    u0 = flags = None
     if starts is not None:
+        if warm:
+            flags = np.array([size is not None
+                              for size in starts[:len(blocks)]])
         u0 = [up if size is None
               else up + size * scale * rng.standard_normal(len(up))
               for up, size in zip(u_prev, starts)]
     alone = []
     for i, ((ell, k), up, r) in enumerate(zip(blocks, u_prev, rhs)):
         alone.append(_solve_alone(ctx, ell, s, k, up, r,
-                                  None if u0 is None else u0[i]))
+                                  None if u0 is None else u0[i],
+                                  None if flags is None else flags[i]))
         if u0 is not None and starts[i] is None:
-            # starting from u_prev is no start at all
+            # starting from u_prev is no start at all, beside warm blocks too
             assert _same_solve(alone[i], _solve_alone(ctx, ell, s, k, up, r))
     try:
         res = newton_level_solve(ctx, ells, s, levels, np.concatenate(u_prev),
                                  np.concatenate(rhs),
-                                 None if u0 is None else np.concatenate(u0))
+                                 None if u0 is None else np.concatenate(u0),
+                                 flags)
     except SolverError as err:
         # the stack fails with the message of a block that fails alone
         assert any(isinstance(a, SolverError) and str(a) == str(err)
@@ -148,6 +156,9 @@ def test_batched_equals_per_subdomain(case):
         # and each block started from its own u0
         _assert_stack_matches_blocks(ctx, case["blocks"], case["s"], rng,
                                      case["scale"], case["starts"])
+        # with the started blocks warm and the others beside them exact
+        _assert_stack_matches_blocks(ctx, case["blocks"], case["s"], rng,
+                                     case["scale"], case["starts"], warm=True)
     finally:
         stsplit.resolvent._MAX_HALVINGS = saved
 

@@ -12,7 +12,7 @@ from stsplit import ConfigurationError, apply_F, build_decomposition, build_mesh
 def decompositions(draw):
     q = draw(st.integers(2, 4))
     nx = draw(st.integers(2 * q, 8 * q))
-    cells = nx if draw(st.booleans()) else (nx, draw(st.integers(1, 4)))
+    cells = nx if draw(st.booleans()) else (nx, draw(st.integers(2, 4)))
     return dict(
         cells=cells, q=q, overlap=draw(st.floats(0.05, 1.5)),
         c_min=draw(st.floats(0.01, 0.49)), p=draw(st.floats(2.0, 4.0)),

@@ -186,15 +186,17 @@ def test_additive_fanout_is_order_independent(monkeypatch):
     # the reference: every block of every stacked level solve solved alone
     newton = stsplit.resolvent.newton_level_solve
 
-    def one_block_at_a_time(c, ell, s, k, u_prev, rhs, u0=None):
+    def one_block_at_a_time(c, ell, s, k, u_prev, rhs, u0=None, warm=None):
         bundle = c.bundle(ell)
         if bundle.parts is None:
-            return newton(c, ell, s, k, u_prev, rhs, u0)
+            return newton(c, ell, s, k, u_prev, rhs, u0, warm)
         levels = np.broadcast_to(k, len(bundle.parts))
         cuts = list(zip(bundle.offsets, bundle.offsets[1:]))
         alone = [newton(c, part.name, s, int(kb), u_prev[a:b], rhs[a:b],
-                        None if u0 is None else u0[a:b])
-                 for part, kb, (a, b) in zip(bundle.parts, levels, cuts)]
+                        None if u0 is None else u0[a:b],
+                        None if warm is None else warm[i])
+                 for i, (part, kb, (a, b)) in enumerate(
+                     zip(bundle.parts, levels, cuts))]
         return NewtonResult(np.concatenate([r.values for r in alone]),
                             max(r.iterations for r in alone))
 
@@ -370,7 +372,7 @@ def _inject_failure(monkeypatch, ell, k, sweep):
     newton = stsplit.resolvent.newton_level_solve
     seen = []  # the right-hand sides of the (ell, k) blocks, as bytes
 
-    def failing(c, ells, s, levels, u_prev, rhs, u0=None):
+    def failing(c, ells, s, levels, u_prev, rhs, u0=None, warm=None):
         bundle = c.bundle(ells)
         blocks, offsets = bundle.blocks, bundle.offsets
         for b, (part, kb) in enumerate(
@@ -381,7 +383,7 @@ def _inject_failure(monkeypatch, ell, k, sweep):
                     seen.append(key)
                 if seen.index(key) == sweep - 1:
                     raise SolverError(f"injected at level {k}")
-        return newton(c, ells, s, levels, u_prev, rhs, u0)
+        return newton(c, ells, s, levels, u_prev, rhs, u0, warm)
 
     monkeypatch.setattr(stsplit.resolvent, "newton_level_solve", failing)
 
@@ -433,7 +435,7 @@ def test_failing_stage_raises_the_first_application_to_fail(monkeypatch):
     newton = stsplit.resolvent.newton_level_solve
     marked = {}  # right-hand side bytes -> the message of its failure
 
-    def failing(c, ells, s, levels, u_prev, rhs, u0=None):
+    def failing(c, ells, s, levels, u_prev, rhs, u0=None, warm=None):
         bundle = c.bundle(ells)
         blocks, offsets = bundle.blocks, bundle.offsets
         named = [(part.name, int(kb)) for part, kb in
@@ -447,7 +449,7 @@ def test_failing_stage_raises_the_first_application_to_fail(monkeypatch):
         for key in keys:
             if key in marked:
                 raise SolverError(marked[key])
-        return newton(c, ells, s, levels, u_prev, rhs, u0)
+        return newton(c, ells, s, levels, u_prev, rhs, u0, warm)
 
     monkeypatch.setattr(stsplit.resolvent, "newton_level_solve", failing)
     cfg = SchemeConfig(scheme="DR", s=2.0, max_sweeps=4, stop_tol=0.0)
@@ -503,22 +505,24 @@ def test_completed_alternating_sweep_holds_no_phase0_inputs(monkeypatch,
 def _record_starts(monkeypatch):
     """Record every stacked Newton as a list of its blocks' starts.
 
-    Each block is (subdomain, level, u_prev, u0) with its slices of the
-    stack's rows; u0 is None when the stage passed no start.
+    Each block is (subdomain, level, u_prev, u0, warm) with its slices of
+    the stack's rows and its warm flag; u0 and warm are None when the stage
+    passed no start.
     """
     newton = stsplit.resolvent.newton_level_solve
     stages = []
 
-    def recording(c, ells, s, levels, u_prev, rhs, u0=None):
+    def recording(c, ells, s, levels, u_prev, rhs, u0=None, warm=None):
         stacked = c.bundle(ells)
         blocks, offsets = stacked.blocks, stacked.offsets
         stages.append([
             (part.name, int(kb), u_prev[lo:hi].copy(),
-             None if u0 is None else u0[lo:hi].copy())
-            for part, kb, lo, hi in zip(blocks,
-                                        np.broadcast_to(levels, len(blocks)),
-                                        offsets, offsets[1:])])
-        return newton(c, ells, s, levels, u_prev, rhs, u0)
+             None if u0 is None else u0[lo:hi].copy(),
+             None if warm is None else bool(warm[b]))
+            for b, (part, kb, lo, hi) in enumerate(zip(
+                blocks, np.broadcast_to(levels, len(blocks)), offsets,
+                offsets[1:]))])
+        return newton(c, ells, s, levels, u_prev, rhs, u0, warm)
 
     monkeypatch.setattr(stsplit.resolvent, "newton_level_solve", recording)
     return stages
@@ -553,10 +557,12 @@ def test_each_level_starts_from_the_previous_sweep(monkeypatch, scheme, q,
     warm = 0
     for stage in stages:
         sweeps = []
-        for ell, k, u_prev, u0 in stage:
+        for ell, k, u_prev, u0, flag in stage:
             seen[ell, k] += 1
             n = seen[ell, k]
             sweeps.append(n)
+            # only a block started from the sweep before is solved inexactly
+            assert flag is (None if u0 is None else n > 1)
             if n == 1:
                 assert u0 is None or np.array_equal(u0, u_prev)
                 continue
@@ -566,7 +572,7 @@ def test_each_level_starts_from_the_previous_sweep(monkeypatch, scheme, q,
             assert np.array_equal(u0, before[ctx.bundle(ell).nodes])
             warm += 1
         if max(sweeps) == 1:
-            assert all(u0 is None for *_, u0 in stage)
+            assert all(u0 is None for *_, u0, _ in stage)
     # sweeps 2 and 3, at every level of every subdomain
     assert warm == 2 * grid.n_steps * q
 
@@ -580,7 +586,8 @@ def test_single_resolvent_passes_no_start(monkeypatch):
     resolvent_solve(ctx, 0, g, cfg)
     one_sweep(ctx, (0, 1, 2), g, cfg)
     assert len(stages) == 2 * grid.n_steps
-    assert all(u0 is None for stage in stages for *_, u0 in stage)
+    assert all(u0 is None and warm is None
+               for stage in stages for *_, u0, warm in stage)
 
 
 def _record_stack_sizes(monkeypatch):
@@ -588,9 +595,9 @@ def _record_stack_sizes(monkeypatch):
     newton = stsplit.resolvent.newton_level_solve
     sizes = []
 
-    def recording(c, ells, s, levels, u_prev, rhs, u0=None):
+    def recording(c, ells, s, levels, u_prev, rhs, u0=None, warm=None):
         sizes.append(len(c.bundle(ells).blocks))
-        return newton(c, ells, s, levels, u_prev, rhs, u0)
+        return newton(c, ells, s, levels, u_prev, rhs, u0, warm)
 
     monkeypatch.setattr(stsplit.resolvent, "newton_level_solve", recording)
     return sizes

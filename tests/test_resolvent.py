@@ -115,9 +115,11 @@ def test_nonlinear_level_recovery():
 
 @pytest.mark.parametrize("scale", [1.0, 1e2, 1e4])
 def test_tolerance_does_not_depend_on_start(scale):
-    # restarting from a converged level must accept it as it is; a tolerance
-    # relative to the residual at the start would shrink to the converged
-    # residual and ask for more than rounding allows
+    # restarting from a converged level must accept it as it is: a caller's
+    # start keeps the tolerance relative to the residual at u_prev, and only
+    # a warm block of a sweep may stop earlier; a tolerance relative to the
+    # residual at the start alone would shrink to the converged residual and
+    # ask for more than rounding allows
     _, grid, _, _, ctx = make_problem(cells=20, n_steps=3, p=3.0, lam=1.0,
                                       source="cos")
     bundle = ctx.bundle(0)
@@ -128,6 +130,82 @@ def test_tolerance_does_not_depend_on_start(scale):
     again = newton_level_solve(ctx, 0, 2.0, 1, u_prev, rhs, u0=res.values)
     assert again.iterations == 0
     assert np.array_equal(again.values, res.values)
+
+
+def _residual_norm(ctx, ell, s, k, u_prev, rhs, u):
+    """H-norm of the mass-divided level residual, as Newton measures it."""
+    bundle = ctx.bundle(ell)
+    r = s * bundle.m * u + bundle.cap * (u - u_prev) / ctx.grid.dt
+    r += apply_A(ctx, ell, k, u) - rhs + bundle.loads[k]
+    return np.sqrt(np.sum(r * r / bundle.m))
+
+
+def _level_problem(seed):
+    """(ctx, s, k, u_prev, rhs, start) on subdomain 1, whose solution is
+    u_star and whose start lies about 1e-2 from it."""
+    _, grid, _, _, ctx = make_problem(cells=24, n_steps=3, p=3.0, lam=1.0,
+                                      source="cos")
+    bundle = ctx.bundle(1)
+    rng = np.random.default_rng(seed)
+    u_star = rng.standard_normal(bundle.n_nodes)
+    u_prev = rng.standard_normal(bundle.n_nodes)
+    s, k = 2.0, 1
+    rhs = (s * bundle.m * u_star + bundle.cap * (u_star - u_prev) / grid.dt
+           + apply_A(ctx, 1, k, u_star) + bundle.loads[k])
+    start = u_star + 1e-2 * rng.standard_normal(bundle.n_nodes)
+    return ctx, s, k, u_prev, rhs, start
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_warm_block_stops_at_a_fraction_of_its_start_residual(seed):
+    ctx, s, k, u_prev, rhs, start = _level_problem(seed)
+
+    def norm(u):
+        return _residual_norm(ctx, 1, s, k, u_prev, rhs, u)
+
+    tol = max(stsplit.resolvent._ABS_TOL,
+              stsplit.resolvent._REL_TOL * norm(u_prev))
+    loose = max(tol, stsplit.resolvent._WARM_REL_TOL * norm(start))
+    assert loose > tol
+    # a caller's start keeps the tolerance relative to u_prev
+    exact = newton_level_solve(ctx, 1, s, k, u_prev, rhs, u0=start)
+    assert norm(exact.values) <= tol
+    warm = newton_level_solve(ctx, 1, s, k, u_prev, rhs, u0=start, warm=True)
+    assert norm(warm.values) <= loose
+    assert warm.iterations < exact.iterations
+    # a flag that is False is no flag at all
+    cold = newton_level_solve(ctx, 1, s, k, u_prev, rhs, u0=start, warm=False)
+    assert np.array_equal(cold.values, exact.values)
+
+
+def test_cold_block_beside_warm_blocks_keeps_its_bits():
+    # a first-sweep block, started from its previous level, stacked with
+    # warm blocks solves as it does alone with no start
+    ctx, s, k, u_prev, rhs, _ = _level_problem(0)
+    *_, warm_prev, warm_rhs, warm_start = _level_problem(1)
+    alone = newton_level_solve(ctx, 1, s, k, u_prev, rhs)
+    warm = newton_level_solve(ctx, 1, s, k, warm_prev, warm_rhs,
+                              u0=warm_start, warm=True)
+    res = newton_level_solve(
+        ctx, (1, 1, 1), s, k, np.concatenate([warm_prev, u_prev, warm_prev]),
+        np.concatenate([warm_rhs, rhs, warm_rhs]),
+        u0=np.concatenate([warm_start, u_prev, warm_start]),
+        warm=np.array([True, False, True]))
+    n = len(u_prev)
+    assert np.array_equal(res.values[n:2 * n], alone.values)
+    assert np.array_equal(res.values[:n], warm.values)
+    assert np.array_equal(res.values[2 * n:], warm.values)
+    assert res.iterations == max(alone.iterations, warm.iterations)
+
+
+def test_warm_needs_a_start_and_one_flag_per_block():
+    ctx, s, k, u_prev, rhs, start = _level_problem(0)
+    with pytest.raises(ConfigurationError, match="warm needs a start"):
+        newton_level_solve(ctx, 1, s, k, u_prev, rhs, warm=True)
+    stacked = [np.concatenate([v, v]) for v in (u_prev, rhs, start)]
+    with pytest.raises(ConfigurationError, match="one flag per block"):
+        newton_level_solve(ctx, (1, 1), s, k, *stacked[:2], u0=stacked[2],
+                           warm=np.array([True, False, True]))
 
 
 @pytest.mark.parametrize("s", [0.5, 2.0])
