@@ -126,11 +126,13 @@ class _AdditiveSweep(Sweep):
     def level_input(self, phase, k):
         if self.prev is None:
             return self.s * self.start[k]
-        return self.s * _mean([f[k] for f in self.prev.out[0]])
+        fields = self.prev.out[0][:, k]
+        return self.s * np.add.reduce(fields / len(fields), axis=0)
 
     def iterate(self):
         """(compared iterate, subdomain fields, None): no (v, w) monitor."""
-        return _mean(self.out[0]), self.out[0], None
+        fields = self.out[0]
+        return np.add.reduce(fields / len(fields), axis=0), list(fields), None
 
 
 class _AlternatingSweep(Sweep):
@@ -149,7 +151,7 @@ class _AlternatingSweep(Sweep):
     def _previous(self, k):
         if self.prev is None:
             return self.start[0][k], self.start[1][k]
-        u2 = self.prev.out[1][0][k]
+        u2 = self.prev.out[1][0, k]
         return u2, self.prev.rhs2[k] - self.s * u2
 
     def level_input(self, phase, k):
@@ -157,10 +159,10 @@ class _AlternatingSweep(Sweep):
         if phase == 0:
             return self.s * u2 - f2
         if self.douglas:
-            g = self.s * self.out[0][0][k] + f2
+            g = self.s * self.out[0][0, k] + f2
         else:
             # PR reflects about phase 0's input, rebuilt from the sweep before
-            g = 2.0 * self.s * self.out[0][0][k] - (self.s * u2 - f2)
+            g = 2.0 * self.s * self.out[0][0, k] - (self.s * u2 - f2)
         self.rhs2.append(g)
         return g
 
@@ -170,13 +172,6 @@ class _AlternatingSweep(Sweep):
         vn = np.array(self.rhs2)  # (sI + F2)u2 by construction
         f2 = vn - self.s * u2
         return u2, [u1, u2], (vn, self.s * u2 - f2)
-
-
-def _mean(fields):
-    out = fields[0] / len(fields)
-    for f in fields[1:]:
-        out = out + f / len(fields)
-    return out
 
 
 def run_scheme(ctx, cfg, u_ref=None, initial=None):
@@ -264,7 +259,8 @@ def run_scheme(ctx, cfg, u_ref=None, initial=None):
         completed.close()
 
     return RunResult(
-        u=u_cmp_prev,
+        # the alternating schemes compare u2, which is also a subdomain field
+        u=u_cmp_prev.copy() if alternating else u_cmp_prev,
         subdomain_fields=subs,
         trace=trace,
         sweeps=sweeps,

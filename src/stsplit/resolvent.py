@@ -28,10 +28,11 @@ solve alone.  How many applications run at once is bounded by the nodes of
 one stack, _STAGE_NODES.  A Newton pass has a fixed cost that dominates on
 small blocks (about 90 us on a 31-node subdomain against 310 us on a
 1,136-node stack), so a deeper stack solves the same levels in fewer
-passes, but every application under way holds its output fields; where one
-application's level takes more than the bound, the sweeps run one after
-the other.  A single resolvent application is a chain of one sweep with
-one phase, and its stages are its time levels.
+passes, but every application under way holds its outputs, as global
+fields and as subdomain rows (see Sweep); where one application's level
+takes more than the bound, the sweeps run one after the other.  A single
+resolvent application is a chain of one sweep with one phase, and its
+stages are its time levels.
 
 Successive sweeps approach the scheme's fixed point, so Newton starts each
 level of sweep n from the output of sweep n-1 at the same phase and level,
@@ -82,11 +83,12 @@ _MAX_HALVINGS = 30
 # has a fixed cost that dominates: on stacks of as1d_shifted_q3 subdomains
 # one pass took about 200 us at 497 nodes, 310 us at 1,136 and 590 us at
 # 2,272, and 90 us on one 31-node subdomain (a level solve's time over its
-# 12-13 passes).  But every application under way holds its output fields,
-# so the peak RSS grows with the depth.  perfbench run_s and peak_rss_mb,
-# medians of 3 runs of 8 s (as1d_shifted_q3: 71 nodes per application, 32
-# levels; pr1d_degenerate: 49 nodes, 16 levels, so at most 16 applications
-# are ever under way):
+# 12-13 passes).  But every application under way holds its global output
+# fields and its subdomain rows (see Sweep), so the peak RSS grows with the
+# depth.  perfbench run_s and peak_rss_mb, medians of 3 runs of 8 s, taken
+# before the subdomain rows were kept, which add 18 KB per as1d application
+# (as1d_shifted_q3: 71 nodes per application, 32 levels; pr1d_degenerate:
+# 49 nodes, 16 levels, so at most 16 applications are ever under way):
 #   _STAGE_NODES   as1d depth, run_s, RSS     pr1d depth, run_s, RSS
 #            500    7  0.435 s  59.25 MB      10  0.492 s  58.85 MB
 #            800   11  0.366 s  59.61 MB      16  0.417 s  59.51 MB
@@ -282,18 +284,24 @@ class Sweep:
     """One sweep of a chain, whose outputs the engine fills level by level.
 
     Phase p of the sweep applies the resolvents of the subdomains phases[p]
-    to one input field and gives out[p], one output field per subdomain.  A
-    subclass defines level_input(p, k), level k of that input, and keeps
-    whatever of it it reads later.  It may read level k of this sweep's
-    earlier phases and of `prev`, the sweep before (None for the first).
-    The engine starts each level's Newton from level k of prev's outputs at
-    the same phase, and drops `prev` once the sweep's inputs are all built
-    and its starts read.  The output fields, of shape (n_steps, n_nodes),
-    are allocated when their phase starts and filled level by level.
+    to one input field.  Its outputs are out[p], one array of shape
+    (len(phases[p]), n_steps, n_nodes) that holds one global output field
+    per subdomain (g/s off the subdomain), and rows[p], of shape
+    (n_steps, N_p): the same outputs on the subdomains' own N_p nodes, in
+    the stack order of `OperatorContext.bundle(phases[p])`, from which the
+    engine builds the previous levels and warm starts of its Newton.  Both
+    are allocated when their phase starts and filled level by level.  A
+    subclass defines level_input(p, k), level k of the phase's input, and
+    keeps whatever of it it reads later.  It may read level k of this
+    sweep's earlier phases and of `prev`, the sweep before (None for the
+    first).  The engine starts each level's Newton from level k of prev's
+    rows at the same phase, and drops `prev` once the sweep's inputs are
+    all built and its starts read.
     """
 
     prev = None
     out = None
+    rows = None
 
     def level_input(self, phase, k):
         raise NotImplementedError
@@ -314,44 +322,41 @@ def _solve_stage(ctx, phases, s, units):
 
     phases[p] holds the subdomains of phase p, and a unit is (application,
     sweep, phase, level, input level, warm start).  The warm start is the
-    previous sweep's output rows at the same phase and level, one per block,
-    or None.  Newton starts each block from its warm row and solves it
-    inexactly (see `newton_level_solve`'s warm); a block without one starts
-    from its previous level and keeps the exact tolerance, which gives the
-    bits of no start at all, and a stage with no warm start passes none.
-    Writes each unit's output level and returns None.  If the stacked
+    previous sweep's subdomain rows at the same phase and level, or None.
+    Newton starts each block from its warm row and solves it inexactly (see
+    `newton_level_solve`'s warm); a block without one starts from its
+    previous level and keeps the exact tolerance, which gives the bits of
+    no start at all, and a stage with no warm start passes none.  The stack
+    holds the units' subdomain rows in turn, so each unit reads and writes
+    one slice of it.  Writes each unit's output level and returns None.  If the stacked
     Newton raises SolverError, a stage of one unit returns (application,
     error), and one of more units solves them alone, in application order,
     and returns what the first that fails returns, with the units before it
     done.
     """
-    parts, ks, unit_of_block, prev, starts, outs = (), [], [], [], [], []
-    warm_blocks = []
-    for i, (_, sweep, p, k, _, warm) in enumerate(units):
+    parts, ks, inputs, prev, starts, warm_blocks = (), [], [], [], [], []
+    for _, sweep, p, k, g, warm in units:
         n = len(phases[p])
         parts += phases[p]
         ks += [k] * n
-        unit_of_block += [i] * n
-        if k:
-            before = [out[k - 1] for out in sweep.out[p]]
-        else:
-            before = [np.zeros(ctx.mesh.n_nodes)] * n
-        prev += before
-        starts += before if warm is None else warm
+        inputs += [g] * n
+        before = (sweep.rows[p][k - 1] if k
+                  else np.zeros(sweep.rows[p].shape[1]))
+        prev.append(before)
+        starts.append(before if warm is None else warm)
         warm_blocks += [warm is not None] * n
-        outs += sweep.out[p]
     bundle = ctx.bundle(parts)
-    # the inputs, previous levels and starts as global rows, one per block,
-    # read at each stacked node's global id
+    # the inputs as global rows, one per block, read at each stacked node's
+    # global id
     at = (bundle.block_of_node, bundle.nodes)
-    inputs = np.array([unit[4] for unit in units])[unit_of_block]
+    inputs = np.array(inputs)
     u0 = flags = None
     if any(warm_blocks):
-        u0, flags = np.array(starts)[at], np.array(warm_blocks)
+        u0, flags = np.concatenate(starts), np.array(warm_blocks)
     try:
         res = newton_level_solve(
             ctx, parts, s, ks[0] if len(set(ks)) == 1 else ks,
-            np.array(prev)[at], bundle.m * inputs[at], u0=u0, warm=flags)
+            np.concatenate(prev), bundle.m * inputs[at], u0=u0, warm=flags)
     except SolverError as err:
         if len(units) == 1:
             return units[0][0], err
@@ -360,10 +365,14 @@ def _solve_stage(ctx, phases, s, units):
             if found is not None:
                 return found
         return None
-    rows = inputs / s
-    rows[at] = res.values
-    for out, k, row in zip(outs, ks, rows):
-        out[k] = row
+    out = inputs / s
+    out[at] = res.values
+    b = i = 0
+    for _, sweep, p, k, _, _ in units:
+        n, width = len(phases[p]), sweep.rows[p].shape[1]
+        sweep.out[p][:, k] = out[b:b + n]
+        sweep.rows[p][k] = res.values[i:i + width]
+        b, i = b + n, i + width
     return None
 
 
@@ -380,10 +389,12 @@ def _wavefront(ctx, phases, sweeps, s):
     fail alone, see `_solve_stage`), the applications after it are dropped,
     the ones before it go on, and its error is raised once they are done.
     """
-    n_steps = ctx.grid.n_steps
+    n_steps, n_nodes = ctx.grid.n_steps, ctx.mesh.n_nodes
     n_phases = len(phases)
-    depth = max(1, _STAGE_NODES // max(
-        sum(ctx.bundle(ell).n_nodes for ell in ells) for ells in phases))
+    # nodes of one application of each phase (ctx.bundle keeps only the
+    # last stack, so the phases' own stacks are not built)
+    widths = [sum(ctx.bundle(ell).n_nodes for ell in ells) for ells in phases]
+    depth = max(1, _STAGE_NODES // max(widths))
     sweeps = iter(sweeps)
     running = []  # [application, sweep, phase, level] under way, in order
     failed, error = math.inf, None  # first failed application and its error
@@ -395,11 +406,11 @@ def _wavefront(ctx, phases, sweeps, s):
             if p == 0:
                 sweep = next(sweeps, None)
                 if sweep is not None:
-                    sweep.out = [None] * n_phases
+                    sweep.out, sweep.rows = [None] * n_phases, [None] * n_phases
                     sweep.prev, prev = prev, sweep
             if sweep is not None:
-                sweep.out[p] = [np.empty((n_steps, ctx.mesh.n_nodes))
-                                for _ in phases[p]]
+                sweep.out[p] = np.empty((len(phases[p]), n_steps, n_nodes))
+                sweep.rows[p] = np.empty((n_steps, widths[p]))
                 running.append([a, sweep, p, 0])
                 a += 1
         if not running:
@@ -410,7 +421,7 @@ def _wavefront(ctx, phases, sweeps, s):
             # level k of the sweep before is done: its application ran ahead
             warm = None
             if sweep_k.prev is not None:
-                warm = [f[k] for f in sweep_k.prev.out[p]]
+                warm = sweep_k.prev.rows[p][k]
             if k == n_steps - 1 and p == n_phases - 1:
                 sweep_k.prev = None
             units.append((app, sweep_k, p, k, g_k, warm))

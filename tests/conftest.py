@@ -1,5 +1,7 @@
 """Shared problem builders for the test suite."""
 
+import warnings
+
 import numpy as np
 
 from stsplit import (
@@ -14,6 +16,18 @@ from stsplit import (
     resolvent_solve,
 )
 from stsplit.resolvent import _FieldSweep
+
+# A failing hypothesis test makes its pytest plugin import this module,
+# whose libcst import raises a DeprecationWarning that pyproject.toml's
+# error filter turns into an INTERNALERROR: the failing test goes unnamed
+# and the later test files never run.  Imported here, once, with that
+# warning ignored for this import alone.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 def make_problem(cells=16, n_steps=4, T=1.0, p=2.0, lam=0.0, gamma=None,
@@ -44,7 +58,7 @@ def random_field(rng, grid, mesh, scale=1.0):
 def one_sweep(ctx, phase, g, cfg):
     """Outputs of the resolvents of the subdomains `phase` applied to g.
 
-    One sweep of a one-phase chain: a list of global fields, one per entry
-    of phase, solved as stacked level systems.
+    One sweep of a one-phase chain: one global field per entry of phase,
+    stacked in one array and solved as stacked level systems.
     """
     return next(resolvent_solve(ctx, (phase,), [_FieldSweep(g)], cfg)).out[0]

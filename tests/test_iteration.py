@@ -168,7 +168,8 @@ def test_additive_average_uses_equal_weights(monkeypatch):
 
     def stub(ctx_, phases, chain, rcfg):
         for sweep in chain:
-            sweep.out = [[np.full(shape, 2.0 * e) for e in ells] for ells in phases]
+            sweep.out = [np.stack([np.full(shape, 2.0 * e) for e in ells])
+                         for ells in phases]
             yield sweep
 
     monkeypatch.setattr(stsplit.iteration, "resolvent_solve", stub)
@@ -628,3 +629,31 @@ def test_2d_runs_one_application_per_stage(monkeypatch):
                                  stop_tol=0.0))
     assert len(sizes) == 2 * 4
     assert all(n == 2 for n in sizes)
+
+
+def _returned_fields(result):
+    return [result.u] + list(result.subdomain_fields)
+
+
+@pytest.mark.parametrize("scheme, q", [("PR", 2), ("DR", 2), ("AS", 3),
+                                       ("AS_shifted", 3)])
+def test_returned_fields_are_not_views_of_engine_buffers(scheme, q):
+    mesh, grid, _, _, ctx = make_problem(cells=24, n_steps=4, p=3.0, lam=1.0,
+                                         q=q, source="cos")
+    cfg = SchemeConfig(scheme=scheme, s=2.0, max_sweeps=3, stop_tol=0.0)
+    g = random_field(np.random.default_rng(1), grid, mesh)
+    rcfg = ResolventConfig(s=2.0)
+    first, second = run_scheme(ctx, cfg), run_scheme(ctx, cfg)
+    solved = [resolvent_solve(ctx, 0, g, rcfg) for _ in range(2)]
+    fields = _returned_fields(first) + _returned_fields(second) + solved
+    for i, a in enumerate(fields):
+        for b in fields[i + 1:] + [g]:
+            assert not np.shares_memory(a, b)
+
+    # writing into what a run returned leaves a rerun's bits as they were
+    kept = [f.copy() for f in _returned_fields(first) + solved[:1]]
+    for f in _returned_fields(first) + solved[:1]:
+        f[...] = np.nan
+    again = _returned_fields(run_scheme(ctx, cfg))
+    again.append(resolvent_solve(ctx, 0, g, rcfg))
+    assert all(np.array_equal(a, b) for a, b in zip(again, kept))

@@ -23,6 +23,10 @@ size at most 1: with the manufactured source the reference also fails at
 p = 3.13 with lambda = 0 on a strip, and a first sweep fails from a start
 of size 4 at p = 5.7 even with lambda = 1.  AS_shifted needs gamma > 0 and
 runs only on the draws without a strip.
+
+The last test draws problems with gamma = 1 and checks that the wavefront's
+stacking depth, from one application per stage to every application under
+way in one stack, leaves every output of all four schemes bit for bit.
 """
 
 import numpy as np
@@ -120,3 +124,46 @@ def test_monitored_sequences_never_rise(case):
         cfg = SchemeConfig(scheme=scheme, s=case["s"], max_sweeps=_SWEEPS,
                            stop_tol=0.0)
         _never_rises(_additive_increments(ctx_additive, cfg, start))
+
+
+@st.composite
+def stacked_runs(draw):
+    return dict(
+        cells=draw(st.integers(8, 20)), n_steps=draw(st.integers(2, 8)),
+        p=draw(st.floats(2.0, 3.5)), q=draw(st.integers(2, 3)),
+        overlap=draw(st.floats(0.2, 1.0)), s=draw(st.floats(0.5, 10.0)),
+        sweeps=draw(st.integers(1, 5)),
+        stop_tol=draw(st.sampled_from([0.0, 1e-4])),
+    )
+
+
+_TRACE_COLUMNS = ("sweep", "err_H", "err_k_total", "err_k", "pr_v_norm",
+                  "pr_w_norm", "v0_norm", "w0_norm")
+
+
+@settings(max_examples=10, deadline=None)
+@given(stacked_runs())
+def test_stacking_depth_leaves_every_output_unchanged(case):
+    # one application per stage, the default depth, and every application
+    # under way in one stack
+    depths = (1, stsplit.resolvent._STAGE_NODES, 10**6)
+    for scheme in ("PR", "DR", "AS", "AS_shifted"):
+        q = 2 if scheme in ("PR", "DR") else case["q"]
+        *_, ctx = _context(dict(case, gamma=constant_gamma(1.0), lam=1.0), q)
+        u_h = solve_monolithic(ctx)
+        cfg = SchemeConfig(scheme=scheme, s=case["s"],
+                           max_sweeps=case["sweeps"], stop_tol=case["stop_tol"])
+        runs = []
+        for depth in depths:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(stsplit.resolvent, "_STAGE_NODES", depth)
+                runs.append(run_scheme(ctx, cfg, u_ref=u_h))
+        first = runs[0]
+        for run in runs[1:]:
+            assert (run.sweeps, run.converged) == (first.sweeps, first.converged)
+            assert np.array_equal(run.u, first.u)
+            assert len(run.subdomain_fields) == len(first.subdomain_fields)
+            for a, b in zip(run.subdomain_fields, first.subdomain_fields):
+                assert np.array_equal(a, b)
+            for name in _TRACE_COLUMNS:
+                assert getattr(run.trace, name) == getattr(first.trace, name)
