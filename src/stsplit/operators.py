@@ -13,6 +13,26 @@ capacity diagonals, load vectors per time level).  The tables are named by
 `ell`: None for the whole domain, a subdomain index, or a tuple of them for
 their block-diagonal stack, on which several subdomain systems, at one
 time level or at different ones, are solved as one.
+
+The P1 quadrature sums run over per-element tables that each bundle builds
+once (see _AssemblyBundle): the basis gradients, stored once with the
+element axis last as grads[d, l, e]; the basis values phi at the
+quadrature points and their products pp; the weights wa and wb, and the
+sum of wa over each element's quadrature points.  Each quantity is
+evaluated in one place:
+- values and gradients at the quadrature points, in `quad_values`: the
+  values as u[conn] @ phi.T, the gradient once per element as the
+  n_loc-term sum of u_l * grads[:, l];
+- the flux weights, in `_flux_sum`: the precomputed sum of wa times a flux
+  or flux Jacobian that is constant on each element, as it is for every
+  built-in model, else the full sum over the quadrature points;
+- the element vectors of the residual and of the loads, in
+  `_element_vectors`: (wb*reac) @ phi plus one product of gradient columns
+  per dimension, then `scatter`;
+- the element matrices of the Newton Jacobian, in
+  `stsplit.resolvent._element_matrices`: the reaction part pp @ (wb*rp).T
+  plus the sum over (d, k) of outer products of gradient columns, built
+  with the element axis last in the order of the band index.
 """
 
 import functools
@@ -55,12 +75,13 @@ class TimeGrid:
 def _band_layout(conn, n_nodes):
     """Bandwidth and flat LAPACK band-storage index of the element entries.
 
-    Element entry (l, m) lands at ab[bw + i - j, j], i = conn[l], j = conn[m];
-    bw is the largest |conn_i - conn_j| within an element.
+    Element entry (l, m) of element e, i = conn[e, l], j = conn[e, m], lands
+    at ab[bw + i - j, j]; bw is the largest |i - j| within an element.  The
+    index runs over the entries in the order (l, m, e), element axis last,
+    the order in which the element matrices are built.
     """
-    n_loc = conn.shape[1]
-    rows = np.repeat(conn, n_loc, axis=1)
-    cols = np.tile(conn, (1, n_loc))
+    rows = conn.T[:, None, :]
+    cols = conn.T[None, :, :]
     bandwidth = int(np.max(np.abs(rows - cols)))
     return bandwidth, ((bandwidth + rows - cols) * n_nodes + cols).ravel()
 
@@ -75,19 +96,25 @@ class _AssemblyBundle:
     offsets[i]:offsets[i+1] and the i-th run of elements, and no element
     couples two blocks, so every system assembled on it is block-diagonal.
     A plain bundle is its own single block.
+
+    The basis gradients are kept once, as grads of shape (dim, n_loc, n_el)
+    with the element axis last, so that every product over the elements
+    runs along contiguous memory; dphi is the same table as (n_el, n_loc,
+    dim), a view.
     """
 
-    def __init__(self, conn, qp, dphi, phi, wa, wb, m, cap, nodes=None,
+    def __init__(self, conn, qp, grads, phi, wa, wb, m, cap, nodes=None,
                  name=None, parts=None):
         self.n_nodes = len(m)
         self.conn = conn  # (n_el, n_loc) local indices
         self.bandwidth, self.band_index = _band_layout(conn, self.n_nodes)
         self.qp = qp
-        self.dphi = dphi
-        self.phi = phi
-        # phi_l * phi_m at each quadrature point, (n_q, n_loc**2)
-        self.pp = (phi[:, :, None] * phi[:, None, :]).reshape(len(phi), -1)
+        self.grads = grads  # d(phi_l)/dx_d on element e at [d, l, e]
+        self.phi = phi  # (n_q, n_loc) basis values at the quadrature points
+        # phi_l * phi_m at each quadrature point, (n_loc**2, n_q)
+        self.pp = (phi.T[:, None, :] * phi.T[None, :, :]).reshape(-1, len(phi))
         self.wa = wa  # quadrature weight * flux weight, (n_el, n_q)
+        self.wa_sum = np.add.reduce(wa, axis=1)  # its sum per element, (n_el,)
         self.wb = wb  # quadrature weight * reaction weight, (n_el, n_q)
         self.m = m  # restricted global lumped mass
         self.cap = cap  # m * g * gamma, the diagonal capacity weights
@@ -109,6 +136,11 @@ class _AssemblyBundle:
         blocks = np.arange(len(self.offsets) - 1)
         self.block_of_node = np.repeat(blocks, np.diff(self.offsets))
         self.block_of_element = np.repeat(blocks, el_counts)
+
+    @property
+    def dphi(self):
+        """The basis gradients as (n_el, n_loc, dim), a view of grads."""
+        return self.grads.T
 
     @property
     def blocks(self):
@@ -146,7 +178,7 @@ def _stack_bundles(parts):
     return _AssemblyBundle(
         conn=np.concatenate([b.conn + o for b, o in zip(parts, offsets)]),
         qp=np.concatenate([b.qp for b in parts]),
-        dphi=np.concatenate([b.dphi for b in parts]),
+        grads=np.concatenate([b.grads for b in parts], axis=2),
         phi=parts[0].phi,
         wa=np.concatenate([b.wa for b in parts]),
         wb=np.concatenate([b.wb for b in parts]),
@@ -182,13 +214,39 @@ def quad_values(bundle, u):
     quadrature points; leading axes of u, such as levels, are kept.
 
     P1 gradients are constant on each element, so the gradient is evaluated
-    once per element; its size-1 axis broadcasts against the quadrature
-    points.
+    once per element, as the n_loc-term sum of u_l * grad(phi_l) with the
+    element axis last; it is returned as a view in the model's axis order,
+    whose size-1 axis broadcasts against the quadrature points.
     """
     ue = u[..., bundle.conn]
-    uq = np.einsum("...el,ql->...eq", ue, bundle.phi)
-    gz = np.einsum("...el,eld->...ed", ue, bundle.dphi)
-    return uq, gz[..., None, :]
+    gz = np.add.reduce(bundle.grads * ue.swapaxes(-1, -2)[..., None, :, :],
+                       axis=-2)
+    return ue @ bundle.phi.T, gz.swapaxes(-1, -2)[..., None, :]
+
+
+def _flux_sum(bundle, values):
+    """sum_q wa[e, q] * values[e, q, ...] with the axes of values reversed,
+    element axis last: (dim, n_el) for a flux, (dim, dim, n_el) for the
+    transpose of a flux Jacobian.
+
+    values of size 1 along q, as a flux that depends on z alone gives
+    (z is constant on each element; so do all built-in models), take the
+    sum of wa that the bundle keeps; values that vary along q, as a flux
+    that depends on x, are summed point by point.
+    """
+    if values.shape[1] == 1:
+        return values[:, 0].T * bundle.wa_sum
+    return np.add.reduce(values.T * bundle.wa.T, axis=-2)
+
+
+def _element_vectors(bundle, flux, reac):
+    """Element contributions (n_el, n_loc) of int a*flux . grad(phi_l) +
+    b*reac*phi_l, from flux and reac at the quadrature points."""
+    contrib = (bundle.wb * reac) @ bundle.phi
+    f = _flux_sum(bundle, flux)
+    for d in range(len(f)):  # one product of gradient columns per dimension
+        contrib += (f[d] * bundle.grads[d]).T
+    return contrib
 
 
 def _make_bundle(mesh, grid, model, name, nodes, elements, a_node, b_elem,
@@ -200,14 +258,14 @@ def _make_bundle(mesh, grid, model, name, nodes, elements, a_node, b_elem,
         raise ConfigurationError("subdomain elements reference outside nodes")
     qw = mesh.quad_weights[elements]
     phi = mesh.basis_at_quad
-    a_q = np.einsum("el,ql->eq", a_node[mesh.elements[elements]], phi)
-    b_q = np.einsum("el,ql->eq", b_elem[elements], phi)
+    a_q = a_node[mesh.elements[elements]] @ phi.T
+    b_q = b_elem[elements] @ phi.T
     m = mesh.lumped_mass[nodes]
     bundle = _AssemblyBundle(
         conn=conn, qp=mesh.quad_points[elements],
-        dphi=mesh.basis_gradients[elements], phi=phi, wa=qw * a_q,
-        wb=qw * b_q, m=m, cap=m * g_node[nodes] * gamma_nodes[nodes],
-        nodes=nodes, name=name,
+        grads=np.ascontiguousarray(mesh.basis_gradients[elements].T),
+        phi=phi, wa=qw * a_q, wb=qw * b_q, m=m,
+        cap=m * g_node[nodes] * gamma_nodes[nodes], nodes=nodes, name=name,
     )
     bundle.loads = _assemble_loads(bundle, model.source, grid)
     return bundle
@@ -220,9 +278,7 @@ def _assemble_loads(bundle, source, grid):
     for k, t in enumerate(grid.times):
         e0 = _with_shape(source.eta0(bundle.qp, t), bundle.qp.shape[:-1], "eta0")
         ev = _with_shape(source.eta(bundle.qp, t), bundle.qp.shape, "eta")
-        contrib = np.einsum("eq,eq,ql->el", bundle.wb, e0, bundle.phi)
-        contrib += np.einsum("eq,eqd,eld->el", bundle.wa, ev, bundle.dphi)
-        loads[k] = bundle.scatter(contrib)
+        loads[k] = bundle.scatter(_element_vectors(bundle, ev, e0))
     if not np.all(np.isfinite(loads)):
         raise NumericError("source densities produced non-finite load values")
     return loads
@@ -373,10 +429,7 @@ def apply_A(ctx, ell, k, u_k, values=None):
     uq, zq = quad_values(b, u_k) if values is None else values
     flux = ctx.model.alpha(b.qp, t, zq)
     reac = ctx.model.beta(b.qp, t, uq)
-    # P1 gradients are constant per element: sum the flux over quadrature first
-    contrib = np.einsum("ed,eld->el", np.einsum("eq,eqd->ed", b.wa, flux), b.dphi)
-    contrib += (b.wb * reac) @ b.phi
-    r = b.scatter(contrib)
+    r = b.scatter(_element_vectors(b, flux, reac))
     if ctx.shift != 0.0:
         r = r + ctx.shift * b.cap * u_k
     return r
@@ -385,10 +438,11 @@ def apply_A(ctx, ell, k, u_k, values=None):
 def apply_F(ctx, ell, u):
     """Dual residual of the full operator: time derivative + apply_A + load.
 
-    u lives on the (sub)mesh selected by ell; the implicit level at t = 0
-    is zero, and the time difference grows the previous level by
-    ctx.step_growth.  Returns an array of the same shape in the dual
-    representation; non-finite entries raise NumericError.
+    u lives on the (sub)mesh selected by ell, a stack included, on which
+    every block reads its own loads; the implicit level at t = 0 is zero,
+    and the time difference grows the previous level by ctx.step_growth.
+    Returns an array of the same shape in the dual representation;
+    non-finite entries raise NumericError.
     """
     b = ctx.bundle(ell)
     u = _check_field(ctx, u, ell)
@@ -397,7 +451,7 @@ def apply_F(ctx, ell, u):
     prev = np.zeros(b.n_nodes)
     for k in range(ctx.grid.n_steps):
         out[k] = (b.cap * (u[k] - growth * prev) / dt
-                  + apply_A(ctx, ell, k, u[k]) + b.loads[k])
+                  + apply_A(ctx, ell, k, u[k]) + level_loads(b, k))
         prev = u[k]
     if not np.all(np.isfinite(out)):
         raise NumericError("model functions produced non-finite values in apply_F")
@@ -406,14 +460,19 @@ def apply_F(ctx, ell, u):
 
 def h_inner(ctx, u, v, ell=None):
     """Lumped-mass space-time inner product on the (sub)domain."""
-    b = ctx.bundle(ell)
-    u = _check_field(ctx, u, ell)
-    v = _check_field(ctx, v, ell)
+    return _h_inner(ctx, ctx.bundle(ell), _check_field(ctx, u, ell),
+                    _check_field(ctx, v, ell))
+
+
+def _h_inner(ctx, b, u, v):
+    """h_inner of fields u and v on bundle b that are already checked."""
     return ctx.grid.dt * float(np.einsum("ki,i,ki->", u, b.m, v))
 
 
 def h_norm(ctx, u, ell=None):
-    return np.sqrt(max(h_inner(ctx, u, u, ell), 0.0))
+    """sqrt(h_inner(u, u)), with u checked once."""
+    u = _check_field(ctx, u, ell)
+    return np.sqrt(max(_h_inner(ctx, ctx.bundle(ell), u, u), 0.0))
 
 
 def v_norm_p(ctx, ell, u):
@@ -454,9 +513,14 @@ def primal_F(ctx, ell, u):
 
     Used once per run to seed the cached-residual identities; the sweeps
     themselves recover operator actions algebraically from resolvent
-    right-hand sides.
+    right-hand sides.  ell names one subdomain or the whole domain: a
+    stack, whose blocks may share nodes, has no one extension and raises
+    ConfigurationError.
     """
     b = ctx.bundle(ell)
+    if b.parts is not None:
+        raise ConfigurationError(f"primal_F takes one subdomain or None, "
+                                 f"not the stack {ell!r}")
     u = _check_field(ctx, u, None)
     dual = apply_F(ctx, ell, u[:, b.nodes])
     out = np.zeros_like(u)

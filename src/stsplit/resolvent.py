@@ -26,11 +26,12 @@ block-diagonal system, named by the tuple of their subdomains (see
 keeps its own bookkeeping, so every block's result is bit-identical to its
 solve alone.  How many applications run at once is bounded by the nodes of
 one stack, _STAGE_NODES.  A Newton pass has a fixed cost that dominates on
-small blocks (about 90 us on a 31-node subdomain against 310 us on a
-1,136-node stack), so a deeper stack solves the same levels in fewer
-passes, but every application under way holds its outputs, as global
-fields and as subdomain rows (see Sweep); where one application's level
-takes more than the bound, the sweeps run one after the other.  A single
+small blocks (about 100 us on a 31-node subdomain against 250 us on a
+1,136-node stack; see _STAGE_NODES), so a deeper stack solves the same
+levels in fewer passes, but every application under way holds its
+outputs, as global fields and as subdomain rows (see Sweep); where one
+application's level takes more than the bound, the sweeps run one after
+the other.  A single
 resolvent application is a chain of one sweep with one phase, and its
 stages are its time levels.
 
@@ -58,8 +59,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigurationError, SolverError
-from .operators import (_check_field, _check_level, apply_A, level_loads,
-                        level_times, quad_values)
+from .operators import (_check_field, _check_level, _flux_sum, apply_A,
+                        level_loads, level_times, quad_values)
 
 # Newton controls, read at call time: iteration cap, absolute and relative
 # residual tolerances, Jacobian regularization, step halvings per pass.
@@ -77,16 +78,19 @@ _MAX_HALVINGS = 30
 # _STAGE_NODES // (nodes of one application's level) applications at once,
 # so a stage is always one stack, and one application at a time (the
 # sweep-by-sweep order) where one level takes more.  Sized from probes on
-# the benchmark's subdomains (2 vCPU Xeon).  In 2D stacking does not pay:
-# on 726-node blocks a pass cost 3.06 ms per block at 2 blocks and 3.19 ms
-# at 8, and the peak RSS rose from 63.7 to 75.7 MB.  In 1D a Newton pass
-# has a fixed cost that dominates: on stacks of as1d_shifted_q3 subdomains
-# one pass took about 200 us at 497 nodes, 310 us at 1,136 and 590 us at
-# 2,272, and 90 us on one 31-node subdomain (a level solve's time over its
-# 12-13 passes).  But every application under way holds its global output
-# fields and its subdomain rows (see Sweep), so the peak RSS grows with the
-# depth.  perfbench run_s and peak_rss_mb, medians of 3 runs of 8 s, taken
-# before the subdomain rows were kept, which add 18 KB per as1d application
+# the benchmark's subdomains (2 vCPU Xeon).  Pass costs are a level solve's
+# time over its 7-9 passes, smooth input, the lower of two alternated
+# probes.  In 2D stacking saves little and costs memory: on 726-node blocks
+# a pass cost 1.06 ms on one block, 0.99 ms per block at 2 blocks and
+# 0.86 ms at 8, and in an earlier probe, with slower kernels, the peak RSS
+# rose from 63.7 to 75.7 MB from 2 blocks to 8.  In 1D a Newton pass has a
+# fixed cost that dominates: on stacks of as1d_shifted_q3 subdomains one
+# pass took about 170 us at 497 nodes, 250 us at 1,136 and 390 us at 2,272,
+# and 100 us on one 31-node subdomain.  But every application under way
+# holds its global output fields and its subdomain rows (see Sweep), so the
+# peak RSS grows with the depth.  perfbench run_s and peak_rss_mb, medians
+# of 3 runs of 8 s, taken with the earlier kernels and before the subdomain
+# rows were kept, which add 18 KB per as1d application
 # (as1d_shifted_q3: 71 nodes per application, 32 levels; pr1d_degenerate:
 # 49 nodes, 16 levels, so at most 16 applications are ever under way):
 #   _STAGE_NODES   as1d depth, run_s, RSS     pr1d depth, run_s, RSS
@@ -124,16 +128,27 @@ class NewtonResult:
 def _element_matrices(ctx, bundle, t, values, eps):
     """Element stiffness+reaction blocks (n_el, n_loc, n_loc).
 
-    values is quad_values of the iterate the Jacobian is taken at.
+    values is quad_values of the iterate the Jacobian is taken at.  The
+    blocks are built with the element axis last, in the order of
+    bundle.band_index, and returned as a view in element order.
     """
     model = ctx.model
     uq, zq = values
     jf = model.flux_jacobian(bundle.qp, t, zq, eps)
     rp = model.reaction_derivative(bundle.qp, t, uq, eps)
-    w = np.einsum("eq,eqdk->edk", bundle.wa, jf)
-    ke = bundle.dphi @ w @ bundle.dphi.transpose(0, 2, 1)
-    ke += ((bundle.wb * rp) @ bundle.pp).reshape(ke.shape)
-    return ke
+    grads = bundle.grads
+    n_loc = grads.shape[1]
+    # the sum over (d, k) of w_dk * grads[d, l] * grads[k, m], as the sum over
+    # d of outer products of grads[d] and v[d] = sum_k w_dk * grads[k]; w[k, d]
+    # holds w_dk
+    w = _flux_sum(bundle, jf)
+    v = w[0, :, None] * grads[0]
+    for k in range(1, len(grads)):
+        v += w[k, :, None] * grads[k]
+    ke = (bundle.pp @ (bundle.wb * rp).T).reshape(n_loc, n_loc, -1)
+    for d in range(len(grads)):
+        ke += grads[d, :, None] * v[d]
+    return ke.transpose(2, 0, 1)
 
 
 def _solve_linear(bundle, ke, diag_extra, rhs):
@@ -143,7 +158,7 @@ def _solve_linear(bundle, ke, diag_extra, rhs):
     as it is.  A non-finite or singular system raises SolverError.
     """
     bw, n = bundle.bandwidth, bundle.n_nodes
-    ab = np.bincount(bundle.band_index, weights=ke.ravel(),
+    ab = np.bincount(bundle.band_index, weights=ke.transpose(1, 2, 0).ravel(),
                      minlength=(2 * bw + 1) * n).reshape(2 * bw + 1, n)
     ab[bw] += diag_extra
     if not np.isfinite(ab).all():

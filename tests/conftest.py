@@ -1,6 +1,7 @@
 """Shared problem builders for the test suite."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -49,6 +50,20 @@ def make_problem(cells=16, n_steps=4, T=1.0, p=2.0, lam=0.0, gamma=None,
     dec = build_decomposition(mesh, q, overlap, c_min=c_min)
     ctx = build_context(mesh, model, grid, dec)
     return mesh, grid, model, dec, ctx
+
+
+def x_weighted(model):
+    """The model with its flux and flux Jacobian scaled by 1 + x_0, so that
+    both vary between the quadrature points of an element."""
+    base_alpha, base_fjac = model.alpha, model.flux_jacobian
+
+    def alpha(x, t, z):
+        return (1.0 + x[..., :1]) * base_alpha(x, t, z)
+
+    def flux_jacobian(x, t, z, eps):
+        return (1.0 + x[..., 0, None, None]) * base_fjac(x, t, z, eps)
+
+    return replace(model, alpha=alpha, flux_jacobian=flux_jacobian)
 
 
 def random_field(rng, grid, mesh, scale=1.0):

@@ -86,6 +86,29 @@ def test_run_pr_trace_is_monotone(tmp_path):
     assert summary["converged"] is False  # stop_tol 0 runs to max_sweeps
 
 
+def test_run_2d_config(tmp_path, capsys):
+    # the 2D path end to end: a PR run on a triangulated square, then the
+    # verify checks on the same config
+    cfg = base_config(tmp_path)
+    cfg["mesh"] = {"dim": 2, "extent": [1.0, 1.0], "cells": [8, 6]}
+    cfg["model"] = {"name": "p_laplace", "p": 3.0, "lambda": 1.0}
+    cfg["source"] = {"name": "manufactured_cos", "amplitude": 1.0}
+    cfg["decomposition"]["overlap_fraction"] = 0.5
+    cfg["scheme"] = {"scheme": "PR", "s": 8.0, "max_sweeps": 6,
+                     "stop_tol": 0.0}
+    path = write_config(tmp_path, cfg)
+    assert main(["run", path]) == 0
+    header, rows = read_rows(tmp_path)
+    assert header == HEADER
+    assert len(rows) == 6
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["sweeps"] == 6
+    assert summary["monotone_violations"] == 0
+    assert 0.0 < summary["final_err_H"] < float(rows[0][1])
+    assert main(["verify", path]) == 0
+    assert "all checks passed" in capsys.readouterr().out
+
+
 def test_additive_run_leaves_pr_columns_empty(tmp_path):
     cfg = base_config(tmp_path)
     cfg["decomposition"] = {"q": 3, "overlap_fraction": 0.5}

@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_problem, random_field
+import stsplit.operators as operators
+from conftest import make_problem, random_field, x_weighted
 from stsplit.operators import quad_values
 from stsplit.resolvent import _element_matrices, newton_level_solve
 from stsplit import (
@@ -142,6 +143,39 @@ def test_stack_names_are_checked_part_by_part():
             ctx.bundle(ell)
     stack = ctx.bundle((np.int64(1), 0))
     assert [b.name for b in stack.blocks] == [1, 0]
+
+
+def test_apply_F_on_a_stack_is_block_by_block_and_primal_F_refuses_it():
+    # a stack's residual is its blocks' residuals side by side, each block
+    # with its own loads; its nodes repeat, so it has no one extension
+    _, grid, _, dec, ctx = make_problem(p=3.0, lam=1.0, source="cos")
+    u = 0.5 * random_field(np.random.default_rng(5), grid, ctx.mesh)
+    names = (0, 1, 0)
+    locs = [u[:, ctx.bundle(ell).nodes] for ell in names]
+    stacked = apply_F(ctx, names, np.concatenate(locs, axis=1))
+    alone = np.concatenate([apply_F(ctx, ell, loc)
+                            for ell, loc in zip(names, locs)], axis=1)
+    np.testing.assert_allclose(stacked, alone, rtol=0.0,
+                               atol=1e-14 * np.max(np.abs(alone)))
+    with pytest.raises(ConfigurationError, match="stack"):
+        primal_F(ctx, (0, 1), u)
+    assert np.array_equal(primal_F(ctx, (1,), u), primal_F(ctx, 1, u))
+
+
+def test_h_norm_checks_its_field_once(monkeypatch):
+    _, grid, _, _, ctx = make_problem()
+    u = random_field(np.random.default_rng(6), grid, ctx.mesh)
+    want = np.sqrt(h_inner(ctx, u, u))
+    checked = []
+    check = operators._check_field
+
+    def counting(ctx, u, ell):
+        checked.append(ell)
+        return check(ctx, u, ell)
+
+    monkeypatch.setattr(operators, "_check_field", counting)
+    assert h_norm(ctx, u) == want
+    assert checked == [None]
 
 
 def test_global_fields_are_checked_before_restriction():
@@ -346,19 +380,6 @@ def test_manufactured_residual_decays_under_refinement():
     assert norms[2] <= norms[0] / 4.0
 
 
-def _x_weighted(model):
-    """The model with its flux and flux Jacobian scaled by 1 + x_0."""
-    base_alpha, base_fjac = model.alpha, model.flux_jacobian
-
-    def alpha(x, t, z):
-        return (1.0 + x[..., :1]) * base_alpha(x, t, z)
-
-    def flux_jacobian(x, t, z, eps):
-        return (1.0 + x[..., 0, None, None]) * base_fjac(x, t, z, eps)
-
-    return replace(model, alpha=alpha, flux_jacobian=flux_jacobian)
-
-
 @pytest.mark.parametrize("cells", [20, (8, 6)])
 def test_quadrature_kernels_match_einsum_reference(cells):
     # reference: the contractions written out over every quadrature point,
@@ -367,7 +388,7 @@ def test_quadrature_kernels_match_einsum_reference(cells):
     # The x-weighted flux differs between the quadrature points of an element
     mesh, grid, model, dec, ctx = make_problem(cells=cells, n_steps=3, p=3.5,
                                                lam=1.0, source="cos")
-    weighted = _x_weighted(model)
+    weighted = x_weighted(model)
     cases = [(model, ctx), (weighted, build_context(mesh, weighted, grid, dec))]
     rng = np.random.default_rng(4)
     for model, ctx in cases:
