@@ -1,4 +1,6 @@
-"""Exception types shared across the library, and an integer check."""
+"""Exception types shared across the library, and two integer checks."""
+
+import numbers
 
 import numpy as np
 
@@ -16,6 +18,14 @@ def as_integer(value, what):
     except (TypeError, ValueError, OverflowError):
         pass
     raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+
+
+def is_index(value, n):
+    """Whether value is an index into n entries: an integer in [0, n), not
+    a bool.  The type test comes first, a fifth of the cost of isinstance:
+    subdomain names and levels are checked on every residual."""
+    return ((type(value) is int or isinstance(value, numbers.Integral)
+             and not isinstance(value, bool)) and 0 <= value < n)
 
 
 class NumericError(ArithmeticError):

@@ -46,9 +46,14 @@ def constant_gamma(value):
 def indicator_gamma(zero_lo, zero_hi, value=1.0, axis=0):
     """Capacity that vanishes for x[axis] in [zero_lo, zero_hi) and equals
     value elsewhere.  Models an elliptic region inside a parabolic problem.
-    axis is an integer >= 0; gamma raises ConfigurationError at points
-    with axis coordinates or fewer."""
+    The bounds must be finite with zero_lo < zero_hi, since an empty zone
+    leaves the problem parabolic.  axis is an integer >= 0; gamma raises
+    ConfigurationError at points with axis coordinates or fewer."""
     zero_lo, zero_hi, value = float(zero_lo), float(zero_hi), float(value)
+    if not -np.inf < zero_lo < zero_hi < np.inf:
+        raise ConfigurationError(
+            f"the zone where gamma vanishes needs finite zero_lo < zero_hi, "
+            f"got zero_lo = {zero_lo!r}, zero_hi = {zero_hi!r}")
     if not 0.0 <= value < np.inf:
         raise ConfigurationError("gamma must be finite and nonnegative")
     axis = as_integer(axis, "axis")

@@ -15,24 +15,12 @@ their block-diagonal stack, on which several subdomain systems, at one
 time level or at different ones, are solved as one.
 
 The P1 quadrature sums run over per-element tables that each bundle builds
-once (see _AssemblyBundle): the basis gradients, stored once with the
-element axis last as grads[d, l, e]; the basis values phi at the
-quadrature points and their products pp; the weights wa and wb, and the
-sum of wa over each element's quadrature points.  Each quantity is
-evaluated in one place:
-- values and gradients at the quadrature points, in `quad_values`: the
-  values as u[conn] @ phi.T, the gradient once per element as the
-  n_loc-term sum of u_l * grads[:, l];
-- the flux weights, in `_flux_sum`: the precomputed sum of wa times a flux
-  or flux Jacobian that is constant on each element, as it is for every
-  built-in model, else the full sum over the quadrature points;
-- the element vectors of the residual and of the loads, in
-  `_element_vectors`: (wb*reac) @ phi plus one product of gradient columns
-  per dimension, then `scatter`;
-- the element matrices of the Newton Jacobian, in
-  `stsplit.resolvent._element_matrices`: the reaction part pp @ (wb*rp).T
-  plus the sum over (d, k) of outer products of gradient columns, built
-  with the element axis last in the order of the band index.
+once (see _AssemblyBundle), with the element axis last, and each quantity
+is evaluated in one place: values and gradients at the quadrature points
+in `quad_values`, the flux weights in `_flux_sum`, the element vectors of
+the residual and of the loads in `_element_vectors`, and the element
+matrices of the Newton Jacobian in `_element_matrices`, in the order of
+the band index.
 """
 
 import functools
@@ -42,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError, as_integer
+from .errors import (ConfigurationError, NumericError, as_integer,
+                     is_index)
 
 
 @dataclass(frozen=True)
@@ -99,8 +88,7 @@ class _AssemblyBundle:
 
     The basis gradients are kept once, as grads of shape (dim, n_loc, n_el)
     with the element axis last, so that every product over the elements
-    runs along contiguous memory; dphi is the same table as (n_el, n_loc,
-    dim), a view.
+    runs along contiguous memory.
     """
 
     def __init__(self, conn, qp, grads, phi, wa, wb, m, cap, nodes=None,
@@ -136,11 +124,6 @@ class _AssemblyBundle:
         blocks = np.arange(len(self.offsets) - 1)
         self.block_of_node = np.repeat(blocks, np.diff(self.offsets))
         self.block_of_element = np.repeat(blocks, el_counts)
-
-    @property
-    def dphi(self):
-        """The basis gradients as (n_el, n_loc, dim), a view of grads."""
-        return self.grads.T
 
     @property
     def blocks(self):
@@ -188,21 +171,40 @@ def _stack_bundles(parts):
     )
 
 
+def _levels(bundle, k, n_steps):
+    """k as checked levels: one integer in [0, n_steps), not a bool, for all
+    blocks, or on a stack one per block, as an integer array or as a list
+    or tuple, returned as an array.  Anything else raises ConfigurationError."""
+    if is_index(k, n_steps):  # first: it runs on every residual
+        return k
+    n = len(bundle.blocks)
+    if (n > 1 and isinstance(k, (list, tuple)) and len(k) == n
+            and all(is_index(kb, n_steps) for kb in k)):
+        k = np.array(k)
+    if (n > 1 and isinstance(k, np.ndarray) and k.shape == (n,)
+            and k.dtype.kind == "i" and 0 <= k.min() and k.max() < n_steps):
+        return k
+    raise ConfigurationError(f"level {k!r} is neither an integer in "
+                             f"[0, {n_steps}) nor one such integer per block")
+
+
 def level_times(ctx, bundle, k):
     """Time of level k, broadcastable against the quadrature points.
 
     k is one level index, and the time a scalar, or on a stack one level per
     block, and the times are per element, shape (n_el, 1).  One level for
-    the whole stack keeps the time a scalar.
+    the whole stack keeps the time a scalar.  Other levels raise
+    ConfigurationError (see _levels).
     """
-    t = ctx.grid.times[k]
+    t = ctx.grid.times[_levels(bundle, k, ctx.grid.n_steps)]
     if bundle.parts is None or np.ndim(t) == 0:
         return t
     return t[bundle.block_of_element, None]
 
 
 def level_loads(bundle, k):
-    """Load vector of level k, or on a stack of level k or k[i] per block."""
+    """Load vector of level k, or on a stack of level k or k[i] per block;
+    k as level_times has checked it."""
     if bundle.parts is None:
         return bundle.loads[k]
     levels = np.broadcast_to(k, len(bundle.parts))
@@ -247,6 +249,25 @@ def _element_vectors(bundle, flux, reac):
     for d in range(len(f)):  # one product of gradient columns per dimension
         contrib += (f[d] * bundle.grads[d]).T
     return contrib
+
+
+def _element_matrices(bundle, jf, rp):
+    """Element matrices (n_loc, n_loc, n_el) of the Newton Jacobian, in the
+    order of bundle.band_index, from the flux Jacobian jf and the reaction
+    derivative rp at the quadrature points."""
+    grads = bundle.grads
+    n_loc = grads.shape[1]
+    # the sum over (d, k) of w_dk * grads[d, l] * grads[k, m], as the sum over
+    # d of outer products of grads[d] and v[d] = sum_k w_dk * grads[k]; w[k, d]
+    # holds w_dk
+    w = _flux_sum(bundle, jf)
+    v = w[0, :, None] * grads[0]
+    for k in range(1, len(grads)):
+        v += w[k, :, None] * grads[k]
+    ke = (bundle.pp @ (bundle.wb * rp).T).reshape(n_loc, n_loc, -1)
+    for d in range(len(grads)):
+        ke += grads[d, :, None] * v[d]
+    return ke
 
 
 def _make_bundle(mesh, grid, model, name, nodes, elements, a_node, b_elem,
@@ -419,7 +440,8 @@ def apply_A(ctx, ell, k, u_k, values=None):
     r_i = int a*alpha(t_k, grad u) . grad(phi_i) + b*beta(t_k, u) phi_i,
     plus the diagonal reaction shift*cap*u when the context carries a shift.
     k is the 0-based level index (physical time ctx.grid.times[k]); on a
-    stack named by ell it may hold one level per block.  values, when given,
+    stack named by ell it may hold one level per block.  Any other k raises
+    ConfigurationError.  values, when given,
     is quad_values of u_k, which the caller has already evaluated.  The
     result is returned as computed, non-finite entries included.
     """

@@ -25,15 +25,9 @@ block-diagonal system, named by the tuple of their subdomains (see
 `OperatorContext.bundle`), and solved by one Newton in which every block
 keeps its own bookkeeping, so every block's result is bit-identical to its
 solve alone.  How many applications run at once is bounded by the nodes of
-one stack, _STAGE_NODES.  A Newton pass has a fixed cost that dominates on
-small blocks (about 100 us on a 31-node subdomain against 250 us on a
-1,136-node stack; see _STAGE_NODES), so a deeper stack solves the same
-levels in fewer passes, but every application under way holds its
-outputs, as global fields and as subdomain rows (see Sweep); where one
-application's level takes more than the bound, the sweeps run one after
-the other.  A single
-resolvent application is a chain of one sweep with one phase, and its
-stages are its time levels.
+one stack (see _STAGE_NODES); where one application's level takes more,
+the sweeps run one after the other.  A single resolvent application is a
+chain of one sweep with one phase, and its stages are its time levels.
 
 Successive sweeps approach the scheme's fixed point, so Newton starts each
 level of sweep n from the output of sweep n-1 at the same phase and level,
@@ -59,8 +53,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigurationError, SolverError
-from .operators import (_check_field, _check_level, _flux_sum, apply_A,
-                        level_loads, level_times, quad_values)
+from .operators import (_check_field, _check_level, _element_matrices,
+                        apply_A, level_loads, level_times, quad_values)
 
 # Newton controls, read at call time: iteration cap, absolute and relative
 # residual tolerances, Jacobian regularization, step halvings per pass.
@@ -77,30 +71,25 @@ _MAX_HALVINGS = 30
 # Most nodes one stacked Newton takes.  The wavefront runs at most
 # _STAGE_NODES // (nodes of one application's level) applications at once,
 # so a stage is always one stack, and one application at a time (the
-# sweep-by-sweep order) where one level takes more.  Sized from probes on
-# the benchmark's subdomains (2 vCPU Xeon).  Pass costs are a level solve's
-# time over its 7-9 passes, smooth input, the lower of two alternated
-# probes.  In 2D stacking saves little and costs memory: on 726-node blocks
-# a pass cost 1.06 ms on one block, 0.99 ms per block at 2 blocks and
-# 0.86 ms at 8, and in an earlier probe, with slower kernels, the peak RSS
-# rose from 63.7 to 75.7 MB from 2 blocks to 8.  In 1D a Newton pass has a
-# fixed cost that dominates: on stacks of as1d_shifted_q3 subdomains one
-# pass took about 170 us at 497 nodes, 250 us at 1,136 and 390 us at 2,272,
-# and 100 us on one 31-node subdomain.  But every application under way
-# holds its global output fields and its subdomain rows (see Sweep), so the
-# peak RSS grows with the depth.  perfbench run_s and peak_rss_mb, medians
-# of 3 runs of 8 s, taken with the earlier kernels and before the subdomain
-# rows were kept, which add 18 KB per as1d application
-# (as1d_shifted_q3: 71 nodes per application, 32 levels; pr1d_degenerate:
-# 49 nodes, 16 levels, so at most 16 applications are ever under way):
+# sweep-by-sweep order) where one level takes more, as in 2D (1,452 nodes
+# per application).  There stacking saves little and costs memory: on
+# 726-node blocks a pass cost 1.06 ms on one block and 0.86 ms per block at
+# 8, and with earlier kernels the peak RSS rose from 63.7 MB at 2 blocks to
+# 75.7 MB at 8.  In 1D a pass has a fixed cost that dominates (about 100 us
+# on one 31-node subdomain, 250 us on a 1,136-node stack), but every
+# application under way holds its global output fields and its subdomain
+# rows (see Sweep), so the peak RSS grows with the depth.  perfbench run_s
+# and peak_rss_mb, medians of 4 runs of 8 s taken round-robin over the
+# depths (2 vCPU Xeon; as1d_shifted_q3: 71 nodes per application, 32
+# levels; pr1d_degenerate: 49 nodes, 16 levels, so at most 16 applications
+# are ever under way):
 #   _STAGE_NODES   as1d depth, run_s, RSS     pr1d depth, run_s, RSS
-#            500    7  0.435 s  59.25 MB      10  0.492 s  58.85 MB
-#            800   11  0.366 s  59.61 MB      16  0.417 s  59.51 MB
-#           1136   16  0.353 s  60.14 MB      16  0.396 s  59.59 MB
-#           2272   32  0.349 s  62.03 MB      16  0.414 s  59.46 MB
-# 1136 runs 16 as1d applications at once and every pr1d application under
-# way.  Full as1d depth (2272) was no faster beyond the noise and held
-# 1.9 MB more.  2D runs sweep by sweep (1,452 nodes per application).
+#            500    7  0.290 s  59.77 MB      10  0.370 s  59.26 MB
+#            800   11  0.253 s  60.22 MB      16  0.306 s  59.75 MB
+#           1136   16  0.235 s  60.81 MB      16  0.307 s  59.68 MB
+#           2272   32  0.246 s  62.71 MB      16  0.306 s  59.65 MB
+# 1136 is the fastest as1d depth; from 800 on pr1d runs the same program.
+# Full as1d depth (2272) held 1.9 MB more and was no faster.
 _STAGE_NODES = 1136
 
 
@@ -125,40 +114,15 @@ class NewtonResult:
     iterations: int  # Newton passes; the most any block needed
 
 
-def _element_matrices(ctx, bundle, t, values, eps):
-    """Element stiffness+reaction blocks (n_el, n_loc, n_loc).
-
-    values is quad_values of the iterate the Jacobian is taken at.  The
-    blocks are built with the element axis last, in the order of
-    bundle.band_index, and returned as a view in element order.
-    """
-    model = ctx.model
-    uq, zq = values
-    jf = model.flux_jacobian(bundle.qp, t, zq, eps)
-    rp = model.reaction_derivative(bundle.qp, t, uq, eps)
-    grads = bundle.grads
-    n_loc = grads.shape[1]
-    # the sum over (d, k) of w_dk * grads[d, l] * grads[k, m], as the sum over
-    # d of outer products of grads[d] and v[d] = sum_k w_dk * grads[k]; w[k, d]
-    # holds w_dk
-    w = _flux_sum(bundle, jf)
-    v = w[0, :, None] * grads[0]
-    for k in range(1, len(grads)):
-        v += w[k, :, None] * grads[k]
-    ke = (bundle.pp @ (bundle.wb * rp).T).reshape(n_loc, n_loc, -1)
-    for d in range(len(grads)):
-        ke += grads[d, :, None] * v[d]
-    return ke.transpose(2, 0, 1)
-
-
 def _solve_linear(bundle, ke, diag_extra, rhs):
-    """Solve (assembled ke + diag(diag_extra)) x = rhs as a banded system.
+    """Solve (assembled ke + diag(diag_extra)) x = rhs as a banded system;
+    ke holds the element matrices as `_element_matrices` builds them.
 
     The band storage is built here, so LAPACK may overwrite it; rhs is left
     as it is.  A non-finite or singular system raises SolverError.
     """
     bw, n = bundle.bandwidth, bundle.n_nodes
-    ab = np.bincount(bundle.band_index, weights=ke.transpose(1, 2, 0).ravel(),
+    ab = np.bincount(bundle.band_index, weights=ke.ravel(),
                      minlength=(2 * bw + 1) * n).reshape(2 * bw + 1, n)
     ab[bw] += diag_extra
     if not np.isfinite(ab).all():
@@ -220,7 +184,6 @@ def newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0=None, warm=None):
     # Newton still starts from u_prev itself
     grown = ctx.step_growth * u_prev
     dt = ctx.grid.dt
-    eps = _EPSILON_REG
     sm = s * bundle.m
     diag_extra = sm + bundle.cap / dt + ctx.shift * bundle.cap
     block_of_node = bundle.block_of_node
@@ -271,7 +234,10 @@ def newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0=None, warm=None):
                 f"Newton did not converge at level {level(b)}{where(b)}: "
                 f"residual {rn[b]:.3e} after {passes} iterations "
                 f"(tolerance {tol[b]:.3e})")
-        ke = _element_matrices(ctx, bundle, t, values, eps)
+        uq, zq = values
+        jf = ctx.model.flux_jacobian(bundle.qp, t, zq, _EPSILON_REG)
+        rp = ctx.model.reaction_derivative(bundle.qp, t, uq, _EPSILON_REG)
+        ke = _element_matrices(bundle, jf, rp)
         du = _solve_linear(bundle, ke, diag_extra, -r)
         steps = np.where(active, 1.0, 0.0)
         pending = active
@@ -370,7 +336,7 @@ def _solve_stage(ctx, phases, s, units):
         u0, flags = np.concatenate(starts), np.array(warm_blocks)
     try:
         res = newton_level_solve(
-            ctx, parts, s, ks[0] if len(set(ks)) == 1 else ks,
+            ctx, parts, s, ks[0] if len(set(ks)) == 1 else np.array(ks),
             np.concatenate(prev), bundle.m * inputs[at], u0=u0, warm=flags)
     except SolverError as err:
         if len(units) == 1:

@@ -273,7 +273,7 @@ def test_stage_stack_is_reused_while_its_blocks_repeat(case):
         expected = [w[lo:hi].sum() for lo, hi in zip(offsets, offsets[1:])]
         assert np.array_equal(stack.block_sum(w), expected)
 
-        names = ("conn", "qp", "dphi", "wa", "wb", "m", "cap", "band_index",
+        names = ("conn", "qp", "grads", "wa", "wb", "m", "cap", "band_index",
                  "nodes")
         for name in names:
             for b in parts:  # a stack copies, so dropping it frees its tables

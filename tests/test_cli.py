@@ -315,6 +315,20 @@ def test_verify_accepts_degenerate_capacity(tmp_path, capsys):
     assert "all checks passed" in out
 
 
+@pytest.mark.parametrize("zone", [(0.5, 0.2), (0.3, 0.3)])
+def test_empty_capacity_zone_exits_2(tmp_path, capsys, zone):
+    # with an empty zone gamma would never vanish: a parabolic run where a
+    # degenerate one was asked for
+    cfg = base_config(tmp_path)
+    cfg["model"]["gamma_kind"] = "indicator"
+    cfg["model"]["gamma_params"] = dict(zip(("zero_lo", "zero_hi"), zone))
+    path = write_config(tmp_path, cfg)
+    for command in ("run", "verify"):
+        assert main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert "zero_lo" in err and "zero_hi" in err
+
+
 NAN, INF = float("nan"), float("inf")
 
 

@@ -33,7 +33,7 @@ def _bundles(ctx):
 
 def _dense(bundle, ke, diag_extra):
     mat = np.diag(diag_extra)
-    for conn, block in zip(bundle.conn, ke):
+    for conn, block in zip(bundle.conn, ke.transpose(2, 0, 1)):
         mat[np.ix_(conn, conn)] += block
     return mat
 
@@ -62,6 +62,7 @@ def test_banded_solve_matches_dense(case, seed):
         half = rng.standard_normal((n_el, n_loc, n_loc))
         skew = rng.standard_normal((n_el, n_loc, n_loc))
         ke = half @ half.transpose(0, 2, 1) + skew - skew.transpose(0, 2, 1)
+        ke = ke.transpose(1, 2, 0)  # element axis last
         diag_extra = rng.uniform(0.5, 2.0, bundle.n_nodes)
         rhs = rng.standard_normal(bundle.n_nodes)
         x = _solve_linear(bundle, ke, diag_extra, rhs)
@@ -74,7 +75,7 @@ def test_singular_system_raises_solver_error(cells):
     for bundle in _bundles(_context(cells, 2, 0.5)):
         n_el, n_loc = bundle.conn.shape
         with pytest.raises(SolverError):
-            _solve_linear(bundle, np.zeros((n_el, n_loc, n_loc)),
+            _solve_linear(bundle, np.zeros((n_loc, n_loc, n_el)),
                           np.zeros(bundle.n_nodes), np.ones(bundle.n_nodes))
 
 
@@ -83,8 +84,8 @@ def test_singular_system_raises_solver_error(cells):
 def test_non_finite_system_raises_solver_error(cells, bad):
     for bundle in _bundles(_context(cells, 2, 0.5)):
         n_el, n_loc = bundle.conn.shape
-        ke = np.ones((n_el, n_loc, n_loc))
-        ke[n_el // 2, 0, -1] = bad
+        ke = np.ones((n_loc, n_loc, n_el))
+        ke[0, -1, n_el // 2] = bad
         rhs = np.ones(bundle.n_nodes)
         with pytest.raises(SolverError):
             _solve_linear(bundle, ke, np.ones(bundle.n_nodes), rhs)

@@ -73,6 +73,16 @@ def test_indicator_gamma_values():
     assert indicator_gamma(0.0, 0.5, axis=1.0)(np.array([[0.9, 0.2]])) == 0.0
 
 
+def test_indicator_gamma_zone_must_be_non_empty_and_finite():
+    # an empty or unbounded zone would run a parabolic problem where a
+    # degenerate one was asked for
+    nan, inf = float("nan"), float("inf")
+    for lo, hi in ((0.5, 0.2), (0.3, 0.3), (nan, 0.5), (0.0, nan),
+                   (-inf, 0.5), (0.0, inf), (inf, inf)):
+        with pytest.raises(ConfigurationError, match="zero_lo < zero_hi"):
+            indicator_gamma(lo, hi)
+
+
 def test_indicator_gamma_axis_rejected():
     for axis in (1.5, -1, True, float("nan")):
         with pytest.raises(ConfigurationError, match="axis"):

@@ -5,8 +5,8 @@ import pytest
 
 import stsplit.operators as operators
 from conftest import make_problem, random_field, x_weighted
-from stsplit.operators import quad_values
-from stsplit.resolvent import _element_matrices, newton_level_solve
+from stsplit.operators import _element_matrices, quad_values
+from stsplit.resolvent import newton_level_solve
 from stsplit import (
     ConfigurationError,
     NumericError,
@@ -218,6 +218,36 @@ def test_level_vectors_must_match_the_nodes():
                 newton_level_solve(ctx, 0, 1.0, 0, u_prev, rhs, u0=u0)
 
 
+def test_level_indices_are_checked():
+    # a level is an integer in [0, n_steps), not a bool, or on a stack one
+    # such integer per block: -1 does not solve the last level, and the
+    # others are named, not left to a numpy index, mask or broadcast error
+    _, grid, _, _, ctx = make_problem(n_steps=4, p=3.0, lam=1.0, source="cos")
+    rng = np.random.default_rng(6)
+    scalar_bad = (-1, 4, -5, True, False, 1.0, 2.0, None, "1", np.int64(4))
+    stack_bad = scalar_bad + ([0, 1, 2], [0], [0, 4], [0, -1], [0, True],
+                              [0, 1.0], (0, (1,)), np.array([0.0, 1.0]),
+                              np.array([True, False]), np.array([0, 4]),
+                              np.array([[0, 1]]))
+    for ell, bad_levels, good_levels in (
+            (0, scalar_bad + ([1], np.array([1])), (2, np.int64(2))),
+            ((0, 1), stack_bad, ([2, 0], (2, np.int64(0)), np.array([2, 0])))):
+        b = ctx.bundle(ell)
+        u = 0.5 * rng.standard_normal(b.n_nodes)
+        rhs = b.m * rng.standard_normal(b.n_nodes)
+        for k in bad_levels:
+            with pytest.raises(ConfigurationError, match="level"):
+                apply_A(ctx, ell, k, u)
+            with pytest.raises(ConfigurationError, match="level"):
+                newton_level_solve(ctx, ell, 2.0, k, u, rhs)
+        results = [(apply_A(ctx, ell, k, u), operators.level_loads(b, k),
+                    newton_level_solve(ctx, ell, 2.0, k, u, rhs).values)
+                   for k in good_levels]
+        for got in results[1:]:
+            for x, y in zip(got, results[0]):
+                assert np.array_equal(x, y)
+
+
 def test_non_finite_model_values_raise_numeric_error():
     _, grid, model, dec, ctx = make_problem()
     nan_beta = replace(model, beta=lambda x, t, y: np.full(np.shape(y), np.nan))
@@ -399,11 +429,11 @@ def test_quadrature_kernels_match_einsum_reference(cells):
             uq, zq = quad_values(b, u[k])
             n_el, n_q = uq.shape
             assert zq.shape == (n_el, 1, mesh.dim)
-            z_ref = np.einsum("el,eld->ed", u[k][b.conn], b.dphi)
+            z_ref = np.einsum("el,eld->ed", u[k][b.conn], b.grads.T)
             z_ref = z_ref[:, None, :].repeat(n_q, axis=1)
             flux = model.alpha(b.qp, t, z_ref)
             reac = model.beta(b.qp, t, uq)
-            parts = [np.einsum("eq,eqd,eld->el", b.wa, flux, b.dphi),
+            parts = [np.einsum("eq,eqd,eld->el", b.wa, flux, b.grads.T),
                      np.einsum("eq,eq,ql->el", b.wb, reac, b.phi)]
             scale = sum(b.scatter(np.abs(c)) for c in parts)
             ref = b.scatter(parts[0] + parts[1])
@@ -411,11 +441,13 @@ def test_quadrature_kernels_match_einsum_reference(cells):
 
             jf = model.flux_jacobian(b.qp, t, z_ref, 1e-8)
             rp = model.reaction_derivative(b.qp, t, uq, 1e-8)
-            parts = [np.einsum("eq,eqdk,eld,emk->elm", b.wa, jf, b.dphi, b.dphi),
-                     np.einsum("eq,eq,ql,qm->elm", b.wb, rp, b.phi, b.phi)]
-            ke = _element_matrices(ctx, b, t, (uq, zq), 1e-8)
-            bound = 1e-14 * (np.abs(parts[0]) + np.abs(parts[1])).max(axis=(1, 2))
-            assert np.all(np.abs(ke - parts[0] - parts[1]).max(axis=(1, 2)) <= bound)
+            parts = [np.einsum("eq,eqdk,eld,emk->lme", b.wa, jf, b.grads.T, b.grads.T),
+                     np.einsum("eq,eq,ql,qm->lme", b.wb, rp, b.phi, b.phi)]
+            ke = _element_matrices(
+                b, model.flux_jacobian(b.qp, t, zq, 1e-8),
+                model.reaction_derivative(b.qp, t, uq, 1e-8))
+            bound = 1e-14 * (np.abs(parts[0]) + np.abs(parts[1])).max(axis=(0, 1))
+            assert np.all(np.abs(ke - parts[0] - parts[1]).max(axis=(0, 1)) <= bound)
 
             total = 0.0
             for uk in u:  # level by level: v_norm_p keeps this summation order
