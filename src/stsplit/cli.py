@@ -187,6 +187,13 @@ def load_config(path, require_output):
             f"'model.gamma_params.axis' must lie in [0, {dim})")
     build_gamma = constant_gamma if kind == "constant" else indicator_gamma
     gamma = build_gamma(**gamma_sec)
+    # a zone between two nodes, or off the mesh, leaves the problem parabolic
+    if kind == "indicator" and not np.any(gamma(mesh.nodes) == 0.0):
+        raise ConfigurationError(
+            f"gamma vanishes at no mesh node: the zone zero_lo <= "
+            f"x[{gamma_sec['axis']}] < zero_hi of 'model.gamma_params', "
+            f"[{gamma_sec['zero_lo']!r}, {gamma_sec['zero_hi']!r}), "
+            f"holds none")
     if model_sec["name"] == "p_laplace":
         model = p_laplace_model(model_sec["p"], lam=model_sec["lambda"],
                                 gamma=gamma)

@@ -21,7 +21,14 @@ from .errors import ConfigurationError, as_integer
 
 @dataclass(frozen=True)
 class SourceTerm:
-    """Load densities: <f, v> = integral of eta0*v + eta . grad(v)."""
+    """Load densities: <f, v> = integral of eta0*v + eta . grad(v).
+
+    Both are pointwise functions of (x, t), called with the quadrature
+    points of the whole mesh, shape (n_el, n_q, dim), and one time: a
+    context evaluates each once per level and restricts the values to each
+    subdomain's elements, so a density must not depend on which points it
+    is handed together.
+    """
 
     eta0: Callable  # (x, t) -> (...)
     eta: Callable  # (x, t) -> (..., dim)

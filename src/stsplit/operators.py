@@ -9,7 +9,10 @@ dividing by the lumped mass maps them back to field space.
 An OperatorContext freezes one discretization: mesh, model, time grid,
 optional decomposition, and every precomputed table needed for assembly
 (quadrature weights times the weight profiles at quadrature points,
-capacity diagonals, load vectors per time level).  The tables are named by
+capacity diagonals, load vectors per time level).  The source densities
+are pointwise functions of (x, t): the context evaluates each once per
+level, at the quadrature points of the whole mesh, and restricts the
+values to each subdomain's elements for its loads.  The tables are named by
 `ell`: None for the whole domain, a subdomain index, or a tuple of them for
 their block-diagonal stack, on which several subdomain systems, at one
 time level or at different ones, are solved as one.
@@ -233,8 +236,9 @@ def _flux_sum(bundle, values):
 
     values of size 1 along q, as a flux that depends on z alone gives
     (z is constant on each element; so do all built-in models), take the
-    sum of wa that the bundle keeps; values that vary along q, as a flux
-    that depends on x, are summed point by point.
+    sum of wa that the bundle keeps; values that vary along q, as the
+    source density eta or a flux that depends on x, are summed point by
+    point.
     """
     if values.shape[1] == 1:
         return values[:, 0].T * bundle.wa_sum
@@ -270,8 +274,8 @@ def _element_matrices(bundle, jf, rp):
     return ke
 
 
-def _make_bundle(mesh, grid, model, name, nodes, elements, a_node, b_elem,
-                 g_node, gamma_nodes):
+def _make_bundle(mesh, name, nodes, elements, a_node, b_elem, g_node,
+                 gamma_nodes):
     local_of = np.full(mesh.n_nodes, -1, dtype=int)
     local_of[nodes] = np.arange(len(nodes))
     conn = local_of[mesh.elements[elements]]
@@ -282,27 +286,35 @@ def _make_bundle(mesh, grid, model, name, nodes, elements, a_node, b_elem,
     a_q = a_node[mesh.elements[elements]] @ phi.T
     b_q = b_elem[elements] @ phi.T
     m = mesh.lumped_mass[nodes]
-    bundle = _AssemblyBundle(
+    return _AssemblyBundle(
         conn=conn, qp=mesh.quad_points[elements],
         grads=np.ascontiguousarray(mesh.basis_gradients[elements].T),
         phi=phi, wa=qw * a_q, wb=qw * b_q, m=m,
         cap=m * g_node[nodes] * gamma_nodes[nodes], nodes=nodes, name=name,
     )
-    bundle.loads = _assemble_loads(bundle, model.source, grid)
-    return bundle
 
 
-def _assemble_loads(bundle, source, grid):
-    """Dual load vectors: load_i(t_k) = int b*eta0*phi_i + a*eta . grad(phi_i)."""
-    n_steps = grid.n_steps
-    loads = np.empty((n_steps, bundle.n_nodes))
+def _assemble_loads(mesh, grid, source, targets):
+    """Dual load vectors load_i(t_k) = int b*eta0*phi_i + a*eta . grad(phi_i),
+    set as bundle.loads for every (bundle, elements) pair of targets.
+
+    The densities are pointwise functions of (x, t): at each level they are
+    evaluated once, at the quadrature points of the whole mesh, and each
+    bundle gathers the values at its own elements.  One level's values are
+    held at a time.
+    """
+    qp = mesh.quad_points
+    for bundle, _ in targets:
+        bundle.loads = np.empty((grid.n_steps, bundle.n_nodes))
     for k, t in enumerate(grid.times):
-        e0 = _with_shape(source.eta0(bundle.qp, t), bundle.qp.shape[:-1], "eta0")
-        ev = _with_shape(source.eta(bundle.qp, t), bundle.qp.shape, "eta")
-        loads[k] = bundle.scatter(_element_vectors(bundle, ev, e0))
-    if not np.all(np.isfinite(loads)):
-        raise NumericError("source densities produced non-finite load values")
-    return loads
+        e0 = _with_shape(source.eta0(qp, t), qp.shape[:-1], "eta0")
+        ev = _with_shape(source.eta(qp, t), qp.shape, "eta")
+        for bundle, elements in targets:
+            bundle.loads[k] = bundle.scatter(
+                _element_vectors(bundle, ev[elements], e0[elements]))
+    for bundle, _ in targets:
+        if not np.all(np.isfinite(bundle.loads)):
+            raise NumericError("source densities produced non-finite load values")
 
 
 def _with_shape(values, shape, name):
@@ -356,19 +368,18 @@ class OperatorContext:
         all_elems = np.arange(mesh.n_elements)
         ones_n = np.ones(mesh.n_nodes)
         ones_b = np.ones((mesh.n_elements, mesh.n_local))
-        self._global = _make_bundle(
-            mesh, grid, model, None, all_nodes, all_elems, ones_n, ones_b,
-            ones_n, gamma_nodes,
-        )
+        self._global = _make_bundle(mesh, None, all_nodes, all_elems, ones_n,
+                                    ones_b, ones_n, gamma_nodes)
+        # the whole mesh reads the densities as evaluated, without a gather
+        targets = [(self._global, slice(None))]
         self._subs = []
         if dec is not None:
             for ell, (sub, w) in enumerate(zip(dec.subdomains, dec.weights)):
-                self._subs.append(
-                    _make_bundle(
-                        mesh, grid, model, ell, sub.nodes, sub.elements, w.a,
-                        w.b_elem, w.g_node, gamma_nodes,
-                    )
-                )
+                self._subs.append(_make_bundle(
+                    mesh, ell, sub.nodes, sub.elements, w.a, w.b_elem,
+                    w.g_node, gamma_nodes))
+                targets.append((self._subs[-1], sub.elements))
+        _assemble_loads(mesh, grid, model.source, targets)
         self._stack = (None, None)  # (name, stack) of the last stack built
 
     def bundle(self, ell=None):

@@ -329,6 +329,26 @@ def test_empty_capacity_zone_exits_2(tmp_path, capsys, zone):
         assert "zero_lo" in err and "zero_hi" in err
 
 
+@pytest.mark.parametrize("zone", [(2.0, 3.0), (0.51, 0.53)],
+                         ids=["off-the-mesh", "between-nodes"])
+def test_capacity_zone_without_a_node_exits_2(tmp_path, capsys, zone):
+    # on the README config's 32 cells a zone off the mesh, or between the
+    # nodes 0.5 and 0.53125, holds no node: gamma would vanish nowhere and
+    # a parabolic problem would run
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```jsonc\n(.*?)```", text, re.S).group(1)
+    cfg = json.loads(re.sub(r"//.*", "", block))
+    cfg["output"] = base_config(tmp_path)["output"]
+    cfg["model"]["gamma_kind"] = "indicator"
+    cfg["model"]["gamma_params"] = dict(zip(("zero_lo", "zero_hi"), zone))
+    path = write_config(tmp_path, cfg)
+    for command in ("run", "verify"):
+        assert main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert "zero_lo" in err and "zero_hi" in err and "no mesh node" in err
+    assert not (tmp_path / "trace.csv").exists()
+
+
 NAN, INF = float("nan"), float("inf")
 
 
