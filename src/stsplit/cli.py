@@ -26,7 +26,7 @@ import numpy as np
 
 from .decomposition import build_decomposition
 from .errors import ConfigurationError, NumericError, SolverError
-from .iteration import SCHEMES, SchemeConfig, run_scheme
+from .iteration import SCHEMES, SchemeConfig, check_scheme, run_scheme
 from .mesh import build_mesh
 from .models import (
     SourceTerm,
@@ -167,6 +167,8 @@ def load_config(path, require_output):
         cfg = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigurationError("config is nested too deeply to parse") from exc
     cfg = _section(cfg, "config", dict(_SCHEMA["config"], output=(
         "output", _REQUIRED if require_output else None)))
 
@@ -211,6 +213,7 @@ def load_config(path, require_output):
     dec = build_decomposition(mesh, **cfg["decomposition"])
     initial = cfg["scheme"].pop("initial")
     scheme_cfg = SchemeConfig(**cfg["scheme"])
+    check_scheme(scheme_cfg.scheme, model, dec)
     out = cfg["output"]
     output = None if out is None else (out["csv_path"],
                                        out["json_summary_path"])

@@ -30,7 +30,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, as_integer
-from .operators import _check_field, build_context, h_norm, k_functional, primal_F
+from .operators import (_check_field, build_context, check_shift_gamma,
+                        h_norm, k_functional, primal_F)
 from .resolvent import ResolventConfig, Sweep, resolvent_solve
 
 SCHEMES = ("PR", "DR", "AS", "AS_shifted")
@@ -174,6 +175,17 @@ class _AlternatingSweep(Sweep):
         return u2, [u1, u2], (vn, self.s * u2 - f2)
 
 
+def check_scheme(scheme, model, dec):
+    """ConfigurationError unless the problem meets the scheme's needs: PR
+    and DR split it into exactly 2 subdomains, and AS_shifted, which runs
+    on a context with the shift q, needs gamma >= gamma_0 > 0 on the whole
+    domain (see OperatorContext)."""
+    if scheme in ("PR", "DR") and dec.q != 2:
+        raise ConfigurationError(f"{scheme} requires exactly 2 subdomains")
+    if scheme == "AS_shifted":
+        check_shift_gamma(dec.mesh, model)
+
+
 def run_scheme(ctx, cfg, u_ref=None, initial=None):
     """Run a splitting scheme and collect its convergence trace.
 
@@ -198,10 +210,9 @@ def run_scheme(ctx, cfg, u_ref=None, initial=None):
     """
     if ctx.dec is None:
         raise ConfigurationError("run_scheme needs a context with a decomposition")
+    check_scheme(cfg.scheme, ctx.model, ctx.dec)
     q = ctx.dec.q
     alternating = cfg.scheme in ("PR", "DR")
-    if alternating and q != 2:
-        raise ConfigurationError(f"{cfg.scheme} requires exactly 2 subdomains")
     s = cfg.s
     rcfg = ResolventConfig(s=s)
     if u_ref is not None:

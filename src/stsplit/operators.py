@@ -200,7 +200,7 @@ def level_times(ctx, bundle, k):
     ConfigurationError (see _levels).
     """
     t = ctx.grid.times[_levels(bundle, k, ctx.grid.n_steps)]
-    if bundle.parts is None or np.ndim(t) == 0:
+    if t.ndim == 0:  # not np.ndim(t), whose dispatch every residual would pay
         return t
     return t[bundle.block_of_element, None]
 
@@ -326,6 +326,16 @@ def _with_shape(values, shape, name):
     return values
 
 
+def check_shift_gamma(mesh, model):
+    """ConfigurationError unless gamma >= gamma_0 > 0 on the whole domain,
+    read as gamma > 0 at every node and quadrature point of the mesh: the
+    exponential shift needs it."""
+    if not min(np.min(model.gamma(mesh.nodes)), np.min(model.gamma(
+            mesh.quad_points.reshape(-1, mesh.dim)))) > 0.0:
+        raise ConfigurationError(
+            "the shifted scheme needs gamma >= gamma_0 > 0 on the whole domain")
+
+
 class OperatorContext:
     """Frozen discretization: mesh + model + time grid (+ decomposition).
 
@@ -359,10 +369,8 @@ class OperatorContext:
         if not np.all((gamma_nodes >= 0.0) & np.isfinite(gamma_nodes)):
             raise ConfigurationError(
                 "gamma must be finite and nonnegative at mesh nodes")
-        if self.shift and not min(np.min(gamma_nodes), np.min(model.gamma(
-                mesh.quad_points.reshape(-1, mesh.dim)))) > 0.0:
-            raise ConfigurationError(
-                "the shifted scheme needs gamma >= gamma_0 > 0 on the whole domain")
+        if self.shift:
+            check_shift_gamma(mesh, model)
 
         all_nodes = np.arange(mesh.n_nodes)
         all_elems = np.arange(mesh.n_elements)

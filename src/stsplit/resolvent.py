@@ -298,62 +298,58 @@ class _FieldSweep(Sweep):
         return self.field[k]
 
 
-def _solve_stage(ctx, phases, s, units):
+def _solve_stage(ctx, phases, layouts, s, units):
     """Solve the units' level systems in one stacked Newton.
 
-    phases[p] holds the subdomains of phase p, and a unit is (application,
-    sweep, phase, level, input level, warm start).  The warm start is the
-    previous sweep's subdomain rows at the same phase and level, or None.
-    Newton starts each block from its warm row and solves it inexactly (see
+    phases[p] holds the subdomains of phase p and layouts[p] their stack
+    (see _wavefront), and a unit is (application, sweep, phase, level,
+    input level, warm start).  The warm start is the previous sweep's
+    subdomain rows at the same phase and level, or None.  Newton starts
+    each block from its warm row and solves it inexactly (see
     `newton_level_solve`'s warm); a block without one starts from its
     previous level and keeps the exact tolerance, which gives the bits of
     no start at all, and a stage with no warm start passes none.  The stack
     holds the units' subdomain rows in turn, so each unit reads and writes
-    one slice of it.  Writes each unit's output level and returns None.  If the stacked
-    Newton raises SolverError, a stage of one unit returns (application,
-    error), and one of more units solves them alone, in application order,
-    and returns what the first that fails returns, with the units before it
-    done.
+    one slice of it: its right-hand side is m * g[nodes] on its phase's
+    layout, and its output level is g/s with the layout's nodes overwritten
+    by its values.  Writes each unit's output level and returns None.  If
+    the stacked Newton raises SolverError, a stage of one unit returns
+    (application, error), and one of more units solves them alone, in
+    application order, and returns what the first that fails returns, with
+    the units before it done.
     """
-    parts, ks, inputs, prev, starts, warm_blocks = (), [], [], [], [], []
+    parts, ks, rhs, prev, starts, warm_blocks = (), [], [], [], [], []
     for _, sweep, p, k, g, warm in units:
-        n = len(phases[p])
+        layout, n = layouts[p], len(phases[p])
         parts += phases[p]
         ks += [k] * n
-        inputs += [g] * n
-        before = (sweep.rows[p][k - 1] if k
-                  else np.zeros(sweep.rows[p].shape[1]))
+        rhs.append(layout.m * g[layout.nodes])
+        before = sweep.rows[p][k - 1] if k else np.zeros(layout.n_nodes)
         prev.append(before)
         starts.append(before if warm is None else warm)
         warm_blocks += [warm is not None] * n
-    bundle = ctx.bundle(parts)
-    # the inputs as global rows, one per block, read at each stacked node's
-    # global id
-    at = (bundle.block_of_node, bundle.nodes)
-    inputs = np.array(inputs)
     u0 = flags = None
     if any(warm_blocks):
         u0, flags = np.concatenate(starts), np.array(warm_blocks)
     try:
         res = newton_level_solve(
             ctx, parts, s, ks[0] if len(set(ks)) == 1 else np.array(ks),
-            np.concatenate(prev), bundle.m * inputs[at], u0=u0, warm=flags)
+            np.concatenate(prev), np.concatenate(rhs), u0=u0, warm=flags)
     except SolverError as err:
         if len(units) == 1:
             return units[0][0], err
         for unit in sorted(units, key=lambda unit: unit[0]):
-            found = _solve_stage(ctx, phases, s, [unit])
+            found = _solve_stage(ctx, phases, layouts, s, [unit])
             if found is not None:
                 return found
         return None
-    out = inputs / s
-    out[at] = res.values
-    b = i = 0
-    for _, sweep, p, k, _, _ in units:
-        n, width = len(phases[p]), sweep.rows[p].shape[1]
-        sweep.out[p][:, k] = out[b:b + n]
-        sweep.rows[p][k] = res.values[i:i + width]
-        b, i = b + n, i + width
+    i = 0
+    for _, sweep, p, k, g, _ in units:
+        layout = layouts[p]
+        sweep.rows[p][k] = res.values[i:i + layout.n_nodes]
+        sweep.out[p][:, k] = g / s
+        sweep.out[p][layout.block_of_node, k, layout.nodes] = sweep.rows[p][k]
+        i += layout.n_nodes
     return None
 
 
@@ -369,13 +365,16 @@ def _wavefront(ctx, phases, sweeps, s):
     stacked Newton.  When application a fails (the first of its stage to
     fail alone, see `_solve_stage`), the applications after it are dropped,
     the ones before it go on, and its error is raised once they are done.
+
+    Each phase's layout, its own stack, maps the phase's input onto its
+    subdomains' nodes and their outputs back to global fields.  The layouts
+    are resolved last to first, so that ctx.bundle keeps phase 0's stack,
+    which the first stage solves on.
     """
     n_steps, n_nodes = ctx.grid.n_steps, ctx.mesh.n_nodes
     n_phases = len(phases)
-    # nodes of one application of each phase (ctx.bundle keeps only the
-    # last stack, so the phases' own stacks are not built)
-    widths = [sum(ctx.bundle(ell).n_nodes for ell in ells) for ells in phases]
-    depth = max(1, _STAGE_NODES // max(widths))
+    layouts = [ctx.bundle(ells) for ells in phases[::-1]][::-1]
+    depth = max(1, _STAGE_NODES // max(layout.n_nodes for layout in layouts))
     sweeps = iter(sweeps)
     running = []  # [application, sweep, phase, level] under way, in order
     failed, error = math.inf, None  # first failed application and its error
@@ -391,7 +390,7 @@ def _wavefront(ctx, phases, sweeps, s):
                     sweep.prev, prev = prev, sweep
             if sweep is not None:
                 sweep.out[p] = np.empty((len(phases[p]), n_steps, n_nodes))
-                sweep.rows[p] = np.empty((n_steps, widths[p]))
+                sweep.rows[p] = np.empty((n_steps, layouts[p].n_nodes))
                 running.append([a, sweep, p, 0])
                 a += 1
         if not running:
@@ -409,7 +408,7 @@ def _wavefront(ctx, phases, sweeps, s):
         # by phase, so that a stage holds the same stack as the one before
         # whenever it runs as many applications of each phase
         units.sort(key=lambda unit: unit[2])
-        found = _solve_stage(ctx, phases, s, units)
+        found = _solve_stage(ctx, phases, layouts, s, units)
         if found is not None:
             # the applications after the failed one depend on it
             failed, error = found

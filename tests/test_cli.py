@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import stsplit.cli
 from stsplit.cli import load_config, main
 
 HEADER = "sweep,err_H,err_k_total,err_k_1,err_k_2,pr_v_norm,pr_w_norm,wall_ms"
@@ -222,6 +223,39 @@ def test_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["run", str(path)]) == 2
+
+
+def test_deeply_nested_config_exits_2(tmp_path, capsys):
+    # json.loads raises RecursionError here, not JSONDecodeError
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200_000)
+    for command in ("run", "verify"):
+        assert main([command, str(path)]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"decomposition": {"q": 3}}, "PR requires exactly 2 subdomains"),
+    ({"scheme": {"scheme": "AS_shifted"},
+      "model": {"gamma_kind": "indicator",
+                "gamma_params": {"zero_lo": 0.0, "zero_hi": 0.5}}},
+     "gamma >= gamma_0 > 0"),
+], ids=["PR-q3", "AS_shifted-indicator"])
+def test_unmet_scheme_needs_exit_2_before_any_solve(tmp_path, capsys,
+                                                    monkeypatch, changes,
+                                                    message):
+    def no_reference(ctx):
+        raise AssertionError("the reference was solved")
+
+    monkeypatch.setattr(stsplit.cli, "solve_monolithic", no_reference)
+    cfg = base_config(tmp_path)
+    for section, entries in changes.items():
+        cfg[section].update(entries)
+    path = write_config(tmp_path, cfg)
+    for command in ("run", "verify"):
+        assert main([command, path]) == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
 
 
 def test_unwritable_output_path(tmp_path):

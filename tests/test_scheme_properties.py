@@ -24,9 +24,11 @@ p = 3.13 with lambda = 0 on a strip, and a first sweep fails from a start
 of size 4 at p = 5.7 even with lambda = 1.  AS_shifted needs gamma > 0 and
 runs only on the draws without a strip.
 
-The last test draws problems with gamma = 1 and checks that the wavefront's
-stacking depth, from one application per stage to every application under
-way in one stack, leaves every output of all four schemes bit for bit.
+The last two tests draw problems with gamma = 1 and check that the
+wavefront's stacking depth, from one application per stage to every
+application under way in one stack, leaves every output bit for bit: of
+all four schemes, and of chains whose phases hold different stacks, which
+no scheme runs.
 """
 
 import numpy as np
@@ -39,13 +41,16 @@ import stsplit.resolvent
 from conftest import make_problem
 from stsplit import (
     ConfigurationError,
+    ResolventConfig,
     SchemeConfig,
     constant_gamma,
     h_norm,
     indicator_gamma,
+    resolvent_solve,
     run_scheme,
     solve_monolithic,
 )
+from stsplit.resolvent import Sweep
 
 _SWEEPS = 25
 _SLACK = 1e-6
@@ -167,3 +172,55 @@ def test_stacking_depth_leaves_every_output_unchanged(case):
                 assert np.array_equal(a, b)
             for name in _TRACE_COLUMNS:
                 assert getattr(run.trace, name) == getattr(first.trace, name)
+
+
+class _MeanSweep(Sweep):
+    """Each phase applies its resolvents to s times a mean: phase 0 to that
+    of the sweep before's last outputs (the start field in the first sweep),
+    a later phase to that of the phase before.  Keeps its inputs."""
+
+    def __init__(self, s, start, n_phases):
+        self.s = s
+        self.start = start
+        self.inputs = [[] for _ in range(n_phases)]
+
+    def level_input(self, phase, k):
+        if phase:
+            fields = self.out[phase - 1][:, k]
+        elif self.prev is None:
+            fields = self.start[None, k]
+        else:
+            fields = self.prev.out[-1][:, k]
+        g = self.s * np.add.reduce(fields / len(fields), axis=0)
+        self.inputs[phase].append(g)
+        return g
+
+
+@settings(max_examples=10, deadline=None)
+@given(stacked_runs(), st.sampled_from([((0, 1), (1,)), ((0, 1, 2), (2, 0))]))
+def test_stacking_depth_leaves_chains_of_mixed_phases_unchanged(case, chain):
+    q = 1 + max(sum(chain, ()))
+    *_, ctx = _context(dict(case, gamma=constant_gamma(1.0), lam=1.0), q)
+    start = np.random.default_rng(case["n_steps"]).standard_normal(
+        (ctx.grid.n_steps, ctx.mesh.n_nodes))
+    cfg = ResolventConfig(s=case["s"])
+    runs = []
+    for depth in (1, stsplit.resolvent._STAGE_NODES, 10**6):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(stsplit.resolvent, "_STAGE_NODES", depth)
+            sweeps = [_MeanSweep(case["s"], start, len(chain))
+                      for _ in range(case["sweeps"])]
+            assert list(resolvent_solve(ctx, chain, sweeps, cfg)) == sweeps
+        runs.append(sweeps)
+    for run in runs[1:]:
+        for a, b in zip(run, runs[0]):
+            for p in range(len(chain)):
+                assert np.array_equal(a.out[p], b.out[p])
+                assert np.array_equal(a.rows[p], b.rows[p])
+    # the first sweep starts no block warm: each output is its resolvent
+    # applied alone to the phase's input
+    first = runs[0][0]
+    for p, phase in enumerate(chain):
+        g = np.array(first.inputs[p])
+        for out, ell in zip(first.out[p], phase):
+            assert np.array_equal(out, resolvent_solve(ctx, ell, g, cfg))
