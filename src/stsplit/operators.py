@@ -8,14 +8,14 @@ dividing by the lumped mass maps them back to field space.
 
 An OperatorContext freezes one discretization: mesh, model, time grid,
 optional decomposition, and every precomputed table needed for assembly
-(quadrature weights times the weight profiles at quadrature points,
-capacity diagonals, load vectors per time level).  The source densities
-are pointwise functions of (x, t): the context evaluates each once per
-level, at the quadrature points of the whole mesh, and restricts the
-values to each subdomain's elements for its loads.  The tables are named by
-`ell`: None for the whole domain, a subdomain index, or a tuple of them for
-their block-diagonal stack, on which several subdomain systems, at one
-time level or at different ones, are solved as one.
+(quadrature weights times the weight profiles at quadrature points, capacity
+diagonals, load vectors per time level).  The source densities are pointwise
+functions of (x, t): the context evaluates each once per level, at the
+quadrature points of the whole mesh, and restricts the values to each
+subdomain's elements for its loads.  The tables are named by `ell`: None for
+the whole domain, a subdomain index, or a tuple of them for their
+block-diagonal stack, on which several subdomain systems, at one time level
+or at several, are solved as one.  Tables pass wherever a name does.
 
 The P1 quadrature sums run over per-element tables that each bundle builds
 once (see _AssemblyBundle), with the element axis last, and each quantity
@@ -185,7 +185,7 @@ def _levels(bundle, k, n_steps):
             and all(is_index(kb, n_steps) for kb in k)):
         k = np.array(k)
     if (n > 1 and isinstance(k, np.ndarray) and k.shape == (n,)
-            and k.dtype.kind == "i" and 0 <= k.min() and k.max() < n_steps):
+            and k.dtype.kind in "iu" and 0 <= k.min() and k.max() < n_steps):
         return k
     raise ConfigurationError(f"level {k!r} is neither an integer in "
                              f"[0, {n_steps}) nor one such integer per block")
@@ -349,7 +349,7 @@ class OperatorContext:
     the time difference, and apply_A adds q*cap*u.  A shift needs gamma >=
     gamma_0 > 0 on the whole domain.
 
-    Immutable but for the one stack it keeps, the last one `bundle` built.
+    Immutable.
     """
 
     def __init__(self, mesh, model, grid, dec=None, shift=0.0):
@@ -388,31 +388,27 @@ class OperatorContext:
                     w.g_node, gamma_nodes))
                 targets.append((self._subs[-1], sub.elements))
         _assemble_loads(mesh, grid, model.source, targets)
-        self._stack = (None, None)  # (name, stack) of the last stack built
 
     def bundle(self, ell=None):
         """Assembly tables: ell is None for the whole domain, a subdomain
         index, or a tuple of them (repeats allowed) for their stack in that
-        order; a 1-tuple names the plain bundle.  The last stack built is
-        kept while the same tuple is asked for, since the stages of a
-        wavefront repeat theirs: on as1d_shifted_q3 a run builds 31 stacks
-        for its 143 stages, about 4 ms, where a stack per stage took 30 ms
-        (2 vCPU Xeon).  Every function that takes ell resolves it here, so
-        names are checked here, by `Decomposition.names` for an index: a
-        bool, an index outside [0, q) or an empty tuple raises
+        order, built anew on every call; a 1-tuple names the plain bundle.
+        Tables that `bundle` returned are returned as they are.  Every
+        function that takes ell resolves it here, so it takes tables too,
+        and names are checked here, by `Decomposition.names` for an index:
+        a bool, an index outside [0, q) or an empty tuple raises
         ConfigurationError.
         """
+        if isinstance(ell, _AssemblyBundle):  # first: it runs on every residual
+            return ell
         if isinstance(ell, tuple):
             if len(ell) == 1:
                 (ell,) = ell
-            elif ell == self._stack[0]:
-                return self._stack[1]
             elif not ell:
                 raise ConfigurationError("a stack names one subdomain or more")
             else:
                 # each part as a 1-tuple, so that no part is itself a stack
-                self._stack = ell, _stack_bundles([self.bundle((i,)) for i in ell])
-                return self._stack[1]
+                return _stack_bundles([self.bundle((i,)) for i in ell])
         if ell is None:
             return self._global
         if self.dec is None:
@@ -459,10 +455,10 @@ def apply_A(ctx, ell, k, u_k, values=None):
     r_i = int a*alpha(t_k, grad u) . grad(phi_i) + b*beta(t_k, u) phi_i,
     plus the diagonal reaction shift*cap*u when the context carries a shift.
     k is the 0-based level index (physical time ctx.grid.times[k]); on a
-    stack named by ell it may hold one level per block.  Any other k raises
-    ConfigurationError.  values, when given,
-    is quad_values of u_k, which the caller has already evaluated.  The
-    result is returned as computed, non-finite entries included.
+    stack it may hold one level per block.  Any other k raises
+    ConfigurationError.  ell is a name or tables.  values, when given, is
+    quad_values of u_k, which the caller has already evaluated.  The result
+    is returned as computed, non-finite entries included.
     """
     b = ctx.bundle(ell)
     u_k = _check_level(b, u_k)
@@ -486,13 +482,13 @@ def apply_F(ctx, ell, u):
     non-finite entries raise NumericError.
     """
     b = ctx.bundle(ell)
-    u = _check_field(ctx, u, ell)
+    u = _check_field(ctx, u, b)
     dt, growth = ctx.grid.dt, ctx.step_growth
     out = np.empty_like(u)
     prev = np.zeros(b.n_nodes)
     for k in range(ctx.grid.n_steps):
         out[k] = (b.cap * (u[k] - growth * prev) / dt
-                  + apply_A(ctx, ell, k, u[k]) + level_loads(b, k))
+                  + apply_A(ctx, b, k, u[k]) + level_loads(b, k))
         prev = u[k]
     if not np.all(np.isfinite(out)):
         raise NumericError("model functions produced non-finite values in apply_F")
@@ -501,8 +497,8 @@ def apply_F(ctx, ell, u):
 
 def h_inner(ctx, u, v, ell=None):
     """Lumped-mass space-time inner product on the (sub)domain."""
-    return _h_inner(ctx, ctx.bundle(ell), _check_field(ctx, u, ell),
-                    _check_field(ctx, v, ell))
+    b = ctx.bundle(ell)
+    return _h_inner(ctx, b, _check_field(ctx, u, b), _check_field(ctx, v, b))
 
 
 def _h_inner(ctx, b, u, v):
@@ -512,13 +508,15 @@ def _h_inner(ctx, b, u, v):
 
 def h_norm(ctx, u, ell=None):
     """sqrt(h_inner(u, u)), with u checked once."""
-    u = _check_field(ctx, u, ell)
-    return np.sqrt(max(_h_inner(ctx, ctx.bundle(ell), u, u), 0.0))
+    b = ctx.bundle(ell)
+    u = _check_field(ctx, u, b)
+    return np.sqrt(max(_h_inner(ctx, b, u, u), 0.0))
 
 
 def v_norm_p(ctx, ell, u):
     """Weighted space-time norm: (sum_k dt [ int a|grad u|^p + b|u|^p ])^(1/p)."""
-    return _v_norm_p(ctx, ctx.bundle(ell), _check_field(ctx, u, ell))
+    b = ctx.bundle(ell)
+    return _v_norm_p(ctx, b, _check_field(ctx, u, b))
 
 
 def _v_norm_p(ctx, b, u):
@@ -563,7 +561,7 @@ def primal_F(ctx, ell, u):
         raise ConfigurationError(f"primal_F takes one subdomain or None, "
                                  f"not the stack {ell!r}")
     u = _check_field(ctx, u, None)
-    dual = apply_F(ctx, ell, u[:, b.nodes])
+    dual = apply_F(ctx, b, u[:, b.nodes])
     out = np.zeros_like(u)
     out[:, b.nodes] = dual / b.m[None, :]
     return out

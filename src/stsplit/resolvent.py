@@ -22,12 +22,13 @@ of resolvents in turn, as a wavefront: application a = n*P + p (phase p of
 sweep n) starts at least one stage after application a - 1 and solves one
 level per stage.  All level systems of a stage are stacked into one
 block-diagonal system, named by the tuple of their subdomains (see
-`OperatorContext.bundle`), and solved by one Newton in which every block
-keeps its own bookkeeping, so every block's result is bit-identical to its
-solve alone.  How many applications run at once is bounded by the nodes of
-one stack (see _STAGE_NODES); where one application's level takes more,
-the sweeps run one after the other.  A single resolvent application is a
-chain of one sweep with one phase, and its stages are its time levels.
+`OperatorContext.bundle`) and kept while the stages repeat it, and solved
+by one Newton in which every block keeps its own bookkeeping, so every
+block's result is bit-identical to its solve alone.  How many applications
+run at once is bounded by the nodes of one stack (see _STAGE_NODES); where
+one application's level takes more, the sweeps run one after the other.  A
+single resolvent application is a chain of one sweep with one phase, and
+its stages are its time levels.
 
 Successive sweeps approach the scheme's fixed point, so Newton starts each
 level of sweep n from the output of sweep n-1 at the same phase and level,
@@ -159,14 +160,14 @@ def newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0=None, warm=None):
     ell names the system as `OperatorContext.bundle` does: None for the
     whole domain, a subdomain index, or a tuple of subdomain indices for
     their stack, on which k is one level for all blocks or holds one level
-    per block.  Each block has its own residual norm, tolerance and step
-    length: 1 on a block still iterating and 0 on a converged one, and only
-    the blocks whose trials have not yet lowered their residual halve it.
-    Each trial is u + steps[block] * du, so the last trial of a pass holds
-    every block at its accepted point and is taken whole.  A converged
-    block stays where it is, so every block still iterating has taken
-    every pass.  A SolverError names the first failing block and its level
-    in its message.
+    per block; or it is the tables, which every residual passes to apply_A.
+    Each block has its own residual norm, tolerance and step length: 1 on a
+    block still iterating and 0 on a converged one, and only the blocks
+    whose trials have not yet lowered their residual halve it.  Each trial
+    is u + steps[block] * du, so the last trial of a pass holds every block
+    at its accepted point and is taken whole.  A converged block stays where
+    it is, so every block still iterating has taken every pass.  A
+    SolverError names the first failing block and its level in its message.
     """
     bundle = ctx.bundle(ell)
     u_prev = _check_level(bundle, u_prev)
@@ -201,7 +202,7 @@ def newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0=None, warm=None):
         # overflows to inf or nan, which the line search rejects
         values = quad_values(bundle, u)
         r = sm * u + bundle.cap * (u - grown) / dt
-        r += apply_A(ctx, ell, k, u, values=values) - rhs + loads
+        r += apply_A(ctx, bundle, k, u, values=values) - rhs + loads
         return values, r, np.sqrt(bundle.block_sum(r * r / bundle.m))
 
     def first(mask):
@@ -298,30 +299,28 @@ class _FieldSweep(Sweep):
         return self.field[k]
 
 
-def _solve_stage(ctx, phases, layouts, s, units):
-    """Solve the units' level systems in one stacked Newton.
+def _solve_stage(ctx, layouts, stack, s, units):
+    """Solve the units' level systems in one Newton on the stack `stack`.
 
-    phases[p] holds the subdomains of phase p and layouts[p] their stack
-    (see _wavefront), and a unit is (application, sweep, phase, level,
-    input level, warm start).  The warm start is the previous sweep's
-    subdomain rows at the same phase and level, or None.  Newton starts
-    each block from its warm row and solves it inexactly (see
-    `newton_level_solve`'s warm); a block without one starts from its
-    previous level and keeps the exact tolerance, which gives the bits of
-    no start at all, and a stage with no warm start passes none.  The stack
-    holds the units' subdomain rows in turn, so each unit reads and writes
-    one slice of it: its right-hand side is m * g[nodes] on its phase's
-    layout, and its output level is g/s with the layout's nodes overwritten
-    by its values.  Writes each unit's output level and returns None.  If
-    the stacked Newton raises SolverError, a stage of one unit returns
-    (application, error), and one of more units solves them alone, in
-    application order, and returns what the first that fails returns, with
-    the units before it done.
+    layouts[p] is the stack of phase p's subdomains (see _wavefront), and a
+    unit is (application, sweep, phase, level, input level, warm start).
+    The warm start is the previous sweep's subdomain rows at the same phase
+    and level, or None.  Newton starts each block from its warm row and
+    solves it inexactly (see `newton_level_solve`'s warm); a block without
+    one starts from its previous level and keeps the exact tolerance, which
+    gives the bits of no start at all, and a stage with no warm start passes
+    none.  `stack` holds the units' layouts in turn, so each unit reads and
+    writes one slice of it: its right-hand side is m * g[nodes] on its
+    phase's layout, and its output level is g/s with the layout's nodes
+    overwritten by its values.  Writes each unit's output level and returns
+    None.  If the stacked Newton raises SolverError, a stage of one unit
+    returns (application, error), and one of more units solves them alone,
+    in application order, and returns what the first that fails returns,
+    with the units before it done.
     """
-    parts, ks, rhs, prev, starts, warm_blocks = (), [], [], [], [], []
+    ks, rhs, prev, starts, warm_blocks = [], [], [], [], []
     for _, sweep, p, k, g, warm in units:
-        layout, n = layouts[p], len(phases[p])
-        parts += phases[p]
+        layout, n = layouts[p], len(layouts[p].blocks)
         ks += [k] * n
         rhs.append(layout.m * g[layout.nodes])
         before = sweep.rows[p][k - 1] if k else np.zeros(layout.n_nodes)
@@ -333,13 +332,13 @@ def _solve_stage(ctx, phases, layouts, s, units):
         u0, flags = np.concatenate(starts), np.array(warm_blocks)
     try:
         res = newton_level_solve(
-            ctx, parts, s, ks[0] if len(set(ks)) == 1 else np.array(ks),
+            ctx, stack, s, ks[0] if len(set(ks)) == 1 else np.array(ks),
             np.concatenate(prev), np.concatenate(rhs), u0=u0, warm=flags)
     except SolverError as err:
         if len(units) == 1:
             return units[0][0], err
         for unit in sorted(units, key=lambda unit: unit[0]):
-            found = _solve_stage(ctx, phases, layouts, s, [unit])
+            found = _solve_stage(ctx, layouts, layouts[unit[2]], s, [unit])
             if found is not None:
                 return found
         return None
@@ -367,13 +366,14 @@ def _wavefront(ctx, phases, sweeps, s):
     the ones before it go on, and its error is raised once they are done.
 
     Each phase's layout, its own stack, maps the phase's input onto its
-    subdomains' nodes and their outputs back to global fields.  The layouts
-    are resolved last to first, so that ctx.bundle keeps phase 0's stack,
-    which the first stage solves on.
+    subdomains' nodes and their outputs back to global fields.  A stage's
+    stack is kept while the stages repeat its subdomains; the first's is
+    phase 0's layout.
     """
     n_steps, n_nodes = ctx.grid.n_steps, ctx.mesh.n_nodes
     n_phases = len(phases)
-    layouts = [ctx.bundle(ells) for ells in phases[::-1]][::-1]
+    layouts = [ctx.bundle(ells) for ells in phases]
+    stage = phases[0], layouts[0]  # the current stage's names and stack
     depth = max(1, _STAGE_NODES // max(layout.n_nodes for layout in layouts))
     sweeps = iter(sweeps)
     running = []  # [application, sweep, phase, level] under way, in order
@@ -405,10 +405,12 @@ def _wavefront(ctx, phases, sweeps, s):
             if k == n_steps - 1 and p == n_phases - 1:
                 sweep_k.prev = None
             units.append((app, sweep_k, p, k, g_k, warm))
-        # by phase, so that a stage holds the same stack as the one before
-        # whenever it runs as many applications of each phase
+        # by phase: stages of as many applications per phase share a stack
         units.sort(key=lambda unit: unit[2])
-        found = _solve_stage(ctx, phases, layouts, s, units)
+        names = sum((phases[unit[2]] for unit in units), ())
+        if names != stage[0]:
+            stage = names, ctx.bundle(names)
+        found = _solve_stage(ctx, layouts, stage[1], s, units)
         if found is not None:
             # the applications after the failed one depend on it
             failed, error = found

@@ -13,9 +13,12 @@ from stsplit import (
     ConfigurationError,
     ResolventConfig,
     SolverError,
+    SchemeConfig,
     build_context,
     resolvent_solve,
+    run_scheme,
 )
+from stsplit.iteration import _AdditiveSweep
 from stsplit.resolvent import newton_level_solve
 
 
@@ -230,24 +233,33 @@ def stack_cases(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(stack_cases())
-def test_stage_stack_is_reused_while_its_blocks_repeat(case):
+def test_equal_names_give_equal_new_stacks(case):
     try:
         *_, ctx = make_problem(cells=case["cells"], q=case["q"],
                                overlap=case["overlap"])
     except ConfigurationError:
         assume(False)
     rng = np.random.default_rng(case["seed"])
+    names = ("conn", "qp", "grads", "wa", "wb", "m", "cap", "band_index",
+             "nodes")
     built = []  # every stack seen, held so that no id is reused
     for ells in case["names"]:
         stack = ctx.bundle(tuple(list(ells)))  # an equal tuple, not this one
-        if built and ells == built[-1][0]:
-            assert stack is built[-1][1]
-        else:
-            assert all(stack is not b for _, b in built)
+        for earlier_ells, earlier in built:
+            assert stack is not earlier
+            for name in names:  # no two stacks share a table
+                assert not np.shares_memory(getattr(stack, name),
+                                            getattr(earlier, name))
+            if earlier_ells == ells:
+                assert stack.offsets == earlier.offsets
+                assert stack.blocks == earlier.blocks
+                for name in names:
+                    assert np.array_equal(getattr(stack, name),
+                                          getattr(earlier, name))
         built.append((ells, stack))
-        # one block needs no stack, and naming one keeps the stack
+        # one block needs no stack, and tables name themselves
         assert ctx.bundle(ells[:1]) is ctx.bundle(ells[0])
-        assert ctx.bundle(ells) is stack
+        assert ctx.bundle(stack) is stack
 
         parts = [ctx.bundle(ell) for ell in ells]
         assert stack.blocks == tuple(parts)
@@ -273,9 +285,50 @@ def test_stage_stack_is_reused_while_its_blocks_repeat(case):
         expected = [w[lo:hi].sum() for lo, hi in zip(offsets, offsets[1:])]
         assert np.array_equal(stack.block_sum(w), expected)
 
-        names = ("conn", "qp", "grads", "wa", "wb", "m", "cap", "band_index",
-                 "nodes")
         for name in names:
             for b in parts:  # a stack copies, so dropping it frees its tables
                 assert not np.shares_memory(getattr(stack, name),
                                             getattr(b, name))
+
+
+def test_runs_and_stacks_leave_the_context_as_it_was():
+    *_, ctx = make_problem(cells=12, n_steps=3, p=3.0, lam=1.0, source="cos")
+    snapshot = {key: id(value) for key, value in vars(ctx).items()}
+    for scheme in ("PR", "DR", "AS", "AS_shifted"):
+        run_scheme(ctx, SchemeConfig(scheme=scheme, s=2.0, max_sweeps=3))
+        assert {key: id(value) for key, value in vars(ctx).items()} == snapshot
+    ctx.bundle((0, 1))
+    assert {key: id(value) for key, value in vars(ctx).items()} == snapshot
+
+
+def test_a_callers_stacks_add_no_engine_build(monkeypatch):
+    # 71 nodes per application: 16 run at once, so the ramp-up and the
+    # ramp-down build 31 stacks in all
+    *_, ctx = make_problem(cells=48, n_steps=20, q=3, overlap=0.6, p=3.0,
+                           lam=1.0, source="cos")
+    builds = [0]
+    build = stsplit.operators._stack_bundles
+
+    def counted(parts):
+        builds[0] += 1
+        return build(parts)
+
+    monkeypatch.setattr(stsplit.operators, "_stack_bundles", counted)
+    start = np.zeros((ctx.grid.n_steps, ctx.mesh.n_nodes))
+    outputs, counts = [], []
+    for interleave in (False, True):
+        builds[0] = 0
+        chain = (_AdditiveSweep(8.0, start) for _ in range(40))
+        outputs.append([])
+        for sweep in resolvent_solve(ctx, ((0, 1, 2),), chain,
+                                     ResolventConfig(s=8.0)):
+            outputs[-1].append(sweep.out[0])
+            if interleave:
+                caller = builds[0]
+                ctx.bundle((1, 0))  # a caller's own stack, between two yields
+                builds[0] = caller
+        counts.append(builds[0])
+    assert counts == [31, 31]
+    assert len(outputs[0]) == len(outputs[1]) == 40
+    for x, y in zip(*outputs):
+        assert np.array_equal(x, y)

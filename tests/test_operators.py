@@ -175,7 +175,26 @@ def test_h_norm_checks_its_field_once(monkeypatch):
 
     monkeypatch.setattr(operators, "_check_field", counting)
     assert h_norm(ctx, u) == want
-    assert checked == [None]
+    assert len(checked) == 1
+    assert ctx.bundle(checked[0]) is ctx.bundle()
+
+
+def test_apply_f_on_a_stack_builds_it_once(monkeypatch):
+    _, grid, _, _, ctx = make_problem(p=3.0, lam=1.0, source="cos")
+    stack = ctx.bundle((0, 1))
+    u = 0.5 * np.random.default_rng(7).standard_normal((grid.n_steps,
+                                                        stack.n_nodes))
+    builds = []
+    build = operators._stack_bundles
+
+    def counted(parts):
+        builds.append(len(parts))
+        return build(parts)
+
+    monkeypatch.setattr(operators, "_stack_bundles", counted)
+    got = apply_F(ctx, (0, 1), u)
+    assert builds == [2]
+    assert np.array_equal(got, apply_F(ctx, stack, u))
 
 
 def test_global_fields_are_checked_before_restriction():
@@ -231,7 +250,9 @@ def test_level_indices_are_checked():
                               np.array([[0, 1]]))
     for ell, bad_levels, good_levels in (
             (0, scalar_bad + ([1], np.array([1])), (2, np.int64(2))),
-            ((0, 1), stack_bad, ([2, 0], (2, np.int64(0)), np.array([2, 0])))):
+            ((0, 1), stack_bad, ([2, 0], (2, np.int64(0)), np.array([2, 0]),
+                                 np.array([2, 0], dtype=np.uint8),
+                                 [np.uint8(2), np.uint8(0)]))):
         b = ctx.bundle(ell)
         u = 0.5 * rng.standard_normal(b.n_nodes)
         rhs = b.m * rng.standard_normal(b.n_nodes)
