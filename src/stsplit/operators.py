@@ -183,7 +183,8 @@ def _levels(bundle, k, n_steps):
     n = len(bundle.blocks)
     if (n > 1 and isinstance(k, (list, tuple)) and len(k) == n
             and all(is_index(kb, n_steps) for kb in k)):
-        k = np.array(k)
+        # as integers: np.array would promote mixed integer types to float
+        k = np.array([int(kb) for kb in k])
     if (n > 1 and isinstance(k, np.ndarray) and k.shape == (n,)
             and k.dtype.kind in "iu" and 0 <= k.min() and k.max() < n_steps):
         return k

@@ -10,7 +10,8 @@ is solved with an exact residual and an epsilon-regularized Jacobian,
 globalized by step halving alone: a Newton step that no halving makes
 lower the residual raises SolverError.  Strips are cut along the first
 mesh axis, so every level system is banded and each Newton step ends in
-one banded direct solve.  Off the subdomain the resolvent acts as
+one banded direct solve, in one band storage per level solve that every
+pass refills in place.  Off the subdomain the resolvent acts as
 division by s, so the returned global field is
 u = extend(u_ell) + (g - extend(restrict(g)))/s.
 
@@ -55,7 +56,8 @@ import scipy.linalg
 
 from .errors import ConfigurationError, SolverError
 from .operators import (_check_field, _check_level, _element_matrices,
-                        apply_A, level_loads, level_times, quad_values)
+                        _levels, apply_A, level_loads, level_times,
+                        quad_values)
 
 # Newton controls, read at call time: iteration cap, absolute and relative
 # residual tolerances, Jacobian regularization, step halvings per pass.
@@ -115,16 +117,19 @@ class NewtonResult:
     iterations: int  # Newton passes; the most any block needed
 
 
-def _solve_linear(bundle, ke, diag_extra, rhs):
+def _solve_linear(bundle, ke, diag_extra, rhs, ab):
     """Solve (assembled ke + diag(diag_extra)) x = rhs as a banded system;
     ke holds the element matrices as `_element_matrices` builds them.
 
-    The band storage is built here, so LAPACK may overwrite it; rhs is left
-    as it is.  A non-finite or singular system raises SolverError.
+    ab is the caller's band storage, of shape (2*bw + 1, n_nodes), refilled
+    here on every call, so whatever it held is ignored and LAPACK may
+    overwrite it; rhs is left as it is.  A non-finite or singular system
+    raises SolverError.
     """
-    bw, n = bundle.bandwidth, bundle.n_nodes
-    ab = np.bincount(bundle.band_index, weights=ke.ravel(),
-                     minlength=(2 * bw + 1) * n).reshape(2 * bw + 1, n)
+    bw = bundle.bandwidth
+    ab.fill(0.0)
+    # each slot sums its entries in input order, from 0.0
+    np.add.at(ab.reshape(-1), bundle.band_index, ke.ravel())
     ab[bw] += diag_extra
     if not np.isfinite(ab).all():
         raise SolverError("banded system has non-finite entries")
@@ -179,6 +184,7 @@ def newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0=None, warm=None):
                              np.shape(warm) not in ((), (len(blocks),))):
         raise ConfigurationError(f"warm needs a start u0 and one flag per "
                                  f"block ({len(blocks)}), not {warm!r}")
+    k = _levels(bundle, k, ctx.grid.n_steps)
     t = level_times(ctx, bundle, k)
     loads = level_loads(bundle, k)
     # the time difference reads the previous level grown by step_growth;
@@ -188,6 +194,9 @@ def newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0=None, warm=None):
     sm = s * bundle.m
     diag_extra = sm + bundle.cap / dt + ctx.shift * bundle.cap
     block_of_node = bundle.block_of_node
+    # one band for every pass, which refills it: a fresh one per pass would
+    # fault its pages in anew
+    ab = np.empty((2 * bundle.bandwidth + 1, bundle.n_nodes))
 
     def where(b):
         name = blocks[b].name
@@ -239,7 +248,7 @@ def newton_level_solve(ctx, ell, s, k, u_prev, rhs, u0=None, warm=None):
         jf = ctx.model.flux_jacobian(bundle.qp, t, zq, _EPSILON_REG)
         rp = ctx.model.reaction_derivative(bundle.qp, t, uq, _EPSILON_REG)
         ke = _element_matrices(bundle, jf, rp)
-        du = _solve_linear(bundle, ke, diag_extra, -r)
+        du = _solve_linear(bundle, ke, diag_extra, -r, ab)
         steps = np.where(active, 1.0, 0.0)
         pending = active
         for _ in range(_MAX_HALVINGS + 1):
@@ -299,24 +308,25 @@ class _FieldSweep(Sweep):
         return self.field[k]
 
 
-def _solve_stage(ctx, layouts, stack, s, units):
+def _solve_stage(ctx, layouts, scatters, stack, s, units):
     """Solve the units' level systems in one Newton on the stack `stack`.
 
-    layouts[p] is the stack of phase p's subdomains (see _wavefront), and a
-    unit is (application, sweep, phase, level, input level, warm start).
-    The warm start is the previous sweep's subdomain rows at the same phase
-    and level, or None.  Newton starts each block from its warm row and
-    solves it inexactly (see `newton_level_solve`'s warm); a block without
-    one starts from its previous level and keeps the exact tolerance, which
-    gives the bits of no start at all, and a stage with no warm start passes
-    none.  `stack` holds the units' layouts in turn, so each unit reads and
-    writes one slice of it: its right-hand side is m * g[nodes] on its
-    phase's layout, and its output level is g/s with the layout's nodes
-    overwritten by its values.  Writes each unit's output level and returns
-    None.  If the stacked Newton raises SolverError, a stage of one unit
-    returns (application, error), and one of more units solves them alone,
-    in application order, and returns what the first that fails returns,
-    with the units before it done.
+    layouts[p] is the stack of phase p's subdomains and scatters[p][k] the
+    flat indices of its nodes in level k of a phase-p output (see
+    _wavefront).  A unit is (application, sweep, phase, level, input level,
+    warm start); the warm start is the previous sweep's subdomain rows at
+    the same phase and level, or None.  Newton starts each block from its
+    warm row and solves it inexactly (see `newton_level_solve`'s warm); a
+    block without one starts from its previous level and keeps the exact
+    tolerance, which gives the bits of no start at all, and a stage with no
+    warm start passes none.  `stack` holds the units' layouts in turn, so
+    each unit reads and writes one slice of it: its right-hand side is
+    m * g[nodes] on its phase's layout, and its output level is g/s with the
+    layout's nodes overwritten by its values.  Writes each unit's output
+    level and returns None.  If the stacked Newton raises SolverError, a
+    stage of one unit returns (application, error), and one of more units
+    solves them alone, in application order, and returns what the first that
+    fails returns, with the units before it done.
     """
     ks, rhs, prev, starts, warm_blocks = [], [], [], [], []
     for _, sweep, p, k, g, warm in units:
@@ -338,7 +348,8 @@ def _solve_stage(ctx, layouts, stack, s, units):
         if len(units) == 1:
             return units[0][0], err
         for unit in sorted(units, key=lambda unit: unit[0]):
-            found = _solve_stage(ctx, layouts, layouts[unit[2]], s, [unit])
+            found = _solve_stage(ctx, layouts, scatters, layouts[unit[2]],
+                                 s, [unit])
             if found is not None:
                 return found
         return None
@@ -347,7 +358,7 @@ def _solve_stage(ctx, layouts, stack, s, units):
         layout = layouts[p]
         sweep.rows[p][k] = res.values[i:i + layout.n_nodes]
         sweep.out[p][:, k] = g / s
-        sweep.out[p][layout.block_of_node, k, layout.nodes] = sweep.rows[p][k]
+        sweep.out[p].reshape(-1)[scatters[p][k]] = sweep.rows[p][k]
         i += layout.n_nodes
     return None
 
@@ -373,6 +384,11 @@ def _wavefront(ctx, phases, sweeps, s):
     n_steps, n_nodes = ctx.grid.n_steps, ctx.mesh.n_nodes
     n_phases = len(phases)
     layouts = [ctx.bundle(ells) for ells in phases]
+    # the (block, level, node) entries of out[p] that phase p's nodes fill,
+    # as flat indices with one row per level, so a write takes one index
+    levels = np.arange(n_steps)[:, None]
+    scatters = [(layout.block_of_node * n_steps + levels) * n_nodes
+                + layout.nodes for layout in layouts]
     stage = phases[0], layouts[0]  # the current stage's names and stack
     depth = max(1, _STAGE_NODES // max(layout.n_nodes for layout in layouts))
     sweeps = iter(sweeps)
@@ -410,7 +426,7 @@ def _wavefront(ctx, phases, sweeps, s):
         names = sum((phases[unit[2]] for unit in units), ())
         if names != stage[0]:
             stage = names, ctx.bundle(names)
-        found = _solve_stage(ctx, layouts, stage[1], s, units)
+        found = _solve_stage(ctx, layouts, scatters, stage[1], s, units)
         if found is not None:
             # the applications after the failed one depend on it
             failed, error = found

@@ -469,11 +469,11 @@ def test_stage_whose_stack_fails_is_solved_unit_by_unit(monkeypatch):
     solve_linear = stsplit.resolvent._solve_linear
     stacked = []
 
-    def failing(bundle, ke, diag_extra, rhs):
+    def failing(bundle, ke, diag_extra, rhs, ab):
         if len(bundle.blocks) > 1:
             stacked.append(1)
             raise SolverError("injected: stacked system")
-        return solve_linear(bundle, ke, diag_extra, rhs)
+        return solve_linear(bundle, ke, diag_extra, rhs, ab)
 
     monkeypatch.setattr(stsplit.resolvent, "_solve_linear", failing)
     _runs_equal(clean, run_scheme(ctx, cfg, u_ref=u_h))

@@ -50,7 +50,7 @@ def _first_system(monkeypatch, ctx, ell, s, k, u_prev, rhs, u0):
     """(ke, diag_extra, rhs) of the first linear solve of a Newton from u0."""
     captured = []
 
-    def capture(bundle, ke, diag_extra, rhs):
+    def capture(bundle, ke, diag_extra, rhs, ab):
         captured.append((ke.copy(), diag_extra.copy(), rhs.copy()))
         raise _Captured
 

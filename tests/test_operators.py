@@ -252,7 +252,11 @@ def test_level_indices_are_checked():
             (0, scalar_bad + ([1], np.array([1])), (2, np.int64(2))),
             ((0, 1), stack_bad, ([2, 0], (2, np.int64(0)), np.array([2, 0]),
                                  np.array([2, 0], dtype=np.uint8),
-                                 [np.uint8(2), np.uint8(0)]))):
+                                 [np.uint8(2), np.uint8(0)],
+                                 # mixed types, which np.array promotes to
+                                 # float: each result equals that of [2, 0]
+                                 (np.uint64(2), 0),
+                                 [np.uint64(2), np.int64(0)]))):
         b = ctx.bundle(ell)
         u = 0.5 * rng.standard_normal(b.n_nodes)
         rhs = b.m * rng.standard_normal(b.n_nodes)
@@ -261,7 +265,10 @@ def test_level_indices_are_checked():
                 apply_A(ctx, ell, k, u)
             with pytest.raises(ConfigurationError, match="level"):
                 newton_level_solve(ctx, ell, 2.0, k, u, rhs)
-        results = [(apply_A(ctx, ell, k, u), operators.level_loads(b, k),
+        # level_loads takes the levels as _levels has checked them
+        results = [(apply_A(ctx, ell, k, u),
+                    operators.level_loads(
+                        b, operators._levels(b, k, grid.n_steps)),
                     newton_level_solve(ctx, ell, 2.0, k, u, rhs).values)
                    for k in good_levels]
         for got in results[1:]:
