@@ -19,7 +19,7 @@ overlap element is g's profile at the element's corners.
 
 import numpy as np
 
-from .errors import ConfigurationError, as_integer, is_index
+from .errors import ConfigurationError, as_integer, as_real, is_index
 
 
 class Subdomain:
@@ -100,6 +100,8 @@ def build_decomposition(mesh, q, overlap_fraction, c_min=0.1):
         c_min: lower bound of the b weights on their subdomain, in (0, 0.5).
     """
     q = as_integer(q, "q")
+    overlap_fraction = as_real(overlap_fraction, "overlap_fraction")
+    c_min = as_real(c_min, "c_min")
     if q < 2:
         raise ConfigurationError("need at least 2 subdomains")
     if not 0.0 < overlap_fraction < np.inf:

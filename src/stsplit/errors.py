@@ -1,4 +1,4 @@
-"""Exception types shared across the library, and two integer checks."""
+"""Exception types shared across the library, and three number checks."""
 
 import numbers
 
@@ -18,6 +18,19 @@ def as_integer(value, what):
     except (TypeError, ValueError, OverflowError):
         pass
     raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+
+
+def as_real(value, what):
+    """value as a float if it is a real number (an int, a float, or a NumPy
+    integer or floating scalar) and not a bool, else ConfigurationError."""
+    if (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool)):
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigurationError(
+                f"{what} is too large for a float") from None
+    raise ConfigurationError(f"{what} must be a real number, got {value!r}")
 
 
 def is_index(value, n):

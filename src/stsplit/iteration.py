@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, as_integer
+from .errors import ConfigurationError, as_integer, as_real
 from .operators import (_check_field, build_context, check_shift_gamma,
                         h_norm, k_functional, primal_F)
 from .resolvent import ResolventConfig, Sweep, resolvent_solve
@@ -60,11 +60,12 @@ class SchemeConfig:
                            as_integer(self.max_sweeps, "max_sweeps"))
         if self.max_sweeps < 1:
             raise ConfigurationError("max_sweeps must be at least 1")
+        object.__setattr__(self, "stop_tol",
+                           as_real(self.stop_tol, "stop_tol"))
         if not self.stop_tol >= 0.0:
             raise ConfigurationError("stop_tol must be nonnegative")
-        s = math.sqrt(self.max_sweeps) if self.s is None else float(self.s)
-        ResolventConfig(s=s)
-        object.__setattr__(self, "s", s)
+        s = math.sqrt(self.max_sweeps) if self.s is None else self.s
+        object.__setattr__(self, "s", ResolventConfig(s=s).s)
 
 
 class IterationTrace:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigurationError, NumericError, as_integer,
+from .errors import (ConfigurationError, NumericError, as_integer, as_real,
                      is_index)
 
 
@@ -45,6 +45,7 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
+        object.__setattr__(self, "T", as_real(self.T, "T"))
         object.__setattr__(self, "n_steps", as_integer(self.n_steps, "n_steps"))
         if not 0.0 < self.T < math.inf or self.n_steps < 1:
             raise ConfigurationError("need a finite T > 0 and n_steps >= 1")

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigurationError, SolverError
+from .errors import ConfigurationError, SolverError, as_real
 from .operators import (_check_field, _check_level, _element_matrices,
                         _levels, apply_A, level_loads, level_times,
                         quad_values)
@@ -80,12 +80,11 @@ _MAX_HALVINGS = 30
 # 8, and with earlier kernels the peak RSS rose from 63.7 MB at 2 blocks to
 # 75.7 MB at 8.  In 1D a pass has a fixed cost that dominates (about 100 us
 # on one 31-node subdomain, 250 us on a 1,136-node stack), but every
-# application under way holds its global output fields and its subdomain
-# rows (see Sweep), so the peak RSS grows with the depth.  perfbench run_s
-# and peak_rss_mb, medians of 4 runs of 8 s taken round-robin over the
-# depths (2 vCPU Xeon; as1d_shifted_q3: 71 nodes per application, 32
-# levels; pr1d_degenerate: 49 nodes, 16 levels, so at most 16 applications
-# are ever under way):
+# application under way holds its global output fields (see Sweep), so the
+# peak RSS grows with the depth.  perfbench run_s and peak_rss_mb, medians
+# of 4 runs of 8 s taken round-robin over the depths (2 vCPU Xeon;
+# as1d_shifted_q3: 71 nodes per application, 32 levels; pr1d_degenerate:
+# 49 nodes, 16 levels, so at most 16 applications are ever under way):
 #   _STAGE_NODES   as1d depth, run_s, RSS     pr1d depth, run_s, RSS
 #            500    7  0.290 s  59.77 MB      10  0.370 s  59.26 MB
 #            800   11  0.253 s  60.22 MB      16  0.306 s  59.75 MB
@@ -101,6 +100,7 @@ class ResolventConfig:
     s: float
 
     def __post_init__(self):
+        object.__setattr__(self, "s", as_real(self.s, "resolvent parameter s"))
         if not self.s > 0.0:
             raise ConfigurationError("resolvent parameter s must be positive")
         if not math.isfinite(self.s):
@@ -277,22 +277,17 @@ class Sweep:
     Phase p of the sweep applies the resolvents of the subdomains phases[p]
     to one input field.  Its outputs are out[p], one array of shape
     (len(phases[p]), n_steps, n_nodes) that holds one global output field
-    per subdomain (g/s off the subdomain), and rows[p], of shape
-    (n_steps, N_p): the same outputs on the subdomains' own N_p nodes, in
-    the stack order of `OperatorContext.bundle(phases[p])`, from which the
-    engine builds the previous levels and warm starts of its Newton.  Both
-    are allocated when their phase starts and filled level by level.  A
-    subclass defines level_input(p, k), level k of the phase's input, and
-    keeps whatever of it it reads later.  It may read level k of this
-    sweep's earlier phases and of `prev`, the sweep before (None for the
-    first).  The engine starts each level's Newton from level k of prev's
-    rows at the same phase, and drops `prev` once the sweep's inputs are
-    all built and its starts read.
+    per subdomain (g/s off the subdomain), allocated when the phase starts
+    and filled level by level.  A subclass defines level_input(p, k), level
+    k of the phase's input, and keeps whatever of it it reads later.  It may
+    read level k of this sweep's earlier phases and of `prev`, the sweep
+    before (None for the first).  The engine starts each level's Newton
+    from level k of prev's outputs at the same phase, and drops `prev` when
+    the sweep is complete, before it yields the sweep.
     """
 
     prev = None
     out = None
-    rows = None
 
     def level_input(self, phase, k):
         raise NotImplementedError
@@ -313,30 +308,35 @@ def _solve_stage(ctx, layouts, scatters, stack, s, units):
 
     layouts[p] is the stack of phase p's subdomains and scatters[p][k] the
     flat indices of its nodes in level k of a phase-p output (see
-    _wavefront).  A unit is (application, sweep, phase, level, input level,
-    warm start); the warm start is the previous sweep's subdomain rows at
-    the same phase and level, or None.  Newton starts each block from its
-    warm row and solves it inexactly (see `newton_level_solve`'s warm); a
-    block without one starts from its previous level and keeps the exact
-    tolerance, which gives the bits of no start at all, and a stage with no
-    warm start passes none.  `stack` holds the units' layouts in turn, so
-    each unit reads and writes one slice of it: its right-hand side is
-    m * g[nodes] on its phase's layout, and its output level is g/s with the
-    layout's nodes overwritten by its values.  Writes each unit's output
-    level and returns None.  If the stacked Newton raises SolverError, a
-    stage of one unit returns (application, error), and one of more units
-    solves them alone, in application order, and returns what the first that
-    fails returns, with the units before it done.
+    _wavefront).  A unit is (application, sweep, phase, level, input
+    level), and every level it reads from an output comes through those
+    indices.  Newton starts each block from its warm start, level k of
+    `prev`'s output at the same phase, and solves it inexactly (see
+    `newton_level_solve`'s warm); a block of a sweep without `prev` starts
+    from its previous level and keeps the exact tolerance, which gives the
+    bits of no start at all, and a stage with no warm start passes none.
+    `stack` holds the units' layouts in turn, so each unit reads and writes
+    one slice of it: its right-hand side is m * g[nodes] on its phase's
+    layout, and its output level is g/s with the layout's nodes overwritten
+    by its values.  Writes each unit's output level and returns None.  If
+    the stacked Newton raises SolverError, a stage of one unit returns
+    (application, error), and one of more units solves them alone, in
+    application order, and returns what the first that fails returns, with
+    the units before it done.
     """
     ks, rhs, prev, starts, warm_blocks = [], [], [], [], []
-    for _, sweep, p, k, g, warm in units:
+    for _, sweep, p, k, g in units:
         layout, n = layouts[p], len(layouts[p].blocks)
         ks += [k] * n
         rhs.append(layout.m * g[layout.nodes])
-        before = sweep.rows[p][k - 1] if k else np.zeros(layout.n_nodes)
+        before = (sweep.out[p].take(scatters[p][k - 1]) if k
+                  else np.zeros(layout.n_nodes))
         prev.append(before)
-        starts.append(before if warm is None else warm)
-        warm_blocks += [warm is not None] * n
+        # level k of the sweep before is done: its application ran ahead
+        warm = sweep.prev is not None
+        starts.append(sweep.prev.out[p].take(scatters[p][k]) if warm
+                      else before)
+        warm_blocks += [warm] * n
     u0 = flags = None
     if any(warm_blocks):
         u0, flags = np.concatenate(starts), np.array(warm_blocks)
@@ -354,38 +354,37 @@ def _solve_stage(ctx, layouts, scatters, stack, s, units):
                 return found
         return None
     i = 0
-    for _, sweep, p, k, g, _ in units:
-        layout = layouts[p]
-        sweep.rows[p][k] = res.values[i:i + layout.n_nodes]
+    for _, sweep, p, k, g in units:
+        n = layouts[p].n_nodes
         sweep.out[p][:, k] = g / s
-        sweep.out[p].reshape(-1)[scatters[p][k]] = sweep.rows[p][k]
-        i += layout.n_nodes
+        sweep.out[p].reshape(-1)[scatters[p][k]] = res.values[i:i + n]
+        i += n
     return None
 
 
-def _wavefront(ctx, phases, sweeps, s):
+def _wavefront(ctx, phases, layouts, sweeps, s):
     """Run the chain of sweeps as a wavefront; yield each completed sweep.
 
     Application a = n*P + p is phase p of sweep n.  It starts one stage or
     more after application a - 1 and then solves one level per stage, so
     the levels it reads are done, and so is its warm start: level k of
-    application a - P, read from `prev` before the sweep drops it.  At most
-    as many applications run at once as fit in one stack of _STAGE_NODES
-    nodes, and the next one starts when there is room, so each stage is one
-    stacked Newton.  When application a fails (the first of its stage to
-    fail alone, see `_solve_stage`), the applications after it are dropped,
-    the ones before it go on, and its error is raised once they are done.
+    application a - P, read from `prev`, which the sweep drops when it is
+    complete.  At most as many applications run at once as fit in one
+    stack of _STAGE_NODES nodes, and the next one starts when there is
+    room, so each stage is one stacked Newton.  When application a fails
+    (the first of its stage to fail alone, see `_solve_stage`), the
+    applications after it are dropped, the ones before it go on, and its
+    error is raised once they are done.
 
-    Each phase's layout, its own stack, maps the phase's input onto its
+    layouts[p], phase p's own stack, maps the phase's input onto its
     subdomains' nodes and their outputs back to global fields.  A stage's
     stack is kept while the stages repeat its subdomains; the first's is
     phase 0's layout.
     """
     n_steps, n_nodes = ctx.grid.n_steps, ctx.mesh.n_nodes
     n_phases = len(phases)
-    layouts = [ctx.bundle(ells) for ells in phases]
     # the (block, level, node) entries of out[p] that phase p's nodes fill,
-    # as flat indices with one row per level, so a write takes one index
+    # as flat indices with one row per level, so a level takes one index
     levels = np.arange(n_steps)[:, None]
     scatters = [(layout.block_of_node * n_steps + levels) * n_nodes
                 + layout.nodes for layout in layouts]
@@ -402,27 +401,18 @@ def _wavefront(ctx, phases, sweeps, s):
             if p == 0:
                 sweep = next(sweeps, None)
                 if sweep is not None:
-                    sweep.out, sweep.rows = [None] * n_phases, [None] * n_phases
+                    sweep.out = [None] * n_phases
                     sweep.prev, prev = prev, sweep
             if sweep is not None:
                 sweep.out[p] = np.empty((len(phases[p]), n_steps, n_nodes))
-                sweep.rows[p] = np.empty((n_steps, layouts[p].n_nodes))
                 running.append([a, sweep, p, 0])
                 a += 1
         if not running:
             break
-        units = []
-        for app, sweep_k, p, k in running:
-            g_k = sweep_k.level_input(p, k)
-            # level k of the sweep before is done: its application ran ahead
-            warm = None
-            if sweep_k.prev is not None:
-                warm = sweep_k.prev.rows[p][k]
-            if k == n_steps - 1 and p == n_phases - 1:
-                sweep_k.prev = None
-            units.append((app, sweep_k, p, k, g_k, warm))
         # by phase: stages of as many applications per phase share a stack
-        units.sort(key=lambda unit: unit[2])
+        units = sorted(((app, sweep_k, p, k, sweep_k.level_input(p, k))
+                        for app, sweep_k, p, k in running),
+                       key=lambda unit: unit[2])
         names = sum((phases[unit[2]] for unit in units), ())
         if names != stage[0]:
             stage = names, ctx.bundle(names)
@@ -436,6 +426,7 @@ def _wavefront(ctx, phases, sweeps, s):
         while running and running[0][3] == n_steps:
             _, done, p, _ = running.pop(0)
             if p == n_phases - 1:
+                done.prev = None
                 yield done
     if error is not None:
         raise error
@@ -453,18 +444,18 @@ def resolvent_solve(ctx, ell, g, cfg):
     sweep-by-sweep run gives.  Closing the generator drops the sweeps still
     in flight.
 
-    A chain has one phase or more, each a non-empty tuple of subdomains,
-    and its names are checked by `OperatorContext.bundle`, at the call.
-    Other chains and names raise ConfigurationError.
+    A chain has one phase or more, each a non-empty tuple of subdomains.
+    Each phase's layout, its stack, is built by `OperatorContext.bundle` at
+    the call, which checks its names.  Other chains and names raise
+    ConfigurationError.
     """
     chain = ell if isinstance(ell, tuple) else ((ell,),)
     if not chain or not all(isinstance(phase, tuple) and phase
                             for phase in chain):
         raise ConfigurationError(f"a chain names one non-empty tuple of "
                                  f"subdomains per phase, not {ell!r}")
-    for name in sum(chain, ()):
-        ctx.bundle((name,))  # as a 1-tuple, so that a tuple name is refused
+    layouts = [ctx.bundle(phase) for phase in chain]
     if chain is ell:
-        return _wavefront(ctx, chain, g, cfg.s)
-    g = _check_field(ctx, g, None)
-    return next(_wavefront(ctx, chain, [_FieldSweep(g)], cfg.s)).out[0][0]
+        return _wavefront(ctx, chain, layouts, g, cfg.s)
+    sweeps = [_FieldSweep(_check_field(ctx, g, None))]
+    return next(_wavefront(ctx, chain, layouts, sweeps, cfg.s)).out[0][0]

@@ -1,5 +1,6 @@
 """The batched additive resolvent against one solve per subdomain."""
 
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -332,3 +333,18 @@ def test_a_callers_stacks_add_no_engine_build(monkeypatch):
     assert len(outputs[0]) == len(outputs[1]) == 40
     for x, y in zip(*outputs):
         assert np.array_equal(x, y)
+
+
+def test_the_engine_lets_go_of_finished_sweeps(monkeypatch):
+    # one application at a time, so once sweep n is yielded no application
+    # of sweep n - 1 is under way, and nothing else may keep it
+    monkeypatch.setattr(stsplit.resolvent, "_STAGE_NODES", 1)
+    *_, ctx = make_problem(cells=12, n_steps=3, p=3.0, lam=1.0, source="cos")
+    start = np.zeros((ctx.grid.n_steps, ctx.mesh.n_nodes))
+    chain = (_AdditiveSweep(2.0, start) for _ in range(5))
+    before, n = None, 0
+    for sweep in resolvent_solve(ctx, ((0,),), chain, ResolventConfig(s=2.0)):
+        assert sweep.prev is None
+        assert before is None or before() is None
+        before, n = weakref.ref(sweep), n + 1
+    assert n == 5

@@ -179,13 +179,12 @@ def test_invalid_configurations_rejected():
     for q in (2.7, float("nan"), float("inf")):
         with pytest.raises(ConfigurationError, match="q must be an integer"):
             build_decomposition(mesh, q, 0.4)
-    for overlap in (float("inf"), float("nan"), -0.4, 0.0):
+    for overlap in (float("inf"), float("nan"), -0.4, 0.0, "0.5", True):
         with pytest.raises(ConfigurationError, match="overlap"):
             build_decomposition(mesh, 2, overlap)
-    with pytest.raises(ConfigurationError):
-        build_decomposition(mesh, 2, 0.4, c_min=0.0)
-    with pytest.raises(ConfigurationError):
-        build_decomposition(mesh, 2, 0.4, c_min=0.5)
+    for c_min in (0.0, 0.5, "0.1", True):
+        with pytest.raises(ConfigurationError, match="c_min"):
+            build_decomposition(mesh, 2, 0.4, c_min=c_min)
     with pytest.raises(ConfigurationError, match="overlap"):
         build_decomposition(mesh, 2, 0.05)
     with pytest.raises(ConfigurationError, match="exclusive"):

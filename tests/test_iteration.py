@@ -37,7 +37,10 @@ def test_scheme_config_validation():
     for bad in ({"s": float("nan")}, {"s": float("inf")},
                 {"stop_tol": float("nan")}, {"stop_tol": -1e-10},
                 # 1/s overflows
-                {"s": 2.225073858507203e-309}):
+                {"s": 2.225073858507203e-309},
+                # not real numbers
+                {"s": "2"}, {"s": True}, {"stop_tol": "1e-3"},
+                {"stop_tol": True}):
         with pytest.raises(ConfigurationError):
             SchemeConfig(scheme="PR", **bad)
     for max_sweeps in (2.5, float("nan"), float("inf"), True):

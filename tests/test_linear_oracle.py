@@ -28,31 +28,39 @@ from stsplit import (
 
 S = 3.0
 SWEEPS = 40
-DEGENERATE = indicator_gamma(0.0, 0.5)  # gamma = 0 on [0, 0.5)
+DEGENERATE = dict(cells=8, n_steps=4,
+                  gamma=indicator_gamma(0.0, 0.5))  # gamma = 0 on [0, 0.5)
+NONDEGENERATE = dict(cells=8, n_steps=4, gamma=constant_gamma(1.0), lam=1.0)
 
+# id: (scheme, s, problem, sweeps); each splitting scheme at two s on a
+# degenerate and a nondegenerate problem
 CASES = {
-    "AS": dict(cells=8, n_steps=4, gamma=DEGENERATE),
-    "PR": dict(cells=8, n_steps=4, gamma=DEGENERATE),
-    "DR": dict(cells=8, n_steps=4, gamma=DEGENERATE),
-    "AS_shifted": dict(cells=8, n_steps=4, gamma=constant_gamma(1.0), lam=1.0),
-    "AS_2d": dict(cells=(8, 3), n_steps=3, gamma=DEGENERATE),
+    f"{scheme}{kind}{tag}": (scheme, s, problem, SWEEPS)
+    for scheme in ("AS", "PR", "DR")
+    for kind, problem in (("", DEGENERATE), ("_nondegenerate", NONDEGENERATE))
+    for tag, s in (("", S), ("_s1", 1.0))
 }
+# at 40 sweeps 24 of its 312 warm blocks start under their tolerance and
+# stay put, so the run leaves the affine map; at 30 every one moves
+CASES["AS_nondegenerate_s1"] = ("AS", 1.0, NONDEGENERATE, 30)
+CASES["AS_shifted"] = ("AS_shifted", S, NONDEGENERATE, SWEEPS)
+CASES["AS_2d"] = ("AS", S, dict(DEGENERATE, cells=(8, 3), n_steps=3), SWEEPS)
 
 
-def _sweep(ctx, scheme, initial, max_sweeps=1):
-    cfg = SchemeConfig(scheme=scheme, s=S, max_sweeps=max_sweeps, stop_tol=0.0)
+def _sweep(ctx, scheme, s, initial, max_sweeps=1):
+    cfg = SchemeConfig(scheme=scheme, s=s, max_sweeps=max_sweeps, stop_tol=0.0)
     return run_scheme(ctx, cfg, initial=initial).u
 
 
-def _affine_map(ctx, scheme):
+def _affine_map(ctx, scheme, s):
     """L and c of one sweep u -> Lu + c, on the flattened field."""
     shape = (ctx.grid.n_steps, ctx.mesh.n_nodes)
-    c = _sweep(ctx, scheme, np.zeros(shape)).ravel()
+    c = _sweep(ctx, scheme, s, np.zeros(shape)).ravel()
     columns = []
     for i in range(c.size):
         e = np.zeros(c.size)
         e[i] = 1.0
-        columns.append(_sweep(ctx, scheme, e.reshape(shape)).ravel() - c)
+        columns.append(_sweep(ctx, scheme, s, e.reshape(shape)).ravel() - c)
     return np.column_stack(columns), c
 
 
@@ -78,25 +86,25 @@ def _counting_warm_moves(monkeypatch):
 
 @pytest.mark.parametrize("case", CASES)
 def test_sweeps_follow_their_affine_map(case, monkeypatch):
-    scheme = case.removesuffix("_2d")
-    _, grid, _, _, ctx = make_problem(p=2.0, source="cos", **CASES[case])
+    scheme, s, problem, sweeps = CASES[case]
+    _, grid, _, _, ctx = make_problem(p=2.0, source="cos", **problem)
     shape = (grid.n_steps, ctx.mesh.n_nodes)
     with monkeypatch.context() as m:  # the map of sweeps run one by one
         m.setattr(stsplit.resolvent, "_STAGE_NODES", 1)
-        L, c = _affine_map(ctx, scheme)
+        L, c = _affine_map(ctx, scheme, s)
 
     # the paper's convergence claim, in this linear setting
     assert np.max(np.abs(np.linalg.eigvals(L))) < 1.0
 
     oracle = np.zeros(c.size)
-    for _ in range(SWEEPS):
+    for _ in range(sweeps):
         oracle = L @ oracle + c
     oracle = oracle.reshape(shape)
     for stage_nodes in (1, stsplit.resolvent._STAGE_NODES):
         with monkeypatch.context() as m:
             m.setattr(stsplit.resolvent, "_STAGE_NODES", stage_nodes)
             moved = _counting_warm_moves(m)
-            u = _sweep(ctx, scheme, None, max_sweeps=SWEEPS)
+            u = _sweep(ctx, scheme, s, None, max_sweeps=sweeps)
         assert len(moved) > 0 and all(moved)
         assert h_norm(ctx, u - oracle) <= 1e-12 * h_norm(ctx, oracle)
 

@@ -38,7 +38,7 @@ def test_time_grid_consistency():
         TimeGrid(T=0.0, n_steps=4)
     with pytest.raises(ConfigurationError):
         TimeGrid(T=1.0, n_steps=0)
-    for T in (float("nan"), float("inf")):
+    for T in (float("nan"), float("inf"), "1", True, 10**400):
         with pytest.raises(ConfigurationError):
             TimeGrid(T=T, n_steps=4)
     for n_steps in (2.5, float("nan"), float("inf"), True):

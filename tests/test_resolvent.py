@@ -31,6 +31,9 @@ def test_config_validation():
         ResolventConfig(s=2.225073858507203e-309)  # 1/s overflows
     with pytest.raises(ConfigurationError, match="too large"):
         ResolventConfig(s=float("inf"))
+    for s in ("2", True):
+        with pytest.raises(ConfigurationError, match="must be a real number"):
+            ResolventConfig(s=s)
 
 
 def test_zero_input_zero_output():

@@ -216,7 +216,6 @@ def test_stacking_depth_leaves_chains_of_mixed_phases_unchanged(case, chain):
         for a, b in zip(run, runs[0]):
             for p in range(len(chain)):
                 assert np.array_equal(a.out[p], b.out[p])
-                assert np.array_equal(a.rows[p], b.rows[p])
     # the first sweep starts no block warm: each output is its resolvent
     # applied alone to the phase's input
     first = runs[0][0]
