@@ -92,7 +92,7 @@ def build_decomposition(mesh, q, overlap_fraction, c_min=0.1):
     """Split the mesh into q overlapping strips along the first axis.
 
     Args:
-        mesh: structured Mesh from build_mesh.
+        mesh: structured Mesh, from build_mesh or built directly.
         q: number of strips, an integer >= 2.
         overlap_fraction: overlap width as a fraction of the ideal strip
             width, finite and positive; rounded to a whole number of element

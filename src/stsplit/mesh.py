@@ -43,7 +43,8 @@ class Mesh:
         |J|-scaled weights, all positive
     lumped_mass : (n_nodes,) row-sum lumped mass weights
     node_column / element_column : index along the first axis, used to carve
-        the domain into overlapping strips
+        the domain into overlapping strips: a node's rank among the distinct
+        first coordinates, and the smallest of an element's corners
     """
 
     def __init__(self, dim, nodes, elements, extent, cells):
@@ -105,6 +106,8 @@ class Mesh:
             weights=np.repeat(self.element_volumes / self.n_local, self.n_local),
             minlength=self.n_nodes,
         )
+        self.node_column = np.unique(self.nodes[:, 0], return_inverse=True)[1]
+        self.element_column = self.node_column[self.elements].min(axis=1)
 
 
 def build_mesh(extent, cells):
@@ -130,10 +133,7 @@ def build_mesh(extent, cells):
         nx = cells[0]
         nodes = np.linspace(0.0, extent[0], nx + 1)[:, None]
         elements = np.stack([np.arange(nx), np.arange(1, nx + 1)], axis=1)
-        mesh = Mesh(1, nodes, elements, extent, cells)
-        mesh.node_column = np.arange(nx + 1)
-        mesh.element_column = np.arange(nx)
-        return mesh
+        return Mesh(1, nodes, elements, extent, cells)
 
     nx, ny = cells
     xs = np.linspace(0.0, extent[0], nx + 1)
@@ -152,8 +152,5 @@ def build_mesh(extent, cells):
     elements = np.empty((2 * nx * ny, 3), dtype=int)
     elements[0::2] = lower
     elements[1::2] = upper
-    mesh = Mesh(2, nodes, elements, extent, cells)
-    mesh.node_column = np.tile(np.arange(nx + 1), ny + 1)
-    mesh.element_column = np.repeat(i_idx, 2)
-    return mesh
+    return Mesh(2, nodes, elements, extent, cells)
 

@@ -229,8 +229,19 @@ _P_STRUCTURE_SAMPLES = 10_000
 
 @dataclass(frozen=True)
 class PStructureReport:
-    passed: bool
+    """Worst sampled margin of each structural inequality, by name."""
+
     worst_margins: dict
+
+    @staticmethod
+    def holds(margin):
+        """A margin passes if it is finite and at least -1e-12, the
+        floating-point slack."""
+        return bool(np.isfinite(margin) and margin >= -1e-12)
+
+    @property
+    def passed(self):
+        return all(map(self.holds, self.worst_margins.values()))
 
 
 def check_p_structure(model, seed=0, dim=1):
@@ -241,9 +252,9 @@ def check_p_structure(model, seed=0, dim=1):
         seed: RNG seed; the check is deterministic given the seed.
         dim: spatial dimension of the sampled gradients.
 
-    Draws _P_STRUCTURE_SAMPLES tuples, y and z uniformly from [-2, 2].  A
-    margin below -1e-12 (floating-point slack) counts as a failure.
-    Returns a PStructureReport with the per-inequality worst margins.
+    Draws _P_STRUCTURE_SAMPLES tuples, y and z uniformly from [-2, 2].
+    Returns a PStructureReport with the per-inequality worst margins, which
+    passes if every one holds (PStructureReport.holds).
     """
     n = _P_STRUCTURE_SAMPLES
     rng = np.random.default_rng(seed)
@@ -252,6 +263,5 @@ def check_p_structure(model, seed=0, dim=1):
     y1, y2 = rng.uniform(-2.0, 2.0, size=(2, n))
     z1, z2 = rng.uniform(-2.0, 2.0, size=(2, n, dim))
     margins = p_structure_margins(model, x, t, y1, y2, z1, z2)
-    worst = {name: float(np.min(vals)) for name, vals in margins.items()}
-    passed = all(np.isfinite(v) and v >= -1e-12 for v in worst.values())
-    return PStructureReport(passed=passed, worst_margins=worst)
+    return PStructureReport(
+        {name: float(np.min(vals)) for name, vals in margins.items()})

@@ -218,6 +218,55 @@ def test_failing_block_names_its_subdomain(monkeypatch):
         resolvent_solve(ctx, ell, g, cfg)
 
 
+def _mixed_magnitudes(rng, bundle):
+    """A nodal array whose entries span six decades, so that another order
+    of summation shows."""
+    n = bundle.n_nodes
+    return rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+
+
+def _assert_block_sums_in_node_order(stack, w):
+    """Each block of stack sums w to the bits of its part alone and of a
+    left-to-right loop from 0.0."""
+    sums = stack.block_sum(w)
+    assert sums.shape == (len(stack.blocks),)
+    offsets = stack.offsets
+    for b, lo, hi, total in zip(stack.blocks, offsets, offsets[1:],
+                                sums.tolist()):
+        assert b.block_sum(w[lo:hi]).tolist() == [total]
+        loop = 0.0
+        for x in w[lo:hi].tolist():
+            loop += x
+        assert loop == total
+
+
+@st.composite
+def block_sum_cases(draw):
+    q = draw(st.integers(2, 4))
+    nx = draw(st.integers(2 * q, 8 * q))
+    cells = nx if draw(st.booleans()) else (nx, draw(st.integers(2, 5)))
+    # None, the whole domain, makes blocks of more than 128 nodes, where
+    # pairwise summation departs from a loop
+    name = st.one_of(st.none(), st.integers(0, q - 1))
+    return dict(cells=cells, q=q, overlap=draw(st.floats(0.2, 1.0)),
+                names=tuple(draw(st.lists(name, min_size=1, max_size=48))),
+                seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_sum_cases())
+def test_block_sums_add_each_block_in_node_order(case):
+    try:
+        *_, ctx = make_problem(cells=case["cells"], q=case["q"],
+                               overlap=case["overlap"])
+    except ConfigurationError:
+        assume(False)
+    stack = ctx.bundle(case["names"])
+    assert len(stack.blocks) == len(case["names"])
+    rng = np.random.default_rng(case["seed"])
+    _assert_block_sums_in_node_order(stack, _mixed_magnitudes(rng, stack))
+
+
 @st.composite
 def stack_cases(draw):
     q = draw(st.integers(2, 4))
@@ -280,11 +329,7 @@ def test_equal_names_give_equal_new_stacks(case):
             np.testing.assert_array_equal(stack.conn[e:e + len(b.conn)],
                                           b.conn + lo)
 
-        # mixed magnitudes, so that another order of summation shows
-        w = rng.standard_normal(stack.n_nodes) * 10.0 ** rng.uniform(
-            -3.0, 3.0, stack.n_nodes)
-        expected = [w[lo:hi].sum() for lo, hi in zip(offsets, offsets[1:])]
-        assert np.array_equal(stack.block_sum(w), expected)
+        _assert_block_sums_in_node_order(stack, _mixed_magnitudes(rng, stack))
 
         for name in names:
             for b in parts:  # a stack copies, so dropping it frees its tables

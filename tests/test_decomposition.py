@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stsplit import ConfigurationError, build_decomposition, build_mesh
+from stsplit.mesh import Mesh
 
 
 def _spec_example():
@@ -105,6 +106,32 @@ def test_elements_cover_mesh_and_strips_are_contiguous():
         assert np.array_equal(np.sort(cols), np.arange(cols.min(), cols.max() + 1))
         assert np.array_equal(np.sort(sub.nodes), sub.nodes)
     assert covered.all()
+
+
+@pytest.mark.parametrize("cells, q, overlap", [((10,), 2, 0.5), ((24,), 3, 0.5),
+                                                ((8, 6), 2, 0.5), ((9, 4), 3, 0.6)])
+def test_mesh_built_directly_decomposes_alike(cells, q, overlap):
+    built = build_mesh((1.0,) * len(cells), cells)
+    # the column tables come from the nodes and elements, not from build_mesh
+    nx = cells[0]
+    if len(cells) == 1:
+        node_col, elem_col = np.arange(nx + 1), np.arange(nx)
+    else:  # two triangles per cell, cells row by row
+        node_col = np.tile(np.arange(nx + 1), cells[1] + 1)
+        elem_col = np.repeat(np.tile(np.arange(nx), cells[1]), 2)
+    np.testing.assert_array_equal(built.node_column, node_col)
+    np.testing.assert_array_equal(built.element_column, elem_col)
+    direct = Mesh(built.dim, built.nodes, built.elements, built.extent,
+                  built.cells)
+    np.testing.assert_array_equal(direct.node_column, built.node_column)
+    np.testing.assert_array_equal(direct.element_column, built.element_column)
+    a = build_decomposition(built, q, overlap)
+    b = build_decomposition(direct, q, overlap)
+    for sa, sb, wa, wb in zip(a.subdomains, b.subdomains, a.weights, b.weights):
+        np.testing.assert_array_equal(sa.nodes, sb.nodes)
+        np.testing.assert_array_equal(sa.elements, sb.elements)
+        for name in ("a", "b_elem", "g_node"):
+            np.testing.assert_array_equal(getattr(wa, name), getattr(wb, name))
 
 
 def test_restrict_extend_roundtrip():

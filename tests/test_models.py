@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from stsplit import (
     ConfigurationError,
+    PStructureReport,
     TimeGrid,
     anti_monotone_model,
     build_context,
@@ -155,6 +156,16 @@ def test_anti_monotone_model_fails():
     report = check_p_structure(anti_monotone_model(p=2.0), seed=0)
     assert not report.passed
     assert report.worst_margins["monotonicity"] < 0.0
+
+
+@pytest.mark.parametrize("margin, holds", [
+    (0.0, True), (-1e-12, True), (-2e-12, False), (np.inf, False),
+    (-np.inf, False), (np.nan, False)])
+def test_a_report_passes_when_every_margin_holds(margin, holds):
+    # one rule, which check_p_structure and `stsplit verify` both read
+    assert PStructureReport.holds(margin) is holds
+    assert PStructureReport({"growth_alpha": 1.0, "monotonicity": margin}
+                            ).passed is holds
 
 
 def test_declared_growth_constants_with_lambda():
