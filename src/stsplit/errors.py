@@ -1,5 +1,6 @@
 """Exception types shared across the library, and three number checks."""
 
+import contextlib
 import numbers
 
 import numpy as np
@@ -10,13 +11,11 @@ class ConfigurationError(ValueError):
 
 
 def as_integer(value, what):
-    """value as an int if it is integral (16 or 16.0) and not a bool, else
-    ConfigurationError."""
-    try:
-        if not isinstance(value, (bool, np.bool_)) and float(value).is_integer():
+    """value as an int if it is a real number, as as_real takes it, and
+    integral (16 or 16.0), else ConfigurationError."""
+    with contextlib.suppress(ConfigurationError):
+        if as_real(value, what).is_integer():
             return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
     raise ConfigurationError(f"{what} must be an integer, got {value!r}")
 
 

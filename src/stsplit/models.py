@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, as_integer
+from .errors import ConfigurationError, as_integer, as_real
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ def zero_source():
 
 def constant_gamma(value):
     """Spatially constant capacity coefficient."""
-    value = float(value)
+    value = as_real(value, "gamma")
     if not 0.0 <= value < np.inf:
         raise ConfigurationError("gamma must be finite and nonnegative")
     return lambda x: np.full(np.shape(x)[:-1], value)
@@ -56,7 +56,8 @@ def indicator_gamma(zero_lo, zero_hi, value=1.0, axis=0):
     The bounds must be finite with zero_lo < zero_hi, since an empty zone
     leaves the problem parabolic.  axis is an integer >= 0; gamma raises
     ConfigurationError at points with axis coordinates or fewer."""
-    zero_lo, zero_hi, value = float(zero_lo), float(zero_hi), float(value)
+    zero_lo, zero_hi = as_real(zero_lo, "zero_lo"), as_real(zero_hi, "zero_hi")
+    value = as_real(value, "gamma")
     if not -np.inf < zero_lo < zero_hi < np.inf:
         raise ConfigurationError(
             f"the zone where gamma vanishes needs finite zero_lo < zero_hi, "
@@ -101,6 +102,7 @@ class PStructureModel:
     growth_offset: float = 0.0  # d1
 
     def __post_init__(self):
+        object.__setattr__(self, "p", as_real(self.p, "p"))
         if not 2.0 <= self.p < np.inf:
             raise ConfigurationError("p must be finite and >= 2")
 
@@ -132,8 +134,7 @@ def p_laplace_model(p, lam=0.0, gamma=None):
     (|z|^2 + eps^2)^{(p-2)/2} I + (p-2)(|z|^2 + eps^2)^{(p-4)/2} z z^T and
     (p-1)(y^2 + eps^2)^{(p-2)/2} + lam.
     """
-    p = float(p)
-    lam = float(lam)
+    p, lam = as_real(p, "p"), as_real(lam, "lam")
     if not 0.0 <= lam < np.inf:
         raise ConfigurationError("lam must be finite and nonnegative")
     if gamma is None:

@@ -83,23 +83,23 @@ class _AssemblyBundle:
     """Assembly tables in local node numbering.
 
     A plain bundle covers one subdomain, or the whole domain, and also holds
-    its global node ids, its name (the subdomain index, or None) and its
-    load vectors.  A stack (see `OperatorContext.bundle`) holds several
-    plain bundles side by side as its `parts`: block i owns the local nodes
-    offsets[i]:offsets[i+1] and the i-th run of elements, and no element
-    couples two blocks, so every system assembled on it is block-diagonal.
-    A plain bundle is its own single block: offsets, block_of_node and
-    block_of_element are built from the blocks alike, and block_sum adds
-    each block's entries in node order, so a block sums to the same bits on
-    a stack as alone.
+    its name (the subdomain index, or None).  A stack (see
+    `OperatorContext.bundle`) holds plain bundles side by side as its
+    `parts`: block i owns the local nodes offsets[i]:offsets[i+1] and the
+    i-th run of elements, and no element couples two blocks, so every system
+    assembled on it is block-diagonal.  Every bundle holds its global node
+    ids and its loads; a stack holds its parts' side by side.  A plain bundle
+    is its own single block: offsets, block_of_node and block_of_element are
+    built from the blocks alike, and block_sum adds each block's entries in
+    node order, so a block sums to the same bits on a stack as alone.
 
     The basis gradients are kept once, as grads of shape (dim, n_loc, n_el)
     with the element axis last, so that every product over the elements
     runs along contiguous memory.
     """
 
-    def __init__(self, conn, qp, grads, phi, wa, wb, m, cap, nodes=None,
-                 name=None, parts=None):
+    def __init__(self, conn, qp, grads, phi, wa, wb, m, cap, nodes,
+                 name=None, loads=None, parts=None):
         self.n_nodes = len(m)
         self.conn = conn  # (n_el, n_loc) local indices
         self.bandwidth, self.band_index = _band_layout(conn, self.n_nodes)
@@ -116,9 +116,7 @@ class _AssemblyBundle:
         self.parts = parts
         self.nodes = nodes  # global node ids
         self.name = name  # subdomain index, or None for the whole domain
-        self.loads = None  # (n_steps, n_nodes) dual load vectors (plain bundles)
-        if parts is not None:
-            self.nodes = np.concatenate([b.nodes for b in parts])
+        self.loads = loads  # (n_steps, n_nodes) dual load vectors
         sizes = [b.n_nodes for b in self.blocks]
         self.offsets = tuple(np.cumsum([0] + sizes).tolist())
         blocks = np.arange(len(sizes))
@@ -146,8 +144,8 @@ class _AssemblyBundle:
 def _stack_bundles(parts):
     """One block-diagonal stack of the plain bundles `parts`, in order.
 
-    A bundle may appear more than once.  The stack's tables are copies, so
-    it can be dropped without touching the parts.
+    A bundle may appear more than once.  The stack's tables, node ids and
+    loads included, are copies, so it can be dropped without the parts.
     """
     offsets = np.cumsum([0] + [b.n_nodes for b in parts])
     return _AssemblyBundle(
@@ -159,6 +157,8 @@ def _stack_bundles(parts):
         wb=np.concatenate([b.wb for b in parts]),
         m=np.concatenate([b.m for b in parts]),
         cap=np.concatenate([b.cap for b in parts]),
+        nodes=np.concatenate([b.nodes for b in parts]),
+        loads=np.concatenate([b.loads for b in parts], axis=1),
         parts=tuple(parts),
     )
 
@@ -196,12 +196,12 @@ def level_times(ctx, bundle, k):
 
 
 def level_loads(bundle, k):
-    """Load vector of level k, or on a stack of level k or k[i] per block;
-    k as level_times has checked it."""
-    if bundle.parts is None:
+    """Loads of level k, row k of bundle.loads, or on a stack at level k[i]
+    on block i each node's entry of its block's row; k as _levels checks it."""
+    # the type test first, and not np.ndim(k), whose dispatch costs 7x
+    if type(k) is int or not isinstance(k, np.ndarray):
         return bundle.loads[k]
-    levels = np.broadcast_to(k, len(bundle.parts))
-    return np.concatenate([b.loads[kb] for b, kb in zip(bundle.parts, levels)])
+    return bundle.loads[k[bundle.block_of_node], np.arange(bundle.n_nodes)]
 
 
 def quad_values(bundle, u):
@@ -349,7 +349,7 @@ class OperatorContext:
         self.model = model
         self.grid = grid
         self.dec = dec
-        self.shift = float(shift)
+        self.shift = as_real(shift, "shift")
         if not 0.0 <= self.shift * grid.dt <= math.log(sys.float_info.max):
             raise ConfigurationError(f"shift must be finite and nonnegative, "
                                      f"with e^(shift*dt) finite: {shift!r}")

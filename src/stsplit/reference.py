@@ -5,7 +5,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, as_integer
+from .errors import ConfigurationError, as_integer, as_real
 from .models import SourceTerm
 from .resolvent import newton_level_solve
 
@@ -53,7 +53,7 @@ def cosine_solution(dim, amplitude=1.0):
     dim = as_integer(dim, "dim")
     if dim not in (1, 2):
         raise ConfigurationError(f"cosine_solution needs dim 1 or 2, got {dim!r}")
-    amp = float(amplitude)
+    amp = as_real(amplitude, "amplitude")
 
     def product(x, first, sine_axis=None):
         # first * cos(pi x_1) * cos(pi x_2), left to right, sin on sine_axis

@@ -79,12 +79,21 @@ def test_every_bundle_gets_its_own_assembly_bit_for_bit(case):
                 for ell in [None] + list(range(dec.q))}
     for ell, loads in expected.items():
         assert np.array_equal(ctx.bundle(ell).loads, loads), ell
-    # a stack with repeats, each block at its own level
+    # a stack with repeats holds its parts' node ids and loads side by side
     rng = np.random.default_rng(case["seed"])
     names = tuple(rng.integers(0, dec.q, size=3).tolist())
-    levels = rng.integers(0, grid.n_steps, size=3)
-    got = operators.level_loads(ctx.bundle(names), levels)
-    assert np.array_equal(got, np.concatenate(
+    names += names[:1]
+    stack = ctx.bundle(names)
+    parts = [ctx.bundle(ell) for ell in names]
+    assert np.array_equal(stack.nodes, np.concatenate([b.nodes for b in parts]))
+    assert np.array_equal(stack.loads,
+                          np.concatenate([expected[ell] for ell in names], axis=1))
+    # at one level for the whole stack, and at one level per block
+    k = int(rng.integers(0, grid.n_steps))
+    assert np.array_equal(operators.level_loads(stack, k), np.concatenate(
+        [expected[ell][k] for ell in names]))
+    levels = rng.integers(0, grid.n_steps, size=len(names))
+    assert np.array_equal(operators.level_loads(stack, levels), np.concatenate(
         [expected[ell][k] for ell, k in zip(names, levels)]))
 
 

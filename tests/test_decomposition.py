@@ -203,7 +203,7 @@ def test_invalid_configurations_rejected():
     mesh = build_mesh((1.0,), (10,))
     with pytest.raises(ConfigurationError):
         build_decomposition(mesh, 1, 0.4)
-    for q in (2.7, float("nan"), float("inf")):
+    for q in (2.7, float("nan"), float("inf"), "2", b"2"):
         with pytest.raises(ConfigurationError, match="q must be an integer"):
             build_decomposition(mesh, q, 0.4)
     for overlap in (float("inf"), float("nan"), -0.4, 0.0, "0.5", True):

@@ -43,7 +43,7 @@ def test_scheme_config_validation():
                 {"stop_tol": True}):
         with pytest.raises(ConfigurationError):
             SchemeConfig(scheme="PR", **bad)
-    for max_sweeps in (2.5, float("nan"), float("inf"), True):
+    for max_sweeps in (2.5, float("nan"), float("inf"), True, "10", b"10"):
         with pytest.raises(ConfigurationError, match="max_sweeps must be an integer"):
             SchemeConfig(scheme="AS", s=1.0, max_sweeps=max_sweeps)
     assert SchemeConfig(scheme="AS", s=1.0, max_sweeps=2.0).max_sweeps == 2
@@ -258,9 +258,11 @@ def test_shift_requires_positive_gamma_and_a_finite_rate():
     with pytest.raises(ConfigurationError, match="gamma >= gamma_0 > 0"):
         build_context(mesh, model, grid, dec, shift=2.0)
     mesh, grid, model, dec, _ = make_problem()
-    for shift in (-1.0, float("nan"), float("inf"), 1e308):
+    for shift in (-1.0, float("nan"), float("inf"), 1e308, True, "2"):
         with pytest.raises(ConfigurationError, match="shift must be"):
             build_context(mesh, model, grid, dec, shift=shift)
+    with pytest.raises(ConfigurationError, match="shift is too large"):
+        build_context(mesh, model, grid, dec, shift=10**400)
 
 
 def test_shifted_reaction_is_three_y_for_linear_case():

@@ -5,7 +5,9 @@ affine in its input and one sweep of a scheme is a map u -> Lu + c.  L and
 c are built column by column from one-sweep runs, run_scheme(max_sweeps=1,
 initial=e_i), on problems small enough for dense linear algebra; the
 engine's pipelined sweeps are then checked against powers of that map, and
-its fixed point against the monolithic solve.
+its fixed point against the monolithic solve: the alternating schemes'
+equals it, and AS_shifted's lies off the shifted one by at most the bias
+term of acceptance criterion 05.
 
 The map is affine only where every Newton takes a pass: a warm block whose
 start is already under its tolerance returns its start.  So the pipelined
@@ -19,9 +21,11 @@ import stsplit.resolvent
 from conftest import make_problem
 from stsplit import (
     SchemeConfig,
+    build_context,
     constant_gamma,
     h_norm,
     indicator_gamma,
+    primal_F,
     run_scheme,
     solve_monolithic,
 )
@@ -87,7 +91,7 @@ def _counting_warm_moves(monkeypatch):
 @pytest.mark.parametrize("case", CASES)
 def test_sweeps_follow_their_affine_map(case, monkeypatch):
     scheme, s, problem, sweeps = CASES[case]
-    _, grid, _, _, ctx = make_problem(p=2.0, source="cos", **problem)
+    _, grid, _, dec, ctx = make_problem(p=2.0, source="cos", **problem)
     shape = (grid.n_steps, ctx.mesh.n_nodes)
     with monkeypatch.context() as m:  # the map of sweeps run one by one
         m.setattr(stsplit.resolvent, "_STAGE_NODES", 1)
@@ -108,7 +112,39 @@ def test_sweeps_follow_their_affine_map(case, monkeypatch):
         assert len(moved) > 0 and all(moved)
         assert h_norm(ctx, u - oracle) <= 1e-12 * h_norm(ctx, oracle)
 
+    fixed = np.linalg.solve(np.eye(c.size) - L, c).reshape(shape)
     if scheme in ("PR", "DR"):  # the alternating schemes settle on u_h
-        fixed = np.linalg.solve(np.eye(c.size) - L, c).reshape(shape)
         u_h = solve_monolithic(ctx)
         assert h_norm(ctx, fixed - u_h) <= 1e-12 * h_norm(ctx, u_h)
+    if scheme == "AS_shifted":
+        bias, term = _shifted_bias(ctx, dec, fixed, s)
+        assert bias <= term
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("s", [1.0, 3.0, 8.0])
+def test_shifted_bias_is_within_criterion_05_term(s, q):
+    # 12 cells leave three strips an exclusive region each
+    _, grid, _, dec, ctx = make_problem(p=2.0, source="cos", q=q,
+                                        **dict(NONDEGENERATE, cells=12))
+    L, c = _affine_map(ctx, "AS_shifted", s)
+    fixed = np.linalg.solve(np.eye(c.size) - L, c).reshape(grid.n_steps, -1)
+    bias, term = _shifted_bias(ctx, dec, fixed, s)
+    assert bias <= term
+
+
+def _shifted_bias(ctx, dec, fixed, s, c_min=0.1, gamma0=1.0):
+    """The squared H-norm of fixed - u_ref in the shifted variables, u_ref
+    the shifted monolithic solve, and criterion 05's bias term C_F/(2 c* s),
+    with C_F and c* as that criterion computes them; c_min and gamma0 are
+    make_problem's and the nondegenerate problem's."""
+    q = dec.q
+    ctx_s = build_context(ctx.mesh, ctx.model, ctx.grid, dec, shift=float(q))
+    u_ref = solve_monolithic(ctx_s)
+    up = np.exp(q * ctx.grid.times)[:, None]
+    C_F = sum(h_norm(ctx, primal_F(ctx_s, ell, u_ref) / up) ** 2
+              for ell in range(q)) / q
+    c_ing, theta = q * c_min * gamma0, 1.0 - 1.0 / q
+    c_star = c_min * gamma0 / (1.0 + 2.0 * c_ing * theta / s)
+    return (h_norm(ctx, (fixed - u_ref) / up) ** 2,
+            C_F / (2.0 * c_star * s))

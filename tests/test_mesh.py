@@ -53,8 +53,12 @@ def test_rejects_bad_specs():
     for extent in ((float("nan"),), (float("inf"),), (1.0, float("inf"))):
         with pytest.raises(ConfigurationError, match="finite and positive"):
             build_mesh(extent, (4,) * len(extent))
+    for extent in (("1.0",), (True,), (10**400,)):
+        with pytest.raises(ConfigurationError, match="extent"):
+            build_mesh(extent, (4,))
     # cell counts must be integers; integral floats are accepted
-    for cells in ((16.7,), (float("nan"),), (float("inf"),), (4, 2.5), (True,)):
+    for cells in ((16.7,), (float("nan"),), (float("inf"),), (4, 2.5), (True,),
+                  ("4",), (b"4",), (4, "4")):
         with pytest.raises(ConfigurationError, match="cells must be an integer"):
             build_mesh((1.0,) * len(cells), cells)
     assert build_mesh((1.0,), (16.0,)).cells == (16,)

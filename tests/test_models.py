@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +46,12 @@ def test_p_below_two_rejected():
     for p in (float("nan"), float("inf")):
         with pytest.raises(ConfigurationError):
             p_laplace_model(p)
+    # p is a real number, within the float range, on the model itself too
+    for p in ("3", b"3", 10**400):
+        with pytest.raises(ConfigurationError, match="p "):
+            p_laplace_model(p)
+        with pytest.raises(ConfigurationError, match="p "):
+            replace(p_laplace_model(3.0), p=p)
 
 
 def test_negative_lambda_and_gamma_rejected():
@@ -65,6 +73,14 @@ def test_negative_lambda_and_gamma_rejected():
         with pytest.raises(ConfigurationError, match="at mesh nodes"):
             build_context(build_mesh((1.0,), (4,)), model,
                           TimeGrid(T=1.0, n_steps=2))
+    # not real numbers, or beyond the float range
+    for bad in ("1", True, 10**400):
+        with pytest.raises(ConfigurationError, match="lam"):
+            p_laplace_model(3.0, lam=bad)
+        with pytest.raises(ConfigurationError, match="gamma"):
+            constant_gamma(bad)
+        with pytest.raises(ConfigurationError, match="gamma"):
+            indicator_gamma(0.0, 0.5, value=bad)
 
 
 def test_indicator_gamma_values():
@@ -81,6 +97,9 @@ def test_indicator_gamma_zone_must_be_non_empty_and_finite():
     for lo, hi in ((0.5, 0.2), (0.3, 0.3), (nan, 0.5), (0.0, nan),
                    (-inf, 0.5), (0.0, inf), (inf, inf)):
         with pytest.raises(ConfigurationError, match="zero_lo < zero_hi"):
+            indicator_gamma(lo, hi)
+    for lo, hi in (("0", 0.5), (0.0, "0.5"), (0.0, True), (0.0, 10**400)):
+        with pytest.raises(ConfigurationError, match="zero_"):
             indicator_gamma(lo, hi)
 
 

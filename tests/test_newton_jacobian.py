@@ -20,7 +20,7 @@ import pytest
 import stsplit.resolvent as resolvent
 from conftest import make_problem, x_weighted
 from stsplit import apply_A, build_context
-from stsplit.operators import level_loads
+from stsplit.operators import _levels, level_loads
 from stsplit.resolvent import newton_level_solve
 
 _SKEW = 0.7 * np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -86,7 +86,8 @@ def test_newton_matrix_is_the_residual_derivative(monkeypatch, cells, ell,
     # one level per block on the stack
     k = [2, 0, 1] if isinstance(ell, tuple) else 1
     s, dt, growth = 2.0, grid.dt, ctx.step_growth
-    loads = level_loads(b, k)
+    # level_loads takes the levels as _levels has checked them
+    loads = level_loads(b, _levels(b, k, grid.n_steps))
     rng = np.random.default_rng(3)
     x = mesh.nodes[b.nodes]
     # u >= 1 with |grad u| >= 1 on every element: the regularization and

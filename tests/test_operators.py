@@ -41,7 +41,7 @@ def test_time_grid_consistency():
     for T in (float("nan"), float("inf"), "1", True, 10**400):
         with pytest.raises(ConfigurationError):
             TimeGrid(T=T, n_steps=4)
-    for n_steps in (2.5, float("nan"), float("inf"), True):
+    for n_steps in (2.5, float("nan"), float("inf"), True, "4", b"4"):
         with pytest.raises(ConfigurationError, match="n_steps must be an integer"):
             TimeGrid(T=1.0, n_steps=n_steps)
     assert TimeGrid(T=1.0, n_steps=4.0).n_steps == 4

@@ -111,6 +111,9 @@ def test_cosine_solution_needs_dim_one_or_two():
             cosine_solution(dim)
     x = np.array([[0.0, 0.0]])
     assert cosine_solution(2.0).u(x, 1.0) == cosine_solution(2).u(x, 1.0)
+    for amplitude in ("1", True, 10**400):
+        with pytest.raises(ConfigurationError, match="amplitude"):
+            cosine_solution(1, amplitude=amplitude)
 
 
 def test_monolithic_residual_consistency():
