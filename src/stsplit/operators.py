@@ -73,10 +73,12 @@ def _band_layout(conn, n_nodes):
     index runs over the entries in the order (l, m, e), element axis last,
     the order in which the element matrices are built.
     """
-    rows = conn.T[:, None, :]
-    cols = conn.T[None, :, :]
-    bandwidth = int(np.max(np.abs(rows - cols)))
-    return bandwidth, ((bandwidth + rows - cols) * n_nodes + cols).ravel()
+    # the element axis last in memory too: on the transposed view of conn
+    # every broadcast operation strides, at about 5x the cost
+    local = np.ascontiguousarray(conn.T)  # i or j at [l or m, e]
+    diff = local[:, None, :] - local[None, :, :]  # i - j
+    bandwidth = int(np.abs(diff).max())
+    return bandwidth, ((bandwidth + diff) * n_nodes + local).ravel()
 
 
 class _AssemblyBundle:
@@ -128,6 +130,23 @@ class _AssemblyBundle:
     def blocks(self):
         """The plain bundles of the blocks, in order."""
         return (self,) if self.parts is None else self.parts
+
+    def block_range(self, lo, hi):
+        """The stack of blocks lo, ..., hi - 1, with the tables that
+        `OperatorContext.bundle` builds from their names: block lo alone is
+        its plain bundle, and a longer range takes this stack's tables
+        along the element and node axes as views, with its own node
+        numbering, band index and block tables."""
+        if hi - lo == 1:
+            return self.blocks[lo]
+        n0, n1 = self.offsets[lo], self.offsets[hi]
+        e0, e1 = self.block_of_element.searchsorted((lo, hi)).tolist()
+        return _AssemblyBundle(
+            conn=self.conn[e0:e1] - n0, qp=self.qp[e0:e1],
+            grads=self.grads[..., e0:e1], phi=self.phi, wa=self.wa[e0:e1],
+            wb=self.wb[e0:e1], m=self.m[n0:n1], cap=self.cap[n0:n1],
+            nodes=self.nodes[n0:n1], loads=self.loads[:, n0:n1],
+            parts=self.blocks[lo:hi])
 
     def block_sum(self, w):
         """Sum of the nodal array w over each block, in node order from 0.0."""

@@ -22,14 +22,18 @@ sweep n+1 can be solved as soon as level k of sweep n is done.
 of resolvents in turn, as a wavefront: application a = n*P + p (phase p of
 sweep n) starts at least one stage after application a - 1 and solves one
 level per stage.  All level systems of a stage are stacked into one
-block-diagonal system, named by the tuple of their subdomains (see
-`OperatorContext.bundle`) and kept while the stages repeat it, and solved
-by one Newton in which every block keeps its own bookkeeping, so every
-block's result is bit-identical to its solve alone.  How many applications
-run at once is bounded by the nodes of one stack (see _STAGE_NODES); where
-one application's level takes more, the sweeps run one after the other.  A
-single resolvent application is a chain of one sweep with one phase, and
-its stages are its time levels.
+block-diagonal system and solved by one Newton in which every block keeps
+its own bookkeeping, so every block's result is bit-identical to its solve
+alone.  A chain of one or two phases stacks its subdomains once, as many
+times as a stage can hold them, and each stage of several applications
+solves on a block range of that stack; a stage of one application solves
+on its phase's own tables, so a single resolvent builds no stack.  Every
+stage reads and writes its levels through one store of the outputs under
+way, in one gather and one scatter (see _wavefront).  How many
+applications run at once is bounded by the nodes of one stack (see
+_STAGE_NODES); where one application's level takes more, the sweeps run
+one after the other.  A single resolvent application is a chain of one
+sweep with one phase, and its stages are its time levels.
 
 Successive sweeps approach the scheme's fixed point, so Newton starts each
 level of sweep n from the output of sweep n-1 at the same phase and level,
@@ -277,8 +281,9 @@ class Sweep:
     Phase p of the sweep applies the resolvents of the subdomains phases[p]
     to one input field.  Its outputs are out[p], one array of shape
     (len(phases[p]), n_steps, n_nodes) that holds one global output field
-    per subdomain (g/s off the subdomain), allocated when the phase starts
-    and filled level by level.  A subclass defines level_input(p, k), level
+    per subdomain (g/s off the subdomain), filled level by level: a view of
+    the engine's store while the sweep is under way, and the sweep's own
+    copy once it is complete.  A subclass defines level_input(p, k), level
     k of the phase's input, and keeps whatever of it it reads later.  It may
     read level k of this sweep's earlier phases and of `prev`, the sweep
     before (None for the first).  The engine starts each level's Newton
@@ -303,95 +308,151 @@ class _FieldSweep(Sweep):
         return self.field[k]
 
 
-def _solve_stage(ctx, layouts, scatters, stack, s, units):
-    """Solve the units' level systems in one Newton on the stack `stack`.
+class _Stage:
+    """A stage's tables, and the parts of its store indices (see
+    _wavefront) that its units' rows and levels leave as they are.
 
-    layouts[p] is the stack of phase p's subdomains and scatters[p][k] the
-    flat indices of its nodes in level k of a phase-p output (see
-    _wavefront).  A unit is (application, sweep, phase, level, input
-    level), and every level it reads from an output comes through those
-    indices.  Newton starts each block from its warm start, level k of
-    `prev`'s output at the same phase, and solves it inexactly (see
-    `newton_level_solve`'s warm); a block of a sweep without `prev` starts
-    from its previous level and keeps the exact tolerance, which gives the
-    bits of no start at all, and a stage with no warm start passes none.
-    `stack` holds the units' layouts in turn, so each unit reads and writes
-    one slice of it: its right-hand side is m * g[nodes] on its phase's
-    layout, and its output level is g/s with the layout's nodes overwritten
-    by its values.  Writes each unit's output level and returns None.  If
-    the stacked Newton raises SolverError, a stage of one unit returns
-    (application, error), and one of more units solves them alone, in
-    application order, and returns what the first that fails returns, with
-    the units before it done.
+    Its units run the phases `phases` in turn, and `tables` holds their
+    layouts side by side, layouts[p] being phase p's own stack.
     """
-    ks, rhs, prev, starts, warm_blocks = [], [], [], [], []
-    for _, sweep, p, k, g in units:
-        layout, n = layouts[p], len(layouts[p].blocks)
-        ks += [k] * n
-        rhs.append(layout.m * g[layout.nodes])
-        before = (sweep.out[p].take(scatters[p][k - 1]) if k
-                  else np.zeros(layout.n_nodes))
-        prev.append(before)
-        # level k of the sweep before is done: its application ran ahead
-        warm = sweep.prev is not None
-        starts.append(sweep.prev.out[p].take(scatters[p][k]) if warm
-                      else before)
-        warm_blocks += [warm] * n
+
+    def __init__(self, tables, phases, layouts, n_levels, n_nodes):
+        self.tables = tables
+        self.sizes = [layouts[p].n_nodes for p in phases]
+        counts = [len(layouts[p].blocks) for p in phases]
+        # per block: its unit, and its row from its unit's first, in levels
+        self.owner = np.repeat(np.arange(len(phases)), counts)
+        self.rows = np.concatenate([np.arange(n) for n in counts]) * n_levels
+        # per node: its entry from its unit's first row at the unit's level,
+        # and its entry in the units' inputs, one row each
+        bon = tables.block_of_node
+        self.within = self.rows[bon] * n_nodes + tables.nodes
+        self.inputs = self.owner[bon] * n_nodes + tables.nodes
+
+    def per_node(self, values):
+        """Each unit's value on each of its nodes (one unit's broadcasts)."""
+        if len(self.sizes) == 1:
+            return np.asarray(values)
+        return np.repeat(values, self.sizes)
+
+    def per_block(self, values):
+        """Each unit's value on each of its blocks (one unit's broadcasts)."""
+        if len(self.sizes) == 1:
+            return np.asarray(values)
+        return np.asarray(values)[self.owner]
+
+
+def _solve_stage(ctx, alone, stage, s, units, store):
+    """Solve the units' level systems in one Newton on the stage's tables.
+
+    A unit is (application, phase, level k, input level, row, warm row):
+    the store rows of its application's outputs start at `row` and those
+    of the application before at the same phase at `warm row`, None in a
+    first sweep (see _wavefront).  The stage reads its previous levels,
+    warm starts and inputs in one gather each and writes its outputs in one
+    scatter, at the indices of its _Stage shifted by its units' rows and
+    levels.  A warm block starts from its warm start and is solved
+    inexactly (see `newton_level_solve`'s warm); a block of a first sweep
+    starts from its previous level and keeps the exact tolerance, which
+    gives the bits of no start at all, and a stage with no warm start
+    passes none.  The right-hand side is m * g[nodes], and each output
+    level is g/s with the layout's nodes overwritten by their values.
+    Returns None.  If the stacked Newton raises SolverError, a stage of
+    one unit returns (application, error), and one of more units solves
+    them alone, on the stages alone[p], in application order, and returns
+    what the first that fails returns, with the units before it done.
+    """
+    n_levels, n_nodes = store.shape[1:]
+    # per unit: level k of its first output row and its start, as flat
+    # (row, level) indices of the store, its level and its warm flag
+    heads, starts, ks, warm = [], [], [], []
+    for _, _, k, _, row, warm_row in units:
+        heads.append(row * n_levels + k + 1)
+        starts.append(heads[-1] - 1 if warm_row is None
+                      else warm_row * n_levels + k + 1)
+        ks.append(k)
+        warm.append(warm_row is not None)
+    heads = np.array(heads)
+    out_at = stage.per_node(heads * n_nodes) + stage.within
+    flat = store.reshape(-1)
     u0 = flags = None
-    if any(warm_blocks):
-        u0, flags = np.concatenate(starts), np.array(warm_blocks)
+    if any(warm):
+        u0 = flat[stage.per_node(np.array(starts) * n_nodes) + stage.within]
+        flags = np.array(warm)[stage.owner]
+    g = np.array([unit[3] for unit in units])
     try:
         res = newton_level_solve(
-            ctx, stack, s, ks[0] if len(set(ks)) == 1 else np.array(ks),
-            np.concatenate(prev), np.concatenate(rhs), u0=u0, warm=flags)
+            ctx, stage.tables, s,
+            ks[0] if ks.count(ks[0]) == len(ks) else stage.per_block(ks),
+            flat[out_at - n_nodes], stage.tables.m * g.reshape(-1)[stage.inputs],
+            u0=u0, warm=flags)
     except SolverError as err:
         if len(units) == 1:
             return units[0][0], err
         for unit in sorted(units, key=lambda unit: unit[0]):
-            found = _solve_stage(ctx, layouts, scatters, layouts[unit[2]],
-                                 s, [unit])
+            found = _solve_stage(ctx, alone, alone[unit[1]], s, [unit], store)
             if found is not None:
                 return found
         return None
-    i = 0
-    for _, sweep, p, k, g in units:
-        n = layouts[p].n_nodes
-        sweep.out[p][:, k] = g / s
-        sweep.out[p].reshape(-1)[scatters[p][k]] = res.values[i:i + n]
-        i += n
+    store.reshape(-1, n_nodes)[stage.per_block(heads) + stage.rows] = (
+        stage.per_block(g / s))
+    flat[out_at] = res.values
     return None
 
 
-def _wavefront(ctx, phases, layouts, sweeps, s):
+def _wavefront(ctx, phases, layouts, sweeps, s, n_sweeps=math.inf):
     """Run the chain of sweeps as a wavefront; yield each completed sweep.
 
     Application a = n*P + p is phase p of sweep n.  It starts one stage or
     more after application a - 1 and then solves one level per stage, so
     the levels it reads are done, and so is its warm start: level k of
-    application a - P, read from `prev`, which the sweep drops when it is
-    complete.  At most as many applications run at once as fit in one
-    stack of _STAGE_NODES nodes, and the next one starts when there is
+    application a - P.  At most as many applications run at once as fit in
+    one stack of _STAGE_NODES nodes, and the next one starts when there is
     room, so each stage is one stacked Newton.  When application a fails
     (the first of its stage to fail alone, see `_solve_stage`), the
     applications after it are dropped, the ones before it go on, and its
     error is raised once they are done.
 
-    layouts[p], phase p's own stack, maps the phase's input onto its
-    subdomains' nodes and their outputs back to global fields.  A stage's
-    stack is kept while the stages repeat its subdomains; the first's is
-    phase 0's layout.
+    A stage holds consecutive applications, at most min(depth, n_steps) of
+    them and at most n_sweeps*P (n_sweeps is the number of sweeps where the
+    caller knows it), so at most `most` of one phase.
+    layouts[p], phase p's own stack, is the tables of a stage of one
+    application.  A chain of one or two phases stacks `most` copies of
+    phase 0 and then `most` of phase 1, once, at its first stage of more
+    applications.  Such a stage, its units sorted by phase, is the last
+    copies of phase 0 and the first of phase 1: one block range of that
+    stack (see `_AssemblyBundle.block_range`), whose tables are views of
+    it.  A chain of three phases or more has stages that no one such stack
+    holds as a range, such as phases 2 and 0 without 1, so it stacks each
+    stage of several applications from its names (`OperatorContext.bundle`).
+    Either way a stage keeps the tables of the stage before when its units
+    run the same phases.
+
+    The outputs of phase p's applications take turns in `most` + 1 slots
+    of one store, each of one row per subdomain, with a zero level -1
+    before the n_steps levels of each row: the applications under way and
+    the one before them, whose levels are the warm starts.  So an
+    application's rows and level give every index of its units (see
+    `_solve_stage`).  A sweep's out views its slots while it is under way
+    and is copied out when it is complete, before a later application can
+    use them again.
     """
     n_steps, n_nodes = ctx.grid.n_steps, ctx.mesh.n_nodes
-    n_phases = len(phases)
-    # the (block, level, node) entries of out[p] that phase p's nodes fill,
-    # as flat indices with one row per level, so a level takes one index
-    levels = np.arange(n_steps)[:, None]
-    scatters = [(layout.block_of_node * n_steps + levels) * n_nodes
-                + layout.nodes for layout in layouts]
-    stage = phases[0], layouts[0]  # the current stage's names and stack
+    n_phases, n_levels = len(phases), n_steps + 1
     depth = max(1, _STAGE_NODES // max(layout.n_nodes for layout in layouts))
+    # the most applications of one phase that a stage holds
+    most = -(-min(depth, n_steps, n_phases * n_sweeps) // n_phases)
+    first_rows = np.cumsum(
+        [0] + [(most + 1) * len(phase) for phase in phases]).tolist()
+    store = np.empty((first_rows[-1], n_levels, n_nodes))
+    store[:, 0] = 0.0
+    alone = [_Stage(layout, (p,), layouts, n_levels, n_nodes)
+             for p, layout in enumerate(layouts)]
+    chain = None  # the chain's stack, once built
+    stage = None, None  # the current stage's unit phases and _Stage
+    started = [0] * n_phases  # the applications of each phase started
     sweeps = iter(sweeps)
-    running = []  # [application, sweep, phase, level] under way, in order
+    running = []  # [application, sweep, phase, level, row, warm row]
     failed, error = math.inf, None  # first failed application and its error
     a = 0  # the next application to start
     sweep = prev = None
@@ -404,19 +465,33 @@ def _wavefront(ctx, phases, layouts, sweeps, s):
                     sweep.out = [None] * n_phases
                     sweep.prev, prev = prev, sweep
             if sweep is not None:
-                sweep.out[p] = np.empty((len(phases[p]), n_steps, n_nodes))
-                running.append([a, sweep, p, 0])
+                n, size = started[p], len(phases[p])
+                started[p] += 1
+                row = first_rows[p] + n % (most + 1) * size
+                warm_row = (None if n == 0 else
+                            first_rows[p] + (n - 1) % (most + 1) * size)
+                sweep.out[p] = store[row:row + size, 1:]
+                running.append([a, sweep, p, 0, row, warm_row])
                 a += 1
         if not running:
             break
-        # by phase: stages of as many applications per phase share a stack
-        units = sorted(((app, sweep_k, p, k, sweep_k.level_input(p, k))
-                        for app, sweep_k, p, k in running),
-                       key=lambda unit: unit[2])
-        names = sum((phases[unit[2]] for unit in units), ())
-        if names != stage[0]:
-            stage = names, ctx.bundle(names)
-        found = _solve_stage(ctx, layouts, scatters, stage[1], s, units)
+        units = sorted(((app, p, k, sweep_k.level_input(p, k), row, warm_row)
+                        for app, sweep_k, p, k, row, warm_row in running),
+                       key=lambda unit: unit[1])
+        ps = tuple(unit[1] for unit in units)
+        if len(ps) > 1 and ps != stage[0]:
+            if n_phases > 2:
+                tables = ctx.bundle(sum((phases[p] for p in ps), ()))
+            else:
+                if chain is None:
+                    chain = ctx.bundle(sum((phase * most for phase in phases),
+                                           ()))
+                lo = (most - ps.count(0)) * len(phases[0])
+                tables = chain.block_range(
+                    lo, lo + sum(len(phases[p]) for p in ps))
+            stage = ps, _Stage(tables, ps, layouts, n_levels, n_nodes)
+        found = _solve_stage(ctx, alone, stage[1] if len(ps) > 1
+                             else alone[ps[0]], s, units, store)
         if found is not None:
             # the applications after the failed one depend on it
             failed, error = found
@@ -424,9 +499,10 @@ def _wavefront(ctx, phases, layouts, sweeps, s):
         for run in running:
             run[3] += 1
         while running and running[0][3] == n_steps:
-            _, done, p, _ = running.pop(0)
+            _, done, p, *_ = running.pop(0)
             if p == n_phases - 1:
                 done.prev = None
+                done.out = [out.copy() for out in done.out]
                 yield done
     if error is not None:
         raise error
@@ -458,4 +534,4 @@ def resolvent_solve(ctx, ell, g, cfg):
     if chain is ell:
         return _wavefront(ctx, chain, layouts, g, cfg.s)
     sweeps = [_FieldSweep(_check_field(ctx, g, None))]
-    return next(_wavefront(ctx, chain, layouts, sweeps, cfg.s)).out[0][0]
+    return next(_wavefront(ctx, chain, layouts, sweeps, cfg.s, 1)).out[0][0]

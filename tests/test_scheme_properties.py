@@ -24,11 +24,12 @@ p = 3.13 with lambda = 0 on a strip, and a first sweep fails from a start
 of size 4 at p = 5.7 even with lambda = 1.  AS_shifted needs gamma > 0 and
 runs only on the draws without a strip.
 
-The last two tests draw problems with gamma = 1 and check that the
+The last three tests draw problems with gamma = 1 and check that the
 wavefront's stacking depth, from one application per stage to every
 application under way in one stack, leaves every output bit for bit: of
-all four schemes, and of chains whose phases hold different stacks, which
-no scheme runs.
+all four schemes, of chains whose phases hold different stacks, which no
+scheme runs, and of chains of three such phases, whose stages the engine
+stacks one by one instead of as block ranges of one stack per chain.
 """
 
 import numpy as np
@@ -37,6 +38,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import stsplit.iteration
+import stsplit.operators
 import stsplit.resolvent
 from conftest import make_problem
 from stsplit import (
@@ -218,6 +220,59 @@ def test_stacking_depth_leaves_chains_of_mixed_phases_unchanged(case, chain):
                 assert np.array_equal(a.out[p], b.out[p])
     # the first sweep starts no block warm: each output is its resolvent
     # applied alone to the phase's input
+    first = runs[0][0]
+    for p, phase in enumerate(chain):
+        g = np.array(first.inputs[p])
+        for out, ell in zip(first.out[p], phase):
+            assert np.array_equal(out, resolvent_solve(ctx, ell, g, cfg))
+
+
+@settings(max_examples=10, deadline=None)
+@given(stacked_runs(), st.data())
+def test_chains_of_three_stacked_phases_stack_each_stage_anew(case, data):
+    # three phases of two or three subdomains each: no one stack of the
+    # chain holds every stage as a block range, so each stage of several
+    # applications is stacked from its names, and the outputs are those of
+    # any other depth
+    q = data.draw(st.integers(3, 4))
+    phase = st.lists(st.integers(0, q - 1), min_size=2, max_size=3,
+                     unique=True).map(tuple)
+    chain = tuple(data.draw(phase) for _ in range(3))
+    *_, ctx = _context(dict(case, gamma=constant_gamma(1.0), lam=1.0), q)
+    start = np.random.default_rng(case["n_steps"]).standard_normal(
+        (ctx.grid.n_steps, ctx.mesh.n_nodes))
+    cfg = ResolventConfig(s=case["s"])
+    build = stsplit.operators._stack_bundles
+
+    def no_range(*args):
+        raise AssertionError("a chain of three phases took a block range")
+
+    runs = []
+    for depth in (1, stsplit.resolvent._STAGE_NODES, 10**6):
+        builds = []
+
+        def counted(parts, builds=builds):
+            builds.append(tuple(b.name for b in parts))
+            return build(parts)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(stsplit.resolvent, "_STAGE_NODES", depth)
+            patch.setattr(stsplit.operators, "_stack_bundles", counted)
+            patch.setattr(stsplit.operators._AssemblyBundle, "block_range",
+                          no_range)
+            sweeps = [_MeanSweep(case["s"], start, len(chain))
+                      for _ in range(case["sweeps"])]
+            assert list(resolvent_solve(ctx, chain, sweeps, cfg)) == sweeps
+        # the phases' own stacks at the call; beyond depth 1, the stages of
+        # two applications or more, each stacked from its names
+        assert builds[:3] == list(chain)
+        assert (len(builds) > 3) == (depth > 1)
+        assert all(len(names) > 3 for names in builds[3:])
+        runs.append(sweeps)
+    for run in runs[1:]:
+        for a, b in zip(run, runs[0]):
+            for p in range(len(chain)):
+                assert np.array_equal(a.out[p], b.out[p])
     first = runs[0][0]
     for p, phase in enumerate(chain):
         g = np.array(first.inputs[p])
