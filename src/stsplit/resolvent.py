@@ -24,7 +24,7 @@ sweep n) starts at least one stage after application a - 1 and solves one
 level per stage.  All level systems of a stage are stacked into one
 block-diagonal system and solved by one Newton in which every block keeps
 its own bookkeeping, so every block's result is bit-identical to its solve
-alone.  A chain of one or two phases stacks its subdomains once, as many
+alone.  A chain stacks its phases once, in application order, as many
 times as a stage can hold them, and each stage of several applications
 solves on a block range of that stack; a stage of one application solves
 on its phase's own tables, so a single resolvent builds no stack.  Every
@@ -417,16 +417,16 @@ def _wavefront(ctx, phases, layouts, sweeps, s, n_sweeps=math.inf):
     them and at most n_sweeps*P (n_sweeps is the number of sweeps where the
     caller knows it), so at most `most` of one phase.
     layouts[p], phase p's own stack, is the tables of a stage of one
-    application.  A chain of one or two phases stacks `most` copies of
-    phase 0 and then `most` of phase 1, once, at its first stage of more
-    applications.  Such a stage, its units sorted by phase, is the last
-    copies of phase 0 and the first of phase 1: one block range of that
-    stack (see `_AssemblyBundle.block_range`), whose tables are views of
-    it.  A chain of three phases or more has stages that no one such stack
-    holds as a range, such as phases 2 and 0 without 1, so it stacks each
-    stage of several applications from its names (`OperatorContext.bundle`).
-    Either way a stage keeps the tables of the stage before when its units
-    run the same phases.
+    application.  At its first stage of more, the chain stacks its phases
+    once, in application order: entry i holds phases[i % P].  A stage's
+    applications are consecutive, so it is one block range of that stack
+    (see `_AssemblyBundle.block_range`), whose tables are views of it.  A
+    stage of n applications whose first runs phase p0 starts at entry p0,
+    or at entry 0 when n is a whole number of cycles, its units rotated so
+    that phase 0 comes first.  So the stack has P*most entries and, for a
+    stage of P*most - 1 applications from entry P - 1, max(P - 2, 0) more.
+    A stage keeps the tables of the stage before when it starts at the
+    same entry with as many applications.
 
     The outputs of phase p's applications take turns in `most` + 1 slots
     of one store, each of one row per subdomain, with a zero level -1
@@ -449,7 +449,7 @@ def _wavefront(ctx, phases, layouts, sweeps, s, n_sweeps=math.inf):
     alone = [_Stage(layout, (p,), layouts, n_levels, n_nodes)
              for p, layout in enumerate(layouts)]
     chain = None  # the chain's stack, once built
-    stage = None, None  # the current stage's unit phases and _Stage
+    stage = None, None  # the current stage's first entry and size, _Stage
     started = [0] * n_phases  # the applications of each phase started
     sweeps = iter(sweeps)
     running = []  # [application, sweep, phase, level, row, warm row]
@@ -475,23 +475,22 @@ def _wavefront(ctx, phases, layouts, sweeps, s, n_sweeps=math.inf):
                 a += 1
         if not running:
             break
-        units = sorted(((app, p, k, sweep_k.level_input(p, k), row, warm_row)
-                        for app, sweep_k, p, k, row, warm_row in running),
-                       key=lambda unit: unit[1])
-        ps = tuple(unit[1] for unit in units)
-        if len(ps) > 1 and ps != stage[0]:
-            if n_phases > 2:
-                tables = ctx.bundle(sum((phases[p] for p in ps), ()))
-            else:
-                if chain is None:
-                    chain = ctx.bundle(sum((phase * most for phase in phases),
-                                           ()))
-                lo = (most - ps.count(0)) * len(phases[0])
-                tables = chain.block_range(
-                    lo, lo + sum(len(phases[p]) for p in ps))
-            stage = ps, _Stage(tables, ps, layouts, n_levels, n_nodes)
-        found = _solve_stage(ctx, alone, stage[1] if len(ps) > 1
-                             else alone[ps[0]], s, units, store)
+        units = [(app, p, k, sweep_k.level_input(p, k), row, warm_row)
+                 for app, sweep_k, p, k, row, warm_row in running]
+        n, p0 = len(units), units[0][1]
+        lo = p0 if n % n_phases else 0
+        units = units[lo - p0:] + units[:lo - p0]
+        if n > 1 and (lo, n) != stage[0]:
+            if chain is None:
+                entries = [phases[i % n_phases] for i in
+                           range(n_phases * most + max(n_phases - 2, 0))]
+                bounds = np.cumsum([0] + [len(e) for e in entries]).tolist()
+                chain = ctx.bundle(sum(entries, ()))
+            tables = chain.block_range(bounds[lo], bounds[lo + n])
+            stage = (lo, n), _Stage(tables, [unit[1] for unit in units],
+                                    layouts, n_levels, n_nodes)
+        found = _solve_stage(ctx, alone, stage[1] if n > 1 else alone[p0], s,
+                             units, store)
         if found is not None:
             # the applications after the failed one depend on it
             failed, error = found

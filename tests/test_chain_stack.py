@@ -1,10 +1,12 @@
 """The wavefront's one stack per chain.
 
-A chain of one or two phases stacks its phases' subdomains once, and each
-stage of several applications solves on one block range of that stack.
-Every range must hold the tables `OperatorContext.bundle` builds from the
-range's names, so that every block sees what it saw on a stack of its own;
-a stage of one application, and so every single resolvent, builds no stack.
+Every chain stacks its phases once, in application order (entry i holds
+phase i mod P), and each stage of several applications solves on one block
+range of that stack, rotated so that phase 0 comes first when it holds
+whole cycles.  Every range must hold the tables `OperatorContext.bundle`
+builds from the range's names, so that every block sees what it saw on a
+stack of its own; a stage of one application, and so every single
+resolvent, builds no stack.
 """
 
 import numpy as np
@@ -34,18 +36,24 @@ def assert_same_tables(got, want):
         assert np.array_equal(a, b), name
 
 
+def _cycled(phases, n_entries):
+    """The names of a chain stack of n_entries entries, in application order."""
+    return sum((phases[i % len(phases)] for i in range(n_entries)), ())
+
+
 @pytest.mark.parametrize("cells, phases", [
     (24, ((0, 1, 2),)),  # the additive chain, q = 3
     (24, ((0,), (1,))),  # the alternating chain
     (24, ((0, 1), (2,))),  # two phases of different stacks
     ((8, 4), ((0, 1),)),
     ((8, 4), ((1,), (0,))),
+    (24, ((0,), (1, 2), (2,))),
 ])
 def test_every_block_range_is_the_stack_of_its_names(cells, phases):
     q = 1 + max(sum(phases, ()))
     *_, ctx = make_problem(cells=cells, n_steps=3, p=3.0, lam=1.0, q=q,
                            source="cos")
-    names = sum((phase * 3 for phase in phases), ())
+    names = _cycled(phases, 3 * len(phases))
     chain = ctx.bundle(names)
     for lo in range(len(names)):
         for hi in range(lo + 1, len(names) + 1):
@@ -61,13 +69,15 @@ def test_every_block_range_is_the_stack_of_its_names(cells, phases):
 
 
 def _record_stage_tables(monkeypatch):
-    """Record the tables of every stage's Newton."""
+    """Record the tables and the levels of every stage's Newton, one level
+    per block."""
     newton = stsplit.resolvent.newton_level_solve
     seen = []
 
-    def recording(c, ell, *args, **kwargs):
-        seen.append(c.bundle(ell))
-        return newton(c, ell, *args, **kwargs)
+    def recording(c, ell, s, k, *args, **kwargs):
+        tables = c.bundle(ell)
+        seen.append((tables, np.broadcast_to(k, len(tables.blocks))))
+        return newton(c, ell, s, k, *args, **kwargs)
 
     monkeypatch.setattr(stsplit.resolvent, "newton_level_solve", recording)
     return seen
@@ -86,29 +96,45 @@ def _count_stack_builds(monkeypatch):
     return builds
 
 
-@pytest.mark.parametrize("phases", [((0, 1, 2),), ((0,), (1,)),
-                                    ((0, 1), (2,))])
+@pytest.mark.parametrize("phases", [
+    ((0, 1, 2),), ((0,), (1,)), ((0, 1), (2,)),
+    ((0,), (1,), (2,)), ((2,), (0, 1), (1,), (0,)),
+])
 def test_every_stage_solves_on_the_stack_of_its_names(monkeypatch, phases):
-    mesh, grid, _, _, ctx = make_problem(cells=24, n_steps=6, p=3.0, lam=1.0,
-                                         q=3, source="cos")
+    mesh, grid, _, _, ctx = make_problem(cells=24, n_steps=12, p=3.0,
+                                         lam=1.0, q=3, source="cos")
     seen = _record_stage_tables(monkeypatch)
     builds = _count_stack_builds(monkeypatch)
     g = random_field(np.random.default_rng(5), grid, mesh)
     sweeps = [_FieldSweep(g) for _ in range(8)]
     assert list(resolvent_solve(ctx, phases, sweeps,
                                 ResolventConfig(s=4.0))) == sweeps
-    # six applications run at once, as many of each phase: the phases' own
-    # stacks at the call, then one stack of that many copies of each
-    most = 6 // len(phases)
-    chain = most * sum(len(phase) for phase in phases)
+    # twelve applications run at once, whole cycles of every chain, so
+    # some stages of them start at a later phase; at most `most` of each
+    # phase: the phases' own stacks at the call, then one stack of the
+    # phases cycled, with P - 2 entries more when P > 2
+    n_phases = len(phases)
+    most = -(-12 // n_phases)
+    names = _cycled(phases, n_phases * most + max(n_phases - 2, 0))
     assert builds == [len(phase) for phase in phases if len(phase) > 1] + [
-        chain]
-    sizes = [len(tables.blocks) for tables in seen]
+        len(names)]
+    sizes = [len(tables.blocks) for tables, _ in seen]
     assert min(sizes) == min(len(phase) for phase in phases)
-    assert max(sizes) == chain
-    for tables in seen:
-        want = ctx.bundle(tuple(block.name for block in tables.blocks))
-        assert_same_tables(tables, want)
+    cycle = sum(len(phase) for phase in phases)  # the blocks of one cycle
+    rotated = 0
+    for tables, levels in seen:
+        stage = tuple(block.name for block in tables.blocks)
+        assert_same_tables(tables, ctx.bundle(stage))
+        assert any(names[i:i + len(stage)] == stage
+                   for i in range(len(names)))
+        # a stage's applications are consecutive, and an earlier one is at
+        # a higher level, so the levels fall along the stack unless the
+        # stage holds whole cycles that start at a later phase: then its
+        # units are rotated, and it starts at phase 0
+        if np.any(np.diff(levels) > 0):
+            rotated += 1
+            assert stage == _cycled(phases, len(stage) // cycle * n_phases)
+    assert (rotated > 0) == (n_phases > 1)
 
 
 def test_single_resolvents_build_no_stack(monkeypatch):

@@ -433,10 +433,12 @@ def test_failure_is_raised_when_the_run_reaches_its_sweep(monkeypatch,
 
 def test_failing_stage_raises_the_first_application_to_fail(monkeypatch):
     # DR applies subdomain 0 in phase 0 and subdomain 1 in phase 1, one
-    # application per stage after the other: in stage 3, sweep 0's phase-1
-    # application is at level 2 and sweep 1's phase-0 application at level
-    # 1.  Sorted by phase, the later one comes first in the stack.  Both
-    # fail, alone too, and the earlier one's error is raised.
+    # application per stage after the other, six under way from stage 5
+    # on.  Stage 6 holds applications 1 to 6, three whole cycles from phase
+    # 1, so its units are rotated to start at phase 0: sweep 3's phase-0
+    # application, at level 0, comes first in the stack, before sweep 0's
+    # phase-1 application at level 5.  Both fail, alone too, and the
+    # earlier one's error is raised.
     *_, ctx = make_problem(cells=24, n_steps=6, p=3.0, lam=1.0, source="cos")
     newton = stsplit.resolvent.newton_level_solve
     marked = {}  # right-hand side bytes -> the message of its failure
@@ -447,9 +449,9 @@ def test_failing_stage_raises_the_first_application_to_fail(monkeypatch):
         named = [(part.name, int(kb)) for part, kb in
                  zip(blocks, np.broadcast_to(levels, len(blocks)))]
         keys = [rhs[lo:hi].tobytes() for lo, hi in zip(offsets, offsets[1:])]
-        if not marked and (1, 2) in named and (0, 1) in named:
-            assert named.index((0, 1)) < named.index((1, 2))
-            for b in (named.index((0, 1)), named.index((1, 2))):
+        if not marked and (1, 5) in named and (0, 0) in named:
+            assert named.index((0, 0)) == 0 < named.index((1, 5))
+            for b in (named.index((0, 0)), named.index((1, 5))):
                 marked[keys[b]] = "injected on subdomain {} at level {}".format(
                     *named[b])
         for key in keys:
@@ -459,7 +461,7 @@ def test_failing_stage_raises_the_first_application_to_fail(monkeypatch):
 
     monkeypatch.setattr(stsplit.resolvent, "newton_level_solve", failing)
     cfg = SchemeConfig(scheme="DR", s=2.0, max_sweeps=4, stop_tol=0.0)
-    with pytest.raises(SolverError, match="on subdomain 1 at level 2$"):
+    with pytest.raises(SolverError, match="on subdomain 1 at level 5$"):
         run_scheme(ctx, cfg)
     assert len(marked) == 2
 

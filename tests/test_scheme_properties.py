@@ -28,8 +28,9 @@ The last three tests draw problems with gamma = 1 and check that the
 wavefront's stacking depth, from one application per stage to every
 application under way in one stack, leaves every output bit for bit: of
 all four schemes, of chains whose phases hold different stacks, which no
-scheme runs, and of chains of three such phases, whose stages the engine
-stacks one by one instead of as block ranges of one stack per chain.
+scheme runs, and of chains of three such phases.  At any depth beyond one,
+every chain builds one stack of its phases in application order, and each
+stage of several applications is a block range of it.
 """
 
 import numpy as np
@@ -199,7 +200,8 @@ class _MeanSweep(Sweep):
 
 
 @settings(max_examples=10, deadline=None)
-@given(stacked_runs(), st.sampled_from([((0, 1), (1,)), ((0, 1, 2), (2, 0))]))
+@given(stacked_runs(), st.sampled_from([((0, 1), (1,)), ((0, 1, 2), (2, 0)),
+                                        ((2,), (0, 1), (1,), (0,))]))
 def test_stacking_depth_leaves_chains_of_mixed_phases_unchanged(case, chain):
     q = 1 + max(sum(chain, ()))
     *_, ctx = _context(dict(case, gamma=constant_gamma(1.0), lam=1.0), q)
@@ -229,11 +231,10 @@ def test_stacking_depth_leaves_chains_of_mixed_phases_unchanged(case, chain):
 
 @settings(max_examples=10, deadline=None)
 @given(stacked_runs(), st.data())
-def test_chains_of_three_stacked_phases_stack_each_stage_anew(case, data):
-    # three phases of two or three subdomains each: no one stack of the
-    # chain holds every stage as a block range, so each stage of several
-    # applications is stacked from its names, and the outputs are those of
-    # any other depth
+def test_chains_of_three_stacked_phases_build_one_chain_stack(case, data):
+    # three phases of two or three subdomains each: beyond depth 1 the
+    # chain builds one stack, of its phases cycled in application order,
+    # and the outputs are those of any other depth
     q = data.draw(st.integers(3, 4))
     phase = st.lists(st.integers(0, q - 1), min_size=2, max_size=3,
                      unique=True).map(tuple)
@@ -243,10 +244,6 @@ def test_chains_of_three_stacked_phases_stack_each_stage_anew(case, data):
         (ctx.grid.n_steps, ctx.mesh.n_nodes))
     cfg = ResolventConfig(s=case["s"])
     build = stsplit.operators._stack_bundles
-
-    def no_range(*args):
-        raise AssertionError("a chain of three phases took a block range")
-
     runs = []
     for depth in (1, stsplit.resolvent._STAGE_NODES, 10**6):
         builds = []
@@ -258,16 +255,19 @@ def test_chains_of_three_stacked_phases_stack_each_stage_anew(case, data):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(stsplit.resolvent, "_STAGE_NODES", depth)
             patch.setattr(stsplit.operators, "_stack_bundles", counted)
-            patch.setattr(stsplit.operators._AssemblyBundle, "block_range",
-                          no_range)
             sweeps = [_MeanSweep(case["s"], start, len(chain))
                       for _ in range(case["sweeps"])]
             assert list(resolvent_solve(ctx, chain, sweeps, cfg)) == sweeps
-        # the phases' own stacks at the call; beyond depth 1, the stages of
-        # two applications or more, each stacked from its names
+        # the phases' own stacks at the call; beyond depth 1, one stack of
+        # 3*most + 1 entries, entry i holding phase i mod 3, where a stage
+        # holds at most `most` applications of one phase (a chain's number
+        # of sweeps is not known to the engine, so it does not bound most)
         assert builds[:3] == list(chain)
-        assert (len(builds) > 3) == (depth > 1)
-        assert all(len(names) > 3 for names in builds[3:])
+        apps = min(max(1, depth // max(ctx.bundle(phase).n_nodes
+                                       for phase in chain)), case["n_steps"])
+        most = -(-apps // 3)
+        assert builds[3:] == ([] if depth == 1 else [
+            sum((chain[i % 3] for i in range(3 * most + 1)), ())])
         runs.append(sweeps)
     for run in runs[1:]:
         for a, b in zip(run, runs[0]):
