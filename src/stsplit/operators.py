@@ -133,10 +133,12 @@ class _AssemblyBundle:
 
     def block_range(self, lo, hi):
         """The stack of blocks lo, ..., hi - 1, with the tables that
-        `OperatorContext.bundle` builds from their names: block lo alone is
-        its plain bundle, and a longer range takes this stack's tables
-        along the element and node axes as views, with its own node
-        numbering, band index and block tables."""
+        `OperatorContext.bundle` builds from their names: all blocks are
+        this bundle, block lo alone is its plain bundle, and another range
+        takes this stack's tables along the element and node axes as views,
+        with its own node numbering, band index and block tables."""
+        if hi - lo == len(self.blocks):
+            return self
         if hi - lo == 1:
             return self.blocks[lo]
         n0, n1 = self.offsets[lo], self.offsets[hi]

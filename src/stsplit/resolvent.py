@@ -7,7 +7,7 @@ Each time level solves the nodal system (dual representation)
 with growth = ctx.step_growth: e^{q dt} under an exponential shift q, whose
 q*cap*u term A_ell carries (see OperatorContext), and 1.0 without one.  It
 is solved with an exact residual and an epsilon-regularized Jacobian,
-globalized by step halving alone: a Newton step that no halving makes
+globalized only by step halving: a Newton step that no halving makes
 lower the residual raises SolverError.  Strips are cut along the first
 mesh axis, so every level system is banded and each Newton step ends in
 one banded direct solve, in one band storage per level solve that every
@@ -23,17 +23,16 @@ of resolvents in turn, as a wavefront: application a = n*P + p (phase p of
 sweep n) starts at least one stage after application a - 1 and solves one
 level per stage.  All level systems of a stage are stacked into one
 block-diagonal system and solved by one Newton in which every block keeps
-its own bookkeeping, so every block's result is bit-identical to its solve
-alone.  A chain stacks its phases once, in application order, as many
-times as a stage can hold them, and each stage of several applications
-solves on a block range of that stack; a stage of one application solves
-on its phase's own tables, so a single resolvent builds no stack.  Every
-stage reads and writes its levels through one store of the outputs under
-way, in one gather and one scatter (see _wavefront).  How many
-applications run at once is bounded by the nodes of one stack (see
-_STAGE_NODES); where one application's level takes more, the sweeps run
-one after the other.  A single resolvent application is a chain of one
-sweep with one phase, and its stages are its time levels.
+its own bookkeeping, so every block's result is bit-identical to its own
+solve.  A chain stacks its phases once, in application order, as many times
+as a stage can hold them, and every stage solves on a block range of that
+stack, built at the first range of more than one block, so a single
+resolvent builds no stack.  Every stage reads and writes its levels through
+one store of the outputs under way, in one gather and one scatter (see
+_wavefront).  How many applications run at once is bounded by the nodes of
+one stack (see _STAGE_NODES); where one application's level takes more, the
+sweeps run one after the other.  A single resolvent application is a chain
+of one sweep with one phase, and its stages are its time levels.
 
 Successive sweeps approach the scheme's fixed point, so Newton starts each
 level of sweep n from the output of sweep n-1 at the same phase and level,
@@ -54,6 +53,7 @@ of newton_level_solve, whatever start it passes.
 
 import math
 from dataclasses import dataclass
+from functools import cache, lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -312,61 +312,69 @@ class _Stage:
     """A stage's tables, and the parts of its store indices (see
     _wavefront) that its units' rows and levels leave as they are.
 
-    Its units run the phases `phases` in turn, and `tables` holds their
-    layouts side by side, layouts[p] being phase p's own stack.
+    Its units run the chain entries `entries` in turn, and `tables` holds
+    their blocks side by side.  One unit's values broadcast: spreading them
+    cost a single resolvent about 20 of 370 us with Newton stubbed.
     """
 
-    def __init__(self, tables, phases, layouts, n_levels, n_nodes):
+    def __init__(self, tables, entries, n_levels, n_nodes):
         self.tables = tables
-        self.sizes = [layouts[p].n_nodes for p in phases]
-        counts = [len(layouts[p].blocks) for p in phases]
+        self.n_units = len(entries)
+        counts = [len(entry) for entry in entries]
         # per block: its unit, and its row from its unit's first, in levels
-        self.owner = np.repeat(np.arange(len(phases)), counts)
+        self.owner = np.repeat(np.arange(self.n_units), counts)
         self.rows = np.concatenate([np.arange(n) for n in counts]) * n_levels
-        # per node: its entry from its unit's first row at the unit's level,
-        # and its entry in the units' inputs, one row each
+        # per node: its unit, its entry from its unit's first row at the
+        # unit's level, and its entry in the units' inputs, one row each
         bon = tables.block_of_node
+        self.unit_of_node = self.owner[bon]
         self.within = self.rows[bon] * n_nodes + tables.nodes
-        self.inputs = self.owner[bon] * n_nodes + tables.nodes
+        self.inputs = self.unit_of_node * n_nodes + tables.nodes
 
     def per_node(self, values):
         """Each unit's value on each of its nodes (one unit's broadcasts)."""
-        if len(self.sizes) == 1:
+        if self.n_units == 1:
             return np.asarray(values)
-        return np.repeat(values, self.sizes)
+        return np.asarray(values)[self.unit_of_node]
 
     def per_block(self, values):
         """Each unit's value on each of its blocks (one unit's broadcasts)."""
-        if len(self.sizes) == 1:
+        if self.n_units == 1:
             return np.asarray(values)
         return np.asarray(values)[self.owner]
 
 
-def _solve_stage(ctx, alone, stage, s, units, store):
-    """Solve the units' level systems in one Newton on the stage's tables.
+def _solve_stage(ctx, stage_of, lo, s, units, store):
+    """Solve the units' level systems in one Newton on the tables of
+    stage_of(lo, len(units)) (see _wavefront).
 
     A unit is (application, phase, level k, input level, row, warm row):
     the store rows of its application's outputs start at `row` and those
     of the application before at the same phase at `warm row`, None in a
-    first sweep (see _wavefront).  The stage reads its previous levels,
-    warm starts and inputs in one gather each and writes its outputs in one
-    scatter, at the indices of its _Stage shifted by its units' rows and
-    levels.  A warm block starts from its warm start and is solved
-    inexactly (see `newton_level_solve`'s warm); a block of a first sweep
-    starts from its previous level and keeps the exact tolerance, which
-    gives the bits of no start at all, and a stage with no warm start
+    first sweep (see _wavefront).  An input level of a shape other than
+    (n_nodes,) raises ConfigurationError.  The stage reads its previous
+    levels, warm starts and inputs in one gather each and writes its
+    outputs in one scatter, at the indices of its _Stage shifted by its
+    units' rows and levels.  A warm block starts from its warm start and is
+    solved inexactly (see `newton_level_solve`'s warm); a block of a first
+    sweep starts from its previous level and keeps the exact tolerance,
+    which gives the bits of no start at all, and a stage with no warm start
     passes none.  The right-hand side is m * g[nodes], and each output
-    level is g/s with the layout's nodes overwritten by their values.
-    Returns None.  If the stacked Newton raises SolverError, a stage of
-    one unit returns (application, error), and one of more units solves
-    them alone, on the stages alone[p], in application order, and returns
+    level is g/s with the tables' nodes overwritten by their values.
+    Returns None.  If the stacked Newton raises SolverError, a stage of one
+    unit returns (application, error), and one of more solves its units one
+    by one in application order, phase p's on stage_of(p, 1), and returns
     what the first that fails returns, with the units before it done.
     """
     n_levels, n_nodes = store.shape[1:]
+    stage = stage_of(lo, len(units))
     # per unit: level k of its first output row and its start, as flat
     # (row, level) indices of the store, its level and its warm flag
     heads, starts, ks, warm = [], [], [], []
-    for _, _, k, _, row, warm_row in units:
+    for _, p, k, g, row, warm_row in units:
+        if np.asarray(g).shape != (n_nodes,):
+            raise ConfigurationError(f"level {k} of phase {p}'s input has "
+                                     f"shape {np.shape(g)}, not ({n_nodes},)")
         heads.append(row * n_levels + k + 1)
         starts.append(heads[-1] - 1 if warm_row is None
                       else warm_row * n_levels + k + 1)
@@ -390,7 +398,7 @@ def _solve_stage(ctx, alone, stage, s, units, store):
         if len(units) == 1:
             return units[0][0], err
         for unit in sorted(units, key=lambda unit: unit[0]):
-            found = _solve_stage(ctx, alone, alone[unit[1]], s, [unit], store)
+            found = _solve_stage(ctx, stage_of, unit[1], s, [unit], store)
             if found is not None:
                 return found
         return None
@@ -400,33 +408,32 @@ def _solve_stage(ctx, alone, stage, s, units, store):
     return None
 
 
-def _wavefront(ctx, phases, layouts, sweeps, s, n_sweeps=math.inf):
+def _wavefront(ctx, phases, depth, sweeps, s, n_sweeps=math.inf):
     """Run the chain of sweeps as a wavefront; yield each completed sweep.
 
     Application a = n*P + p is phase p of sweep n.  It starts one stage or
     more after application a - 1 and then solves one level per stage, so
     the levels it reads are done, and so is its warm start: level k of
-    application a - P.  At most as many applications run at once as fit in
-    one stack of _STAGE_NODES nodes, and the next one starts when there is
-    room, so each stage is one stacked Newton.  When application a fails
-    (the first of its stage to fail alone, see `_solve_stage`), the
-    applications after it are dropped, the ones before it go on, and its
-    error is raised once they are done.
+    application a - P.  At most `depth` applications run at once, as many
+    as fit in one stack of _STAGE_NODES nodes, and the next one starts when
+    there is room, so each stage is one stacked Newton.  When application a
+    fails (the first of its stage to fail on its own, see `_solve_stage`),
+    the applications after it are dropped, the ones before it go on, and
+    its error is raised once they are done.
 
     A stage holds consecutive applications, at most min(depth, n_steps) of
     them and at most n_sweeps*P (n_sweeps is the number of sweeps where the
-    caller knows it), so at most `most` of one phase.
-    layouts[p], phase p's own stack, is the tables of a stage of one
-    application.  At its first stage of more, the chain stacks its phases
-    once, in application order: entry i holds phases[i % P].  A stage's
-    applications are consecutive, so it is one block range of that stack
-    (see `_AssemblyBundle.block_range`), whose tables are views of it.  A
-    stage of n applications whose first runs phase p0 starts at entry p0,
-    or at entry 0 when n is a whole number of cycles, its units rotated so
-    that phase 0 comes first.  So the stack has P*most entries and, for a
-    stage of P*most - 1 applications from entry P - 1, max(P - 2, 0) more.
-    A stage keeps the tables of the stage before when it starts at the
-    same entry with as many applications.
+    caller knows it), so at most `most` of one phase.  The chain's stack
+    holds its phases in application order, entry i holding phases[i % P],
+    and stage_of(lo, n) gives every stage, fallback included, the _Stage
+    of entries lo to lo + n - 1, a block range of the stack (see
+    `_AssemblyBundle.block_range`) built at the first range of more than
+    one block.  A stage of n applications whose first runs phase p0 starts
+    at entry p0, or at entry 0 when n is a whole number of cycles, its
+    units rotated so that phase 0 comes first: else pr1d_degenerate's
+    stages would alternate their first entry and build 213 ranges a round,
+    not 28.  So the stack has P*most entries and, for a stage of
+    P*most - 1 applications from entry P - 1, max(P - 2, 0) more.
 
     The outputs of phase p's applications take turns in `most` + 1 slots
     of one store, each of one row per subdomain, with a zero level -1
@@ -439,17 +446,23 @@ def _wavefront(ctx, phases, layouts, sweeps, s, n_sweeps=math.inf):
     """
     n_steps, n_nodes = ctx.grid.n_steps, ctx.mesh.n_nodes
     n_phases, n_levels = len(phases), n_steps + 1
-    depth = max(1, _STAGE_NODES // max(layout.n_nodes for layout in layouts))
     # the most applications of one phase that a stage holds
     most = -(-min(depth, n_steps, n_phases * n_sweeps) // n_phases)
     first_rows = np.cumsum(
         [0] + [(most + 1) * len(phase) for phase in phases]).tolist()
     store = np.empty((first_rows[-1], n_levels, n_nodes))
     store[:, 0] = 0.0
-    alone = [_Stage(layout, (p,), layouts, n_levels, n_nodes)
-             for p, layout in enumerate(layouts)]
-    chain = None  # the chain's stack, once built
-    stage = None, None  # the current stage's first entry and size, _Stage
+    entries = [phases[i % n_phases]
+               for i in range(n_phases * most + max(n_phases - 2, 0))]
+    chain = cache(lambda: ctx.bundle(sum(entries, ())))  # built at first use
+
+    @lru_cache(maxsize=1)
+    def stage_of(lo, n):
+        b0, b1 = (sum(map(len, entries[:i])) for i in (lo, lo + n))
+        tables = (ctx.bundle(entries[lo]) if b1 - b0 == 1
+                  else chain().block_range(b0, b1))
+        return _Stage(tables, entries[lo:lo + n], n_levels, n_nodes)
+
     started = [0] * n_phases  # the applications of each phase started
     sweeps = iter(sweeps)
     running = []  # [application, sweep, phase, level, row, warm row]
@@ -480,17 +493,7 @@ def _wavefront(ctx, phases, layouts, sweeps, s, n_sweeps=math.inf):
         n, p0 = len(units), units[0][1]
         lo = p0 if n % n_phases else 0
         units = units[lo - p0:] + units[:lo - p0]
-        if n > 1 and (lo, n) != stage[0]:
-            if chain is None:
-                entries = [phases[i % n_phases] for i in
-                           range(n_phases * most + max(n_phases - 2, 0))]
-                bounds = np.cumsum([0] + [len(e) for e in entries]).tolist()
-                chain = ctx.bundle(sum(entries, ()))
-            tables = chain.block_range(bounds[lo], bounds[lo + n])
-            stage = (lo, n), _Stage(tables, [unit[1] for unit in units],
-                                    layouts, n_levels, n_nodes)
-        found = _solve_stage(ctx, alone, stage[1] if n > 1 else alone[p0], s,
-                             units, store)
+        found = _solve_stage(ctx, stage_of, lo, s, units, store)
         if found is not None:
             # the applications after the failed one depend on it
             failed, error = found
@@ -520,8 +523,8 @@ def resolvent_solve(ctx, ell, g, cfg):
     in flight.
 
     A chain has one phase or more, each a non-empty tuple of subdomains.
-    Each phase's layout, its stack, is built by `OperatorContext.bundle` at
-    the call, which checks its names.  Other chains and names raise
+    Every subdomain's own bundle is looked up at the call, which checks its
+    name, and sizes the depth.  Other chains and names raise
     ConfigurationError.
     """
     chain = ell if isinstance(ell, tuple) else ((ell,),)
@@ -529,8 +532,9 @@ def resolvent_solve(ctx, ell, g, cfg):
                             for phase in chain):
         raise ConfigurationError(f"a chain names one non-empty tuple of "
                                  f"subdomains per phase, not {ell!r}")
-    layouts = [ctx.bundle(phase) for phase in chain]
+    depth = max(1, _STAGE_NODES // max(
+        sum(ctx.bundle((i,)).n_nodes for i in phase) for phase in chain))
     if chain is ell:
-        return _wavefront(ctx, chain, layouts, g, cfg.s)
+        return _wavefront(ctx, chain, depth, g, cfg.s)
     sweeps = [_FieldSweep(_check_field(ctx, g, None))]
-    return next(_wavefront(ctx, chain, layouts, sweeps, cfg.s, 1)).out[0][0]
+    return next(_wavefront(ctx, chain, depth, sweeps, cfg.s, 1)).out[0][0]

@@ -348,9 +348,9 @@ def test_runs_and_stacks_leave_the_context_as_it_was():
 
 
 def test_a_callers_stacks_add_no_engine_build(monkeypatch):
-    # 71 nodes per application, 16 at once: the phase's own stack at the
-    # call and one stack of 16 copies of it, whose block ranges serve the
-    # ramp-up and the ramp-down
+    # 71 nodes per application, 16 at once: one stack of 16 copies of the
+    # phase, whose block ranges serve every stage, the ramp-up and the
+    # ramp-down included
     *_, ctx = make_problem(cells=48, n_steps=20, q=3, overlap=0.6, p=3.0,
                            lam=1.0, source="cos")
     builds = [0]
@@ -375,7 +375,7 @@ def test_a_callers_stacks_add_no_engine_build(monkeypatch):
                 ctx.bundle((1, 0))  # a caller's own stack, between two yields
                 builds[0] = caller
         counts.append(builds[0])
-    assert counts == [2, 2]
+    assert counts == [1, 1]
     assert len(outputs[0]) == len(outputs[1]) == 40
     for x, y in zip(*outputs):
         assert np.array_equal(x, y)

@@ -1,12 +1,13 @@
 """The wavefront's one stack per chain.
 
 Every chain stacks its phases once, in application order (entry i holds
-phase i mod P), and each stage of several applications solves on one block
-range of that stack, rotated so that phase 0 comes first when it holds
-whole cycles.  Every range must hold the tables `OperatorContext.bundle`
-builds from the range's names, so that every block sees what it saw on a
-stack of its own; a stage of one application, and so every single
-resolvent, builds no stack.
+phase i mod P), and every stage solves on one block range of that stack,
+rotated so that phase 0 comes first when it holds whole cycles.  Every
+range must hold the tables `OperatorContext.bundle` builds from the
+range's names, so that every block sees what it saw on a stack of its own.
+A range of one block is its subdomain's own bundle and the range of all
+blocks is the stack itself, so a chain builds one stack, at its first
+range of more than one block, and a single resolvent builds none.
 """
 
 import numpy as np
@@ -15,7 +16,8 @@ import pytest
 import stsplit.operators
 import stsplit.resolvent
 from conftest import make_problem, random_field
-from stsplit import ResolventConfig, SchemeConfig, resolvent_solve, run_scheme
+from stsplit import (ConfigurationError, ResolventConfig, SchemeConfig,
+                     resolvent_solve, run_scheme)
 from stsplit.iteration import _AdditiveSweep
 from stsplit.resolvent import _FieldSweep
 
@@ -55,6 +57,7 @@ def test_every_block_range_is_the_stack_of_its_names(cells, phases):
                            source="cos")
     names = _cycled(phases, 3 * len(phases))
     chain = ctx.bundle(names)
+    assert chain.block_range(0, len(chain.blocks)) is chain
     for lo in range(len(names)):
         for hi in range(lo + 1, len(names) + 1):
             part = chain.block_range(lo, hi)
@@ -111,13 +114,12 @@ def test_every_stage_solves_on_the_stack_of_its_names(monkeypatch, phases):
                                 ResolventConfig(s=4.0))) == sweeps
     # twelve applications run at once, whole cycles of every chain, so
     # some stages of them start at a later phase; at most `most` of each
-    # phase: the phases' own stacks at the call, then one stack of the
-    # phases cycled, with P - 2 entries more when P > 2
+    # phase: one stack of the phases cycled, with P - 2 entries more when
+    # P > 2, and none per phase
     n_phases = len(phases)
     most = -(-12 // n_phases)
     names = _cycled(phases, n_phases * most + max(n_phases - 2, 0))
-    assert builds == [len(phase) for phase in phases if len(phase) > 1] + [
-        len(names)]
+    assert builds == [len(names)]
     sizes = [len(tables.blocks) for tables, _ in seen]
     assert min(sizes) == min(len(phase) for phase in phases)
     cycle = sum(len(phase) for phase in phases)  # the blocks of one cycle
@@ -156,7 +158,8 @@ def test_2d_chains_of_one_application_per_stage_build_no_stage_stack(
     run_scheme(ctx, SchemeConfig(scheme="PR", s=2.0, max_sweeps=2,
                                  stop_tol=0.0))
     assert builds == []
-    # AS's one phase is a stack of two subdomains, built at the call
+    # AS's one phase is two subdomains: the chain's stack, of one entry,
+    # is every stage's whole range
     run_scheme(ctx, SchemeConfig(scheme="AS", s=2.0, max_sweeps=2,
                                  stop_tol=0.0))
     assert builds == [2]
@@ -176,3 +179,33 @@ def test_yielded_outputs_stay_as_they_were():
     assert len(kept) == 12
     for out, at_yield in kept:
         assert np.array_equal(out, at_yield)
+
+
+class _MisshapenSweep(_FieldSweep):
+    """A field's levels, but level `bad` of phase 0 has `size` values."""
+
+    def __init__(self, field, bad, size):
+        super().__init__(field)
+        self.bad, self.size = bad, size
+
+    def level_input(self, phase, k):
+        g = self.field[k]
+        return np.resize(g, self.size) if k == self.bad else g
+
+
+@pytest.mark.parametrize("n_sweeps", [1, 3])
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_misshapen_level_input_is_a_configuration_error(n_sweeps, extra):
+    # one sweep runs one application per stage; of three, the last one's
+    # level 0 is solved in a stage with the first two's levels 2 and 1
+    mesh, grid, _, _, ctx = make_problem(cells=24, n_steps=4, p=3.0,
+                                         lam=1.0, q=3, source="cos")
+    g = random_field(np.random.default_rng(3), grid, mesh)
+    bad = 2 if n_sweeps == 1 else 0
+    sweeps = [_FieldSweep(g) for _ in range(n_sweeps - 1)] + [
+        _MisshapenSweep(g, bad, mesh.n_nodes + extra)]
+    with pytest.raises(ConfigurationError,
+                       match=rf"level {bad} of phase 0's input has shape "
+                             rf"\({mesh.n_nodes + extra},\), not "
+                             rf"\({mesh.n_nodes},\)$"):
+        list(resolvent_solve(ctx, ((0,),), sweeps, ResolventConfig(s=4.0)))

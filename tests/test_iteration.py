@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import stsplit.iteration
+import stsplit.operators
 import stsplit.resolvent
 from conftest import make_problem, one_sweep, random_field
 from stsplit import (
@@ -466,25 +467,40 @@ def test_failing_stage_raises_the_first_application_to_fail(monkeypatch):
     assert len(marked) == 2
 
 
-def test_stage_whose_stack_fails_is_solved_unit_by_unit(monkeypatch):
+@pytest.mark.parametrize("scheme, q", [("PR", 2), ("AS", 3)])
+def test_stage_whose_stack_fails_is_solved_unit_by_unit(monkeypatch, scheme,
+                                                        q):
     # a failure of the stacked system that no unit shows alone: each stage
-    # of more than one application falls back to one solve per application
-    *_, ctx = make_problem(cells=24, n_steps=6, p=3.0, lam=1.0, source="cos")
+    # of more than one application falls back to one solve per application,
+    # on a block range of the chain's stack, so the chain's stack is the
+    # only one built, fallback included
+    *_, ctx = make_problem(cells=24, n_steps=6, p=3.0, lam=1.0, q=q,
+                           source="cos")
     u_h = solve_monolithic(ctx)
-    cfg = SchemeConfig(scheme="PR", s=2.0, max_sweeps=8, stop_tol=0.0)
+    cfg = SchemeConfig(scheme=scheme, s=2.0, max_sweeps=8, stop_tol=0.0)
+    build = stsplit.operators._stack_bundles
+    builds = []
+    monkeypatch.setattr(stsplit.operators, "_stack_bundles",
+                        lambda parts: builds.append(len(parts)) or build(parts))
     clean = run_scheme(ctx, cfg, u_ref=u_h)
+    chain_builds = list(builds)
+    assert len(chain_builds) == 1
+    # the blocks of one application: AS applies all q subdomains at once
+    blocks = q if scheme == "AS" else 1
     solve_linear = stsplit.resolvent._solve_linear
     stacked = []
 
     def failing(bundle, ke, diag_extra, rhs, ab):
-        if len(bundle.blocks) > 1:
+        if len(bundle.blocks) > blocks:
             stacked.append(1)
             raise SolverError("injected: stacked system")
         return solve_linear(bundle, ke, diag_extra, rhs, ab)
 
     monkeypatch.setattr(stsplit.resolvent, "_solve_linear", failing)
+    builds.clear()
     _runs_equal(clean, run_scheme(ctx, cfg, u_ref=u_h))
     assert stacked
+    assert builds == chain_builds
 
 
 @pytest.mark.parametrize("scheme", ["PR", "DR"])
